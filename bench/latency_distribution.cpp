@@ -1,16 +1,17 @@
 // Dissemination latency in continuous time.
 //
 // The paper measures latency in synchronous push rounds (marks on the
-// Figs. 1–5 curves, the rounds column of Table 2). The event-driven engine
-// lets us measure the real thing: the wall-clock time until 90% of the
-// online population holds the update, under message latency jitter and
-// session churn — including the latency price of decaying PF(t) schedules
-// and of relying on pull alone.
+// Figs. 1–5 curves, the rounds column of Table 2). The continuous-time
+// runtime::LoopbackCluster (real PeerRuntimes, codec bytes and all) lets
+// us measure the real thing: the time until 90% of the online population
+// holds the update, under message latency jitter and session churn —
+// including the latency price of decaying PF(t) schedules and of relying
+// on pull alone.
 #include <iostream>
 
 #include "analysis/forward_probability.hpp"
 #include "bench_util.hpp"
-#include "sim/event_simulator.hpp"
+#include "runtime/loopback_cluster.hpp"
 
 using namespace updp2p;
 
@@ -25,29 +26,35 @@ struct Variant {
 /// Time from publish until 90% of the online population is aware
 /// (negative: never reached within the horizon).
 double measure_latency(const Variant& variant, std::uint64_t seed) {
-  sim::EventSimConfig config;
+  runtime::LoopbackClusterConfig config;
   config.population = 300;
-  config.mean_online_time = 60.0;
-  config.mean_offline_time = 140.0;  // 30% availability
-  config.round_duration = 1.0;
-  config.latency = std::make_shared<net::UniformLatency>(0.2, 0.8);
-  config.gossip.estimated_total_replicas = config.population;
-  config.gossip.fanout_fraction = variant.fanout_fraction;
-  config.gossip.forward_probability = variant.pf;
-  config.gossip.pull.no_update_timeout = 10;
-  config.seed = seed;
-  sim::EventSimulator simulator(config);
+  config.sessions.emplace(60.0, 140.0);  // 30% availability
+  config.network.latency = std::make_shared<net::UniformLatency>(0.2, 0.8);
+  config.runtime.round_duration = 1.0;
+  // The measured protocol has no retransmission layer (see EXPERIMENTS.md).
+  config.runtime.retry.max_attempts = 1;
+  config.runtime.gossip.estimated_total_replicas = config.population;
+  config.runtime.gossip.fanout_fraction = variant.fanout_fraction;
+  config.runtime.gossip.forward_probability = variant.pf;
+  config.runtime.gossip.pull.no_update_timeout = 10;
+  config.runtime.seed = seed;
+  runtime::LoopbackCluster cluster(config);
 
   constexpr double kPublishAt = 5.0;
   constexpr double kHorizon = 120.0;
-  simulator.schedule_publish(kPublishAt, "item", "v1");
-  simulator.run_until(kPublishAt);
-  if (simulator.published().empty()) return -1.0;
-  const auto id = simulator.published().front().id;
+  cluster.run_until(kPublishAt);
+  const auto writer = cluster.pick_writer();
+  if (!writer) return -1.0;
+  const auto id = cluster.publish(*writer, "item", "v1");
+  if (!id) return -1.0;
 
   for (double t = kPublishAt; t <= kHorizon; t += 0.5) {
-    simulator.run_until(t);
-    if (simulator.aware_fraction_online(id) >= 0.9) return t - kPublishAt;
+    cluster.run_until(t);
+    const std::size_t online = cluster.online_count();
+    if (online > 0 && static_cast<double>(cluster.aware_online_count(*id)) >=
+                          0.9 * static_cast<double>(online)) {
+      return t - kPublishAt;
+    }
   }
   return -1.0;
 }
@@ -56,7 +63,7 @@ double measure_latency(const Variant& variant, std::uint64_t seed) {
 
 int main() {
   bench::print_banner(
-      "Dissemination latency distribution (event-driven, continuous time)",
+      "Dissemination latency distribution (LoopbackCluster, continuous time)",
       "300 peers, 30% availability, jittered latency U(0.2,0.8) per hop; "
       "time to 90% online awareness; 25 runs per variant");
 

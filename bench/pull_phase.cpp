@@ -1,12 +1,13 @@
 // Pull-phase evaluation (§4.3, §6) — analytical success probabilities plus
-// event-driven simulation of reconnecting peers, eager vs lazy pull, and a
-// Demers anti-entropy (pull-only) baseline.
+// a continuous-time cluster of reconnecting peers (runtime::LoopbackCluster),
+// eager vs lazy pull, and a Demers anti-entropy (pull-only) baseline.
 #include <iostream>
+#include <iterator>
 
 #include "analysis/pull_model.hpp"
 #include "baselines/anti_entropy.hpp"
 #include "bench_util.hpp"
-#include "sim/event_simulator.hpp"
+#include "runtime/loopback_cluster.hpp"
 
 using namespace updp2p;
 
@@ -46,65 +47,89 @@ struct PullVariantResult {
   double stale_reads;
 };
 
-PullVariantResult run_event_sim(bool lazy, std::uint64_t seed) {
-  sim::EventSimConfig config;
+PullVariantResult run_cluster(bool lazy, std::uint64_t seed) {
+  runtime::LoopbackClusterConfig config;
   config.population = 400;
-  config.mean_online_time = 40.0;    // ~20% availability
-  config.mean_offline_time = 160.0;
-  config.round_duration = 1.0;
-  config.gossip.estimated_total_replicas = config.population;
-  config.gossip.fanout_fraction = 0.05;
-  config.gossip.forward_probability = analysis::pf_geometric(0.9);
-  config.gossip.pull.lazy = lazy;
-  config.gossip.pull.contacts_per_attempt = 3;
-  config.gossip.pull.no_update_timeout = 50;
-  config.seed = seed;
+  config.sessions.emplace(40.0, 160.0);  // ~20% availability
+  config.network.latency = std::make_shared<net::ConstantLatency>(0.5);
+  config.runtime.round_duration = 1.0;
+  // The measured protocol has no retransmission layer (see EXPERIMENTS.md).
+  config.runtime.retry.max_attempts = 1;
+  config.runtime.gossip.estimated_total_replicas = config.population;
+  config.runtime.gossip.fanout_fraction = 0.05;
+  config.runtime.gossip.forward_probability = analysis::pf_geometric(0.9);
+  config.runtime.gossip.pull.lazy = lazy;
+  config.runtime.gossip.pull.contacts_per_attempt = 3;
+  config.runtime.gossip.pull.no_update_timeout = 50;
+  config.runtime.seed = seed;
+  runtime::LoopbackCluster cluster(config);
 
-  sim::EventSimulator simulator(config);
-  simulator.schedule_publish(10.0, "doc", "v1");
   // Periodic fresher versions keep the pull phase busy while churn cycles
   // peers through offline periods.
-  simulator.schedule_publish(120.0, "doc", "v2");
-  simulator.schedule_publish(240.0, "doc", "v3");
+  struct Publish {
+    double at;
+    const char* payload;
+  };
+  constexpr Publish kPublishes[] = {{10.0, "v1"}, {120.0, "v2"}, {240.0, "v3"}};
+  std::size_t next_publish = 0;
+  std::optional<version::VersionId> newest;
 
   std::size_t stale = 0;
   constexpr std::size_t kProbes = 50;
   for (std::size_t i = 0; i < kProbes; ++i) {
-    simulator.run_until(10.0 + static_cast<double>(i) * 7.0);
-    const auto answer =
-        simulator.query("doc", 3, gossip::QueryRule::kLatestVersion);
-    // A read is stale when it misses the newest already-published version.
-    const auto& published = simulator.published();
-    if (!published.empty() &&
-        (!answer.has_value() || answer->id != published.back().id)) {
-      ++stale;
+    const double probe_at = 10.0 + static_cast<double>(i) * 7.0;
+    for (; next_publish < std::size(kPublishes) &&
+           kPublishes[next_publish].at <= probe_at;
+         ++next_publish) {
+      cluster.run_until(kPublishes[next_publish].at);
+      if (const auto writer = cluster.pick_writer()) {
+        if (auto id = cluster.publish(*writer, "doc",
+                                      kPublishes[next_publish].payload)) {
+          newest = id;
+        }
+      }
     }
+    cluster.run_until(probe_at);
+    const auto answer =
+        cluster.query("doc", 3, gossip::QueryRule::kLatestVersion);
+    // A read is stale when it misses the newest already-published version.
+    if (newest && (!answer.has_value() || answer->id != *newest)) ++stale;
   }
-  simulator.run_until(400.0);
+  cluster.run_until(400.0);
 
-  const auto& stats = simulator.stats();
+  std::uint64_t pull_messages = 0;  // requests plus the responses they got
+  for (std::size_t i = 0; i < cluster.population(); ++i) {
+    const gossip::NodeStats& stats =
+        cluster.peer(common::PeerId(static_cast<std::uint32_t>(i)))
+            .node()
+            .stats();
+    pull_messages += stats.pull_requests_sent + stats.pull_requests_received;
+  }
   PullVariantResult result;
   result.pull_msgs_per_reconnect =
-      stats.reconnects == 0 ? 0.0
-                            : static_cast<double>(stats.pull_messages) /
-                                  static_cast<double>(stats.reconnects);
-  result.aware_total = simulator.aware_fraction_total(
-      simulator.published().back().id);
+      cluster.reconnects() == 0
+          ? 0.0
+          : static_cast<double>(pull_messages) /
+                static_cast<double>(cluster.reconnects());
+  result.aware_total =
+      newest ? static_cast<double>(cluster.aware_count(*newest)) /
+                   static_cast<double>(cluster.population())
+             : 0.0;
   result.stale_reads =
       static_cast<double>(stale) / static_cast<double>(kProbes);
   return result;
 }
 
-void event_sim_section() {
+void cluster_section() {
   common::TextTable table(
-      "eager vs lazy pull under session churn (event simulation, 400 peers, "
+      "eager vs lazy pull under session churn (LoopbackCluster, 400 peers, "
       "~20% availability, 3 consecutive updates)");
   table.header({"pull mode", "pull msgs/reconnect", "final awareness (all)",
                 "stale-read fraction"});
   for (const bool lazy : {false, true}) {
     common::RunningStats msgs, aware, stale;
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const auto result = run_event_sim(lazy, 500 + seed);
+      const auto result = run_cluster(lazy, 500 + seed);
       msgs.add(result.pull_msgs_per_reconnect);
       aware.add(result.aware_total);
       stale.add(result.stale_reads);
@@ -163,11 +188,11 @@ void anti_entropy_section() {
 }  // namespace
 
 int main() {
-  bench::print_banner("Pull phase — Section 4.3 analysis, event simulation "
+  bench::print_banner("Pull phase — Section 4.3 analysis, loopback cluster "
                       "and anti-entropy baseline",
                       "Hybrid push/pull vs pull-only reconciliation");
   analytical_section();
-  event_sim_section();
+  cluster_section();
   anti_entropy_section();
   return 0;
 }

@@ -2,18 +2,19 @@
 // updates are distributed sparsely".
 //
 // A Zipf-skewed Poisson stream of updates and queries runs against the
-// event-driven simulator at increasing update rates. Reported per rate:
-// protocol traffic, fraction of fresh query answers (answer == newest
-// published version of the key at query time), and answer-miss rate. The
-// paper's probabilistic guarantees hold while updates are sparse relative
-// to the push latency; the experiment shows how they erode as the rate
-// grows — quantifying where the assumption matters.
+// continuous-time runtime::LoopbackCluster at increasing
+// update rates. Reported per rate: protocol traffic, fraction of fresh
+// query answers (answer == newest published version of the key at query
+// time), and answer-miss rate. The paper's probabilistic guarantees hold
+// while updates are sparse relative to the push latency; the experiment
+// shows how they erode as the rate grows — quantifying where the
+// assumption matters.
 #include <iostream>
 #include <map>
 
 #include "analysis/forward_probability.hpp"
 #include "bench_util.hpp"
-#include "sim/event_simulator.hpp"
+#include "runtime/loopback_cluster.hpp"
 #include "sim/workload.hpp"
 
 using namespace updp2p;
@@ -30,16 +31,18 @@ struct RateResult {
 };
 
 RateResult run_rate(double update_rate, std::uint64_t seed) {
-  sim::EventSimConfig config;
+  runtime::LoopbackClusterConfig config;
   config.population = 200;
-  config.mean_online_time = 60.0;
-  config.mean_offline_time = 140.0;  // 30% availability
-  config.gossip.estimated_total_replicas = config.population;
-  config.gossip.fanout_fraction = 0.06;
-  config.gossip.forward_probability = analysis::pf_geometric(0.9);
-  config.gossip.pull.no_update_timeout = 25;
-  config.seed = seed;
-  sim::EventSimulator simulator(config);
+  config.sessions.emplace(60.0, 140.0);  // 30% availability
+  config.network.latency = std::make_shared<net::ConstantLatency>(0.5);
+  // The measured protocol has no retransmission layer (see EXPERIMENTS.md).
+  config.runtime.retry.max_attempts = 1;
+  config.runtime.gossip.estimated_total_replicas = config.population;
+  config.runtime.gossip.fanout_fraction = 0.06;
+  config.runtime.gossip.forward_probability = analysis::pf_geometric(0.9);
+  config.runtime.gossip.pull.no_update_timeout = 25;
+  config.runtime.seed = seed;
+  runtime::LoopbackCluster cluster(config);
 
   sim::WorkloadConfig workload_config;
   workload_config.key_count = 20;
@@ -57,10 +60,11 @@ RateResult run_rate(double update_rate, std::uint64_t seed) {
   RateResult result;
 
   for (const auto& op : operations) {
-    simulator.run_until(op.at);
+    cluster.run_until(op.at);
     if (op.kind == sim::Operation::Kind::kUpdate) {
-      simulator.schedule_publish(op.at, op.key, op.payload);
-      simulator.run_until(op.at);  // execute immediately
+      if (const auto writer = cluster.pick_writer()) {
+        cluster.publish(*writer, op.key, op.payload);
+      }
       newest[op.key] = op.payload;
       ++result.updates;
     } else {
@@ -68,7 +72,7 @@ RateResult run_rate(double update_rate, std::uint64_t seed) {
       if (it == newest.end()) continue;  // nothing published yet: skip
       ++result.queries;
       const auto answer =
-          simulator.query(op.key, 3, gossip::QueryRule::kLatestVersion);
+          cluster.query(op.key, 3, gossip::QueryRule::kLatestVersion);
       if (!answer.has_value()) {
         result.miss_fraction += 1.0;
       } else if (answer->payload == it->second) {
@@ -76,13 +80,20 @@ RateResult run_rate(double update_rate, std::uint64_t seed) {
       }
     }
   }
-  simulator.run_until(kHorizon);
+  cluster.run_until(kHorizon);
 
   const double evaluated = std::max<std::size_t>(result.queries, 1);
   result.fresh_fraction /= evaluated;
   result.miss_fraction /= evaluated;
-  result.push_messages = simulator.stats().push_messages;
-  result.pull_messages = simulator.stats().pull_messages;
+  for (std::size_t i = 0; i < cluster.population(); ++i) {
+    const gossip::NodeStats& stats =
+        cluster.peer(common::PeerId(static_cast<std::uint32_t>(i)))
+            .node()
+            .stats();
+    result.push_messages += stats.pushes_forwarded;
+    result.pull_messages +=
+        stats.pull_requests_sent + stats.pull_requests_received;
+  }
   return result;
 }
 

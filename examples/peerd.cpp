@@ -14,9 +14,10 @@
 //   PULLBYTES <n>           pull-response bytes received up to HAVE time
 //   STATE <hex>             store content digest at HAVE time
 //
-// The status file is replaced atomically on every line (write temp +
+// The status file is replaced atomically on every update (write temp +
 // fsync + rename + directory fsync), so a polling orchestrator never
 // observes a torn line — and a crash never leaves a half-written file.
+// HAVE, PULLBYTES and STATE arrive in one update.
 //
 // Example: three peers, one publishing after 200 ms (one command per line):
 //   updp2p-peerd --self 0 --port 9100 --peers 1:9101,2:9102
@@ -236,13 +237,15 @@ int main(int argc, char** argv) {
     if (!watch_key.empty() && !have_reported) {
       if (const auto value = peer.read(watch_key)) {
         have_reported = true;
-        status.line("HAVE " + watch_key + " " + value->id.to_string());
         // Exact reconnect-cost accounting, snapshotted at HAVE time: a
         // peer that recovered the key from disk reports strictly fewer
-        // pull-response bytes than one that pulled from zero.
-        status.line("PULLBYTES " +
-                    std::to_string(peer.stats().pull_response_bytes_in));
-        status.line("STATE " +
+        // pull-response bytes than one that pulled from zero. The three
+        // lines land in one atomic replacement, so a reader that sees HAVE
+        // also sees the snapshot taken with it.
+        status.line("HAVE " + watch_key + " " + value->id.to_string() +
+                    "\nPULLBYTES " +
+                    std::to_string(peer.stats().pull_response_bytes_in) +
+                    "\nSTATE " +
                     peer.node().store().content_digest().to_hex());
       }
     }

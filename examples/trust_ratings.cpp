@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "analysis/forward_probability.hpp"
-#include "sim/event_simulator.hpp"
+#include "runtime/loopback_cluster.hpp"
 
 using namespace updp2p;
 
@@ -29,38 +29,47 @@ int complaint_count(const std::optional<version::VersionedValue>& record) {
   return std::atoi(record->payload.c_str() + pos + 6);
 }
 
+struct Complaint {
+  double at;
+  int trader;
+  std::string record;
+};
+
 }  // namespace
 
 int main() {
-  sim::EventSimConfig config;
-  config.population = 200;          // the reputation replica group
-  config.mean_online_time = 50.0;
-  config.mean_offline_time = 150.0; // 25% availability
-  config.gossip.estimated_total_replicas = config.population;
-  config.gossip.fanout_fraction = 0.10;
-  config.gossip.forward_probability = analysis::pf_geometric(0.95);
-  config.gossip.pull.no_update_timeout = 30;
-  config.seed = 404;
-  sim::EventSimulator network(config);
+  runtime::LoopbackClusterConfig config;
+  config.population = 200;               // the reputation replica group
+  config.sessions.emplace(50.0, 150.0);  // 25% availability
+  config.network.latency = std::make_shared<net::ConstantLatency>(0.5);
+  config.runtime.retry.max_attempts = 1;  // no retransmission layer
+  config.runtime.gossip.estimated_total_replicas = config.population;
+  config.runtime.gossip.fanout_fraction = 0.10;
+  config.runtime.gossip.forward_probability = analysis::pf_geometric(0.95);
+  config.runtime.gossip.pull.no_update_timeout = 30;
+  config.runtime.seed = 404;
+  runtime::LoopbackCluster network(config);
 
   std::cout << "== decentralised trust management over " << config.population
             << " mostly-offline peers ==\n";
 
   // Trader 7 misbehaves repeatedly; each witness updates the complaint
   // record having first read (and causally extending) the current one.
-  double t = 5.0;
-  int complaints = 0;
-  for (int incident = 1; incident <= 4; ++incident) {
-    ++complaints;
-    network.schedule_publish(
-        t, complaint_key(7),
-        "count=" + std::to_string(complaints) + ";last=incident-" +
-            std::to_string(incident));
-    t += 60.0;
-  }
   // Trader 12 has a single old complaint.
-  network.schedule_publish(20.0, complaint_key(12), "count=1;last=dispute");
-
+  const std::vector<Complaint> complaints = {
+      {5.0, 7, "count=1;last=incident-1"},
+      {20.0, 12, "count=1;last=dispute"},
+      {65.0, 7, "count=2;last=incident-2"},
+      {125.0, 7, "count=3;last=incident-3"},
+      {185.0, 7, "count=4;last=incident-4"},
+  };
+  for (const Complaint& complaint : complaints) {
+    network.run_until(complaint.at);
+    if (const auto witness = network.pick_writer()) {
+      network.publish(*witness, complaint_key(complaint.trader),
+                      complaint.record);
+    }
+  }
   network.run_until(300.0);
 
   // A buyer checks both traders before committing to a deal.
@@ -80,20 +89,23 @@ int main() {
   // How consistent is the network's view of the repeat offender?
   const auto latest = network.query(complaint_key(7), 5,
                                     gossip::QueryRule::kLatestVersion);
+  std::uint64_t push = 0, pull = 0;
+  std::size_t current = 0;
+  for (std::size_t i = 0; i < network.population(); ++i) {
+    const auto& peer = network.peer(common::PeerId(static_cast<std::uint32_t>(i)));
+    const auto local = peer.read(complaint_key(7));
+    if (latest && local && local->id == latest->id) ++current;
+    push += peer.node().stats().pushes_forwarded;
+    pull += peer.node().stats().pull_requests_sent +
+            peer.node().stats().pull_requests_received;
+  }
   if (latest.has_value()) {
-    std::size_t current = 0;
-    for (std::uint32_t i = 0; i < network.population(); ++i) {
-      const auto local =
-          network.node(common::PeerId(i)).read(complaint_key(7));
-      if (local.has_value() && local->id == latest->id) ++current;
-    }
     std::cout << "\nreplicas holding the newest complaint record for "
                  "trader 7: "
               << current << "/" << network.population() << "\n";
   }
-  const auto& stats = network.stats();
-  std::cout << "traffic: " << stats.push_messages << " push / "
-            << stats.pull_messages << " pull messages for "
-            << (complaints + 1) << " rating updates\n";
+  std::cout << "traffic: " << push << " push / " << pull
+            << " pull messages for " << complaints.size()
+            << " rating updates\n";
   return 0;
 }

@@ -126,11 +126,13 @@ echo "==> sanitizers: TSan build + concurrency suites"
 # The tsan test preset filters to the suites that actually spawn threads or
 # drive the live event loop: the work-stealing sweep pool, the sharded
 # round engine and bus, the golden-determinism suite (ShardInvariance
-# drives 8 shard threads), the runtime layer (timer wheel, PeerRuntime,
-# loopback golden, inproc/UDP transports — the UDP suite exercises real
-# kernel socket I/O under TSan), and the durable-store suites (PeerRuntime
-# owns a ReplicaStore, so the WAL/snapshot/recovery + fuzz paths run under
-# all three sanitizer legs).
+# drives 8 shard threads; ChurnedCluster steps a LoopbackCluster), the
+# runtime layer (timer wheel, PeerRuntime, LoopbackCluster and its golden,
+# inproc/UDP transports — the UDP suite exercises real kernel socket I/O
+# under TSan), the chaos engine (threaded seed sweeps over LoopbackCluster),
+# and the durable-store suites (PeerRuntime owns a
+# ReplicaStore, so the WAL/snapshot/recovery + fuzz paths run under all
+# three sanitizer legs).
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}" \
   --target sim_tests net_tests runtime_tests store_tests chaos_tests

@@ -1,12 +1,13 @@
 // Chaos engine — executes a Scenario over a virtual-time cluster.
 //
-// The engine builds an InprocNetwork + one PeerRuntime per peer, installs
-// a FaultInjector as the network's LinkFaultPolicy, then walks the
-// scenario's phases: ops apply back-to-back at each phase start, the
-// cluster then runs for the phase duration on a fixed tick grid. Peer
-// clocks may run skewed; kill/restart recycles the runtime over the same
-// (or wiped) store directory; disk faults flip the shared StoreFaults
-// switchboard.
+// The engine interprets the scenario over a runtime::LoopbackCluster (the
+// repository's one continuous-time cluster), installs a FaultInjector as
+// the cluster network's LinkFaultPolicy, then walks the scenario's phases:
+// ops apply back-to-back at each phase start, the cluster then runs for
+// the phase duration on a fixed tick grid. Peer clocks may run skewed;
+// kill/restart recycles the runtime over the same (or wiped) store
+// directory; disk faults flip the shared StoreFaults switchboard. With no
+// fault op a run is exactly a LoopbackCluster run of the same settings.
 //
 // Every run is a pure function of (scenario, seed, mutation): all
 // randomness flows through StreamRngs keyed off the run seed, and the
@@ -27,6 +28,7 @@
 #include "chaos/scenario.hpp"
 #include "common/hash.hpp"
 #include "net/inproc_transport.hpp"
+#include "runtime/peer_runtime.hpp"
 
 namespace updp2p::chaos {
 
@@ -62,6 +64,7 @@ struct ChaosReport {
   std::vector<PeerSummary> peers;
   net::InprocNetworkStats network;
   InjectorStats injector;
+  runtime::RuntimeStats totals;  ///< summed over the peers alive at the end
 
   [[nodiscard]] bool passed() const noexcept { return violations.empty(); }
 };

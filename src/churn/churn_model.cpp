@@ -159,18 +159,4 @@ SessionProcess::SessionProcess(double mean_online_time, double mean_offline_time
                 "mean session times must be positive");
 }
 
-std::pair<bool, common::SimTime> SessionProcess::start(common::Rng& rng) const {
-  const bool online = rng.bernoulli(availability());
-  // Exponential sessions are memoryless, so the residual time in the current
-  // state is again exponential with the full mean.
-  const double mean = online ? mean_online_ : mean_offline_;
-  return {online, rng.exponential(1.0 / mean)};
-}
-
-common::SimTime SessionProcess::next_transition(common::Rng& rng, bool online,
-                                                common::SimTime now) const {
-  const double mean = online ? mean_online_ : mean_offline_;
-  return now + rng.exponential(1.0 / mean);
-}
-
 }  // namespace updp2p::churn

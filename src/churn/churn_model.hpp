@@ -145,30 +145,42 @@ class TraceChurn final : public ChurnModel {
   std::size_t round_ = 0;
 };
 
-/// Continuous-time alternating-renewal availability for the event-driven
-/// simulator: exponential online/offline session durations.
+/// Continuous-time alternating-renewal availability for
+/// runtime::LoopbackCluster: exponential online/offline session durations.
+/// Both draws work with either RNG engine through the shared distribution
+/// mixin, like RetryPolicy::delay.
 class SessionProcess {
  public:
   SessionProcess(double mean_online_time, double mean_offline_time);
 
-  struct Transition {
-    common::SimTime at;
-    bool goes_online;
-  };
-
   /// Initial state sampled from the stationary distribution; returns whether
   /// the peer starts online and the time of its first transition.
-  [[nodiscard]] std::pair<bool, common::SimTime> start(common::Rng& rng) const;
+  template <typename Engine>
+  [[nodiscard]] std::pair<bool, common::SimTime> start(
+      common::RngOps<Engine>& rng) const {
+    const bool online = rng.bernoulli(availability());
+    // Exponential sessions are memoryless, so the residual time in the
+    // current state is again exponential with the full mean.
+    return {online, rng.exponential(1.0 / mean_of(online))};
+  }
 
   /// Next transition after a state change at `now` into state `online`.
-  [[nodiscard]] common::SimTime next_transition(common::Rng& rng, bool online,
-                                                common::SimTime now) const;
+  template <typename Engine>
+  [[nodiscard]] common::SimTime next_transition(common::RngOps<Engine>& rng,
+                                                bool online,
+                                                common::SimTime now) const {
+    return now + rng.exponential(1.0 / mean_of(online));
+  }
 
   [[nodiscard]] double availability() const noexcept {
     return mean_online_ / (mean_online_ + mean_offline_);
   }
 
  private:
+  [[nodiscard]] double mean_of(bool online) const noexcept {
+    return online ? mean_online_ : mean_offline_;
+  }
+
   double mean_online_;
   double mean_offline_;
 };

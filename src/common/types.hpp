@@ -55,7 +55,7 @@ using UpdateId = StrongId<UpdateIdTag, std::uint64_t>;
 /// Push-round counter `t` from the paper's analysis (Table 1).
 using Round = std::uint32_t;
 
-/// Continuous simulation time used by the event-driven engine (seconds).
+/// Continuous (virtual or wall-clock) time of the runtime layer, in seconds.
 using SimTime = double;
 
 template <typename Tag, typename Rep>

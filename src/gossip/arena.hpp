@@ -6,9 +6,10 @@
 // (a DensePeerSet stamp array alone is O(population) per node). Only one
 // node per driver thread executes at a time, so the scratch can be shared:
 // a WorkArena holds one set of buffers that every node wired to it reuses.
-// Sequential drivers (EventSimulator, ReplicatedIndex) use one arena for
-// the whole population; the sharded RoundSimulator uses one arena per
-// shard, which keeps the sharing single-threaded by construction.
+// A sequential owner (ReplicatedIndex) uses one arena for the whole
+// population; the sharded RoundSimulator uses one arena per shard, which
+// keeps the sharing single-threaded by construction. A PeerRuntime keeps
+// its node's private scratch: each runtime is its own event loop.
 //
 // Every buffer is cleared (or assigned) by its user before use, never read
 // across calls, so handing the same arena to many nodes is safe as long as

@@ -8,9 +8,9 @@
 // stack) delivers them — mirroring the paper's claim that propagation "may
 // employ any point-to-point/multicast/ad-hoc communication mechanism".
 //
-// Timebase: handlers take the current push-round number. The event-driven
-// simulator maps continuous time onto rounds; PF(t) itself depends only on
-// the hop counter carried inside push messages, exactly as analysed.
+// Timebase: handlers take the current push-round number. The live runtime
+// (and with it runtime::LoopbackCluster) maps continuous time onto rounds; PF(t) itself depends only on the hop counter carried inside push
+// messages, exactly as analysed.
 #pragma once
 
 #include <cstdint>

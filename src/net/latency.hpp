@@ -1,15 +1,16 @@
-// Latency models for the event-driven simulator and the live transports.
+// Latency models for the live transports.
 //
 // The round-synchronous analysis abstracts latency into "rounds"; the
-// event-driven engine (pull phase, overlapping push/pull) needs concrete
-// per-message delays. Paper §4.1 notes that real networks interleave rounds
-// — these models let tests exercise exactly that. The inproc live transport
-// reuses them for its deterministic delivery schedule.
+// continuous-time loopback cluster (pull phase, overlapping push/pull) needs
+// concrete per-message delays. Paper §4.1 notes that real networks
+// interleave rounds — these models let tests exercise exactly that. The
+// inproc live transport samples them for its deterministic delivery
+// schedule.
 //
 // Sampling is written once against the shared distribution mixin
 // (common::RngOps) and exposed through two virtual overloads, one per
-// engine: the sequential Rng (event simulator) and the counter-based
-// StreamRng (per-link live-transport streams). Given identical raw engine
+// engine: the sequential Rng and the counter-based StreamRng (per-link
+// live-transport streams). Given identical raw engine
 // outputs, both overloads produce bit-identical samples — the same
 // contract RngOps gives everything else in the tree.
 #pragma once

@@ -9,9 +9,11 @@ namespace updp2p::pgrid {
 ReplicatedIndex::ReplicatedIndex(ReplicatedIndexConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
-      grid_(PGridNetwork::build(config_.grid)) {
+      grid_(PGridNetwork::build(config_.grid)),
+      bus_(1, grid_.peer_count()) {
   nodes_.reserve(grid_.peer_count());
   online_.assign(grid_.peer_count(), true);
+  send_seq_.assign(grid_.peer_count(), 0);
 
   for (std::uint32_t i = 0; i < grid_.peer_count(); ++i) {
     const common::PeerId self(i);
@@ -35,9 +37,10 @@ std::size_t ReplicatedIndex::online_count() const {
 
 void ReplicatedIndex::dispatch(common::PeerId from,
                                std::vector<gossip::OutboundMessage> out) {
+  std::uint32_t& seq = send_seq_[from.value()];
   for (auto& message : out) {
     bus_.send(from, message.to, std::move(message.payload),
-              message.size_bytes, round_);
+              message.size_bytes, round_, seq++);
   }
 }
 
@@ -54,9 +57,15 @@ void ReplicatedIndex::set_online(common::PeerId peer, bool online) {
 
 void ReplicatedIndex::step_round() {
   ++round_;
-  const auto delivered = bus_.deliver_round(
-      [this](common::PeerId to) { return online_[to.value()]; }, rng_);
-  for (const auto& envelope : delivered) {
+  bus_.begin_round();
+  bus_.collect_into(0, batch_);
+  net::BusStats& stats = bus_.shard_stats(0);
+  for (const auto& envelope : batch_) {
+    if (!online_[envelope.to.value()]) {
+      ++stats.messages_to_offline;
+      continue;
+    }
+    ++stats.messages_delivered;
     dispatch(envelope.to,
              nodes_[envelope.to.value()]->handle_message(
                  envelope.from, envelope.payload, round_));

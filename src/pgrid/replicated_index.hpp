@@ -107,9 +107,7 @@ class ReplicatedIndex {
   [[nodiscard]] std::size_t population() const noexcept {
     return nodes_.size();
   }
-  [[nodiscard]] const net::BusStats& bus_stats() const noexcept {
-    return bus_.stats();
-  }
+  [[nodiscard]] net::BusStats bus_stats() const { return bus_.stats(); }
 
   /// Fraction of the replica group of `key` whose winning version for the
   /// key equals `id` (consistency probe for tests/monitoring).
@@ -128,7 +126,11 @@ class ReplicatedIndex {
   PGridNetwork grid_;
   std::vector<std::unique_ptr<gossip::ReplicaNode>> nodes_;
   std::vector<bool> online_;
-  net::MessageBus<gossip::GossipPayload> bus_;
+  /// One shard: the single-threaded index delivers in the bus's canonical
+  /// (to, from, seq) order and records outcomes in shard_stats(0).
+  net::ShardedMessageBus<gossip::GossipPayload> bus_;
+  std::vector<std::uint32_t> send_seq_;  ///< per-sender envelope sequence
+  std::vector<net::Envelope<gossip::GossipPayload>> batch_;
   common::Round round_ = 0;
 };
 

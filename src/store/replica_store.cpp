@@ -9,12 +9,27 @@
 
 namespace updp2p::store {
 
+namespace {
+
+/// mkdir -p, leaf first: an existing directory (or one whose parent
+/// exists) costs a single mkdir; parents are created only after the leaf
+/// failed with ENOENT. On failure errno describes the failing step.
+bool make_dirs(const std::string& path) {
+  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return true;
+  if (errno != ENOENT) return false;
+  const std::size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos || slash == 0) return false;
+  if (!make_dirs(path.substr(0, slash))) return false;
+  return ::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST;
+}
+
+}  // namespace
+
 std::optional<ReplicaStore> ReplicaStore::open(StoreConfig config,
                                                std::string* error) {
   ReplicaStore store;
   store.config_ = std::move(config);
-  if (::mkdir(store.config_.data_dir.c_str(), 0755) != 0 &&
-      errno != EEXIST) {
+  if (!make_dirs(store.config_.data_dir)) {
     if (error != nullptr) {
       *error = store.config_.data_dir + ": mkdir: " + std::strerror(errno);
     }
@@ -52,7 +67,11 @@ std::optional<ReplicaStore> ReplicaStore::open(StoreConfig config,
         return std::nullopt;
       }
       store.recovered_log_.resize(raw.size());
-      std::memcpy(store.recovered_log_.data(), raw.data(), raw.size());
+      // An empty log (truncated by a snapshot) has null data(): memcpy
+      // from null is undefined even for zero bytes.
+      if (!raw.empty()) {
+        std::memcpy(store.recovered_log_.data(), raw.data(), raw.size());
+      }
     }
   }
   const WalScanResult scan = scan_wal(

@@ -38,7 +38,6 @@
 #include "runtime/peer_runtime.hpp"         // IWYU pragma: export
 #include "runtime/retry.hpp"                // IWYU pragma: export
 #include "runtime/timer_wheel.hpp"          // IWYU pragma: export
-#include "sim/event_simulator.hpp"          // IWYU pragma: export
 #include "sim/round_simulator.hpp"          // IWYU pragma: export
 #include "sim/sweep.hpp"                    // IWYU pragma: export
 #include "sim/workload.hpp"                 // IWYU pragma: export

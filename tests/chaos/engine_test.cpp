@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "chaos/scenarios.hpp"
+#include "net/latency.hpp"
+#include "runtime/loopback_cluster.hpp"
 
 namespace updp2p::chaos {
 namespace {
@@ -184,6 +188,72 @@ TEST(ChaosEngine, MutationIsPartOfTheReplayIdentity) {
   EXPECT_NE(clean.trace_digest.to_hex(), mutated.trace_digest.to_hex());
   EXPECT_GT(mutated.injector.mutation_drops, 0u);
   EXPECT_EQ(clean.injector.mutation_drops, 0u);
+}
+
+TEST(ChaosEngine, NoFaultRunIsALoopbackRun) {
+  // With only publish ops, the harness adds nothing to the cluster it
+  // drives: the same settings stepped directly on a LoopbackCluster end in
+  // the same per-peer content and the same runtime counters, exactly.
+  std::string error;
+  const auto scenario = parse_scenario(
+      "name no-fault\n"
+      "population 8\n"
+      "round 0.25\n"
+      "loss 0.1\n"
+      "latency 0.02 0.15\n"
+      "phase 2\n"
+      "  publish 0 alpha\n"
+      "  publish 5 beta\n"
+      "phase 3\n"
+      "  publish 3 gamma\n"
+      "phase 20\n",
+      &error);
+  ASSERT_TRUE(scenario.has_value()) << error;
+  constexpr std::uint64_t kSeed = 11;
+  const ChaosReport report = run_scenario(*scenario, kSeed, ChaosOptions{});
+  ASSERT_TRUE(report.passed()) << report.violations.front();
+  ASSERT_EQ(report.published, 3u);
+
+  runtime::LoopbackClusterConfig config;
+  config.population = scenario->population;
+  config.runtime.gossip.fanout_fraction = scenario->fanout;
+  config.runtime.gossip.estimated_total_replicas = scenario->population;
+  config.runtime.gossip.acks.enabled = scenario->acks;
+  config.runtime.retry.max_attempts = scenario->retry_attempts;
+  config.runtime.retry.initial_timeout = scenario->retry_initial;
+  config.runtime.round_duration = scenario->round;
+  config.runtime.tick_duration = scenario->tick;
+  config.runtime.seed = kSeed;
+  config.network.loss_probability = scenario->base_loss;
+  config.network.latency = std::make_shared<net::UniformLatency>(
+      scenario->latency_lo, scenario->latency_hi);
+  runtime::LoopbackCluster cluster(config);
+  std::size_t published = 0;
+  for (const Phase& phase : scenario->phases) {
+    for (const Op& op : phase.ops) {
+      // The engine's deterministic payload: key, publish count, seed.
+      ASSERT_TRUE(cluster
+                      .publish(op.peer, op.key,
+                               op.key + "#" + std::to_string(published++) +
+                                   "@" + std::to_string(kSeed))
+                      .has_value());
+    }
+    cluster.run_until(cluster.now() + phase.duration, scenario->tick);
+  }
+
+  for (std::uint32_t i = 0; i < scenario->population; ++i) {
+    EXPECT_EQ(report.peers[i].state,
+              cluster.peer(common::PeerId(i)).node().store().content_digest())
+        << "peer " << i;
+  }
+  // RuntimeStats is all u64 counters: compare every field at once.
+  static_assert(
+      std::has_unique_object_representations_v<runtime::RuntimeStats>);
+  const runtime::RuntimeStats totals = cluster.totals();
+  EXPECT_EQ(std::memcmp(&report.totals, &totals, sizeof totals), 0);
+  EXPECT_GT(totals.retransmits, 0u);  // the lossy links did real work
+  EXPECT_EQ(report.network.datagrams_delivered,
+            cluster.network().stats().datagrams_delivered);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/stats.hpp"
 
@@ -164,6 +165,31 @@ TEST(SessionProcess, TransitionIsInFuture) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_GT(process.next_transition(rng, true, 123.0), 123.0);
   }
+}
+
+TEST(SessionProcess, StreamRngSessionsArePinned) {
+  // Sessions draw through the shared distribution mixin, so a per-peer
+  // StreamRng purpose (LoopbackCluster's source) yields a fixed
+  // sequence, and common::Rng callers keep drawing what they always drew.
+  const SessionProcess process(10.0, 30.0);
+  common::StreamRng stream(77, 3, 0x5E55);
+  auto [online, at] = process.start(stream);
+  std::vector<double> times{at};
+  for (int i = 0; i < 3; ++i) {
+    online = !online;
+    at = process.next_transition(stream, online, at);
+    times.push_back(at);
+  }
+  EXPECT_TRUE(online);
+  EXPECT_DOUBLE_EQ(times[0], 1.5843530533008032);
+  EXPECT_DOUBLE_EQ(times[1], 12.806787603593147);
+  EXPECT_DOUBLE_EQ(times[2], 25.212093654093422);
+  EXPECT_DOUBLE_EQ(times[3], 34.413878124285368);
+
+  Rng rng(77);
+  const auto [rng_online, rng_first] = process.start(rng);
+  EXPECT_FALSE(rng_online);
+  EXPECT_DOUBLE_EQ(rng_first, 44.491833469402209);
 }
 
 // Availability sweep: SessionChurn long-run fraction tracks the target.

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/forward_probability.hpp"
-#include "sim/event_simulator.hpp"
+#include "runtime/loopback_cluster.hpp"
 #include "sim/round_simulator.hpp"
 
 namespace updp2p {
@@ -14,67 +14,74 @@ namespace {
 
 using common::PeerId;
 
+/// A continuous-time cluster without a retransmission layer, with the
+/// half-round message latency the paper's continuous-time rows use.
+runtime::LoopbackClusterConfig cluster_config(std::size_t population,
+                                              std::uint64_t seed) {
+  runtime::LoopbackClusterConfig config;
+  config.population = population;
+  config.network.latency = std::make_shared<net::ConstantLatency>(0.5);
+  config.runtime.retry.max_attempts = 1;
+  config.runtime.gossip.estimated_total_replicas = population;
+  config.runtime.seed = seed;
+  return config;
+}
+
+/// Publishes from a random (preferably confident) online peer.
+std::optional<version::VersionId> publish_any(
+    runtime::LoopbackCluster& cluster, std::string_view key,
+    std::string payload) {
+  const auto writer = cluster.pick_writer();
+  if (!writer) return std::nullopt;
+  return cluster.publish(*writer, key, std::move(payload));
+}
+
 TEST(HybridIntegration, SequentialUpdatesConvergeUnderChurn) {
-  sim::EventSimConfig config;
-  config.population = 150;
-  config.mean_online_time = 30.0;
-  config.mean_offline_time = 90.0;  // 25% availability
-  config.gossip.estimated_total_replicas = 150;
-  config.gossip.fanout_fraction = 0.07;
-  config.gossip.forward_probability = analysis::pf_geometric(0.9);
-  config.gossip.pull.contacts_per_attempt = 3;
-  config.gossip.pull.no_update_timeout = 20;
-  config.seed = 7;
-  sim::EventSimulator simulator(config);
+  auto config = cluster_config(150, 7);
+  config.sessions.emplace(30.0, 90.0);  // 25% availability
+  config.runtime.gossip.fanout_fraction = 0.07;
+  config.runtime.gossip.forward_probability = analysis::pf_geometric(0.9);
+  config.runtime.gossip.pull.contacts_per_attempt = 3;
+  config.runtime.gossip.pull.no_update_timeout = 20;
+  runtime::LoopbackCluster cluster(config);
 
-  simulator.schedule_publish(5.0, "doc", "v1");
-  simulator.schedule_publish(100.0, "doc", "v2");
-  simulator.schedule_publish(200.0, "doc", "v3");
-  simulator.run_until(900.0);
+  std::optional<version::VersionId> latest;
+  for (const auto& [at, payload] : {std::pair{5.0, "v1"}, std::pair{100.0, "v2"},
+                                    std::pair{200.0, "v3"}}) {
+    cluster.run_until(at);
+    latest = publish_any(cluster, "doc", payload);
+    ASSERT_TRUE(latest.has_value()) << "nobody online at t=" << at;
+  }
+  cluster.run_until(900.0);
 
-  ASSERT_EQ(simulator.published().size(), 3u);
-  const auto& latest = simulator.published().back();
   // Nearly the whole population (online or not) converged to v3.
-  EXPECT_GT(simulator.aware_fraction_total(latest.id), 0.9);
+  EXPECT_GT(static_cast<double>(cluster.aware_count(*latest)) / 150.0, 0.9);
   // And queries against online replicas return v3.
   const auto result =
-      simulator.query("doc", 5, gossip::QueryRule::kLatestVersion);
+      cluster.query("doc", 5, gossip::QueryRule::kLatestVersion);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->payload, "v3");
 }
 
 TEST(HybridIntegration, ConcurrentWritersCoexistThenResolve) {
-  sim::EventSimConfig config;
-  config.population = 100;
-  config.mean_online_time = 1e6;  // no churn: isolate conflict handling
-  config.mean_offline_time = 1.0;
-  config.gossip.estimated_total_replicas = 100;
-  config.gossip.fanout_fraction = 0.10;
-  config.seed = 21;
-  sim::EventSimulator simulator(config);
+  auto config = cluster_config(100, 21);  // no sessions: isolate conflicts
+  config.runtime.gossip.fanout_fraction = 0.10;
+  runtime::LoopbackCluster cluster(config);
 
   // Two peers write the same key at (almost) the same instant.
-  PeerId a = PeerId::invalid(), b = PeerId::invalid();
-  for (std::uint32_t i = 0; i < 100 && !b.is_valid(); ++i) {
-    if (!simulator.is_online(PeerId(i))) continue;
-    if (!a.is_valid()) {
-      a = PeerId(i);
-    } else {
-      b = PeerId(i);
-    }
-  }
-  ASSERT_TRUE(b.is_valid());
-  simulator.schedule_publish(1.0, "key", "from-a", a);
-  simulator.schedule_publish(1.01, "key", "from-b", b);
-  simulator.run_until(60.0);
+  cluster.run_until(1.0);
+  ASSERT_TRUE(cluster.publish(PeerId(0), "key", "from-a").has_value());
+  cluster.run_until(1.01);
+  ASSERT_TRUE(cluster.publish(PeerId(1), "key", "from-b").has_value());
+  cluster.run_until(60.0);
 
   // Both versions coexist somewhere; every replica resolves the SAME winner.
   const auto winner =
-      simulator.query("key", 10, gossip::QueryRule::kLatestVersion);
+      cluster.query("key", 10, gossip::QueryRule::kLatestVersion);
   ASSERT_TRUE(winner.has_value());
   std::size_t holding_winner = 0;
   for (std::uint32_t i = 0; i < 100; ++i) {
-    const auto local = simulator.node(PeerId(i)).read("key");
+    const auto local = cluster.peer(PeerId(i)).read("key");
     if (local.has_value()) {
       EXPECT_EQ(local->id, winner->id)
           << "replica " << i << " resolves a different winner";
@@ -85,24 +92,23 @@ TEST(HybridIntegration, ConcurrentWritersCoexistThenResolve) {
 }
 
 TEST(HybridIntegration, DeletionsConvergeAsWell) {
-  sim::EventSimConfig config;
-  config.population = 80;
-  config.mean_online_time = 40.0;
-  config.mean_offline_time = 60.0;
-  config.gossip.estimated_total_replicas = 80;
-  config.gossip.fanout_fraction = 0.1;
-  config.gossip.pull.no_update_timeout = 15;
-  config.seed = 13;
-  sim::EventSimulator simulator(config);
-  simulator.schedule_publish(1.0, "temp", "data");
-  simulator.run_until(80.0);
-  simulator.schedule_remove(80.0, "temp");
-  simulator.run_until(500.0);
+  auto config = cluster_config(80, 13);
+  config.sessions.emplace(40.0, 60.0);
+  config.runtime.gossip.fanout_fraction = 0.1;
+  config.runtime.gossip.pull.no_update_timeout = 15;
+  runtime::LoopbackCluster cluster(config);
+  cluster.run_until(1.0);
+  ASSERT_TRUE(publish_any(cluster, "temp", "data").has_value());
+  cluster.run_until(80.0);
+  const auto remover = cluster.pick_writer();
+  ASSERT_TRUE(remover.has_value());
+  ASSERT_TRUE(cluster.peer(*remover).remove("temp"));
+  cluster.run_until(500.0);
 
   std::size_t deleted = 0;
   std::size_t still_live = 0;
   for (std::uint32_t i = 0; i < 80; ++i) {
-    const auto& store = simulator.node(PeerId(i)).store();
+    const auto& store = cluster.peer(PeerId(i)).node().store();
     if (store.is_deleted("temp")) {
       ++deleted;
     } else if (store.read("temp").has_value()) {

@@ -3,6 +3,8 @@
 // implementations, so agreement is evidence both transcribe §4.2 correctly.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "analysis/push_model.hpp"
 #include "sim/round_simulator.hpp"
 
@@ -17,6 +19,11 @@ struct AgreementCase {
   bool partial_list;
   double pf_base;  // 1.0 = constant flooding
 };
+
+// gtest puts the printed parameter into the listed (and so ctest's) test
+// name. The default print dumps the struct's bytes, whose `name` pointer and
+// padding differ from process to process; print the case name instead.
+void PrintTo(const AgreementCase& c, std::ostream* os) { *os << c.name; }
 
 class ModelVsSim : public ::testing::TestWithParam<AgreementCase> {};
 

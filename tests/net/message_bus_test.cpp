@@ -8,124 +8,9 @@ namespace updp2p::net {
 namespace {
 
 using common::PeerId;
-using common::Rng;
 
-using StringBus = MessageBus<std::string>;
-
-auto always_online = [](PeerId) { return true; };
-
-TEST(MessageBus, DeliversToOnlinePeers) {
-  StringBus bus;
-  Rng rng(1);
-  bus.send(PeerId(1), PeerId(2), "hello", 10, 0);
-  EXPECT_EQ(bus.pending_count(), 1u);
-  const auto delivered = bus.deliver_round(always_online, rng);
-  ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(delivered[0].from, PeerId(1));
-  EXPECT_EQ(delivered[0].to, PeerId(2));
-  EXPECT_EQ(delivered[0].payload, "hello");
-  EXPECT_EQ(delivered[0].size_bytes, 10u);
-  EXPECT_EQ(bus.pending_count(), 0u);
-}
-
-TEST(MessageBus, DropsMessagesToOfflinePeers) {
-  StringBus bus;
-  Rng rng(1);
-  bus.send(PeerId(1), PeerId(2), "a", 1, 0);
-  bus.send(PeerId(1), PeerId(3), "b", 1, 0);
-  const auto delivered = bus.deliver_round(
-      [](PeerId to) { return to == PeerId(3); }, rng);
-  ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(delivered[0].payload, "b");
-  EXPECT_EQ(bus.stats().messages_to_offline, 1u);
-  EXPECT_EQ(bus.stats().messages_delivered, 1u);
-}
-
-TEST(MessageBus, StatsAccumulate) {
-  StringBus bus;
-  Rng rng(1);
-  bus.send(PeerId(1), PeerId(2), "x", 100, 0);
-  bus.send(PeerId(1), PeerId(2), "y", 50, 0);
-  (void)bus.deliver_round(always_online, rng);
-  EXPECT_EQ(bus.stats().messages_sent, 2u);
-  EXPECT_EQ(bus.stats().bytes_sent, 150u);
-  EXPECT_DOUBLE_EQ(bus.stats().delivery_ratio(), 1.0);
-  bus.reset_stats();
-  EXPECT_EQ(bus.stats().messages_sent, 0u);
-}
-
-TEST(MessageBus, EmptyRoundDeliversNothing) {
-  StringBus bus;
-  Rng rng(1);
-  EXPECT_TRUE(bus.deliver_round(always_online, rng).empty());
-  EXPECT_DOUBLE_EQ(bus.stats().delivery_ratio(), 1.0);  // vacuous
-}
-
-TEST(MessageBus, RandomLossApproximatesProbability) {
-  StringBus bus(0.25);
-  Rng rng(42);
-  constexpr int kMessages = 20'000;
-  for (int i = 0; i < kMessages; ++i) {
-    bus.send(PeerId(1), PeerId(2), "m", 1, 0);
-  }
-  const auto delivered = bus.deliver_round(always_online, rng);
-  const double loss_rate = 1.0 - static_cast<double>(delivered.size()) /
-                                     static_cast<double>(kMessages);
-  EXPECT_NEAR(loss_rate, 0.25, 0.01);
-  EXPECT_EQ(bus.stats().messages_dropped + bus.stats().messages_delivered,
-            static_cast<std::uint64_t>(kMessages));
-}
-
-TEST(MessageBus, LossZeroNeverDrops) {
-  StringBus bus(0.0);
-  Rng rng(1);
-  for (int i = 0; i < 100; ++i) bus.send(PeerId(0), PeerId(1), "m", 1, 0);
-  EXPECT_EQ(bus.deliver_round(always_online, rng).size(), 100u);
-  EXPECT_EQ(bus.stats().messages_dropped, 0u);
-}
-
-TEST(MessageBus, LinkFilterBlocksSelectedLinks) {
-  StringBus bus;
-  Rng rng(1);
-  bus.set_link_filter([](PeerId from, PeerId to) {
-    return !(from == PeerId(1) && to == PeerId(2));
-  });
-  bus.send(PeerId(1), PeerId(2), "blocked", 1, 0);
-  bus.send(PeerId(2), PeerId(1), "allowed", 1, 0);
-  const auto delivered = bus.deliver_round(always_online, rng);
-  ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(delivered[0].payload, "allowed");
-  // §3: peers across a cut perceive each other as offline, but the bus
-  // attributes the loss to its own counter so experiments stay honest.
-  EXPECT_EQ(bus.stats().messages_partitioned, 1u);
-  EXPECT_EQ(bus.stats().messages_to_offline, 0u);
-}
-
-TEST(MessageBus, LinkFilterCanBeHealed) {
-  StringBus bus;
-  Rng rng(1);
-  bus.set_link_filter([](PeerId, PeerId) { return false; });
-  bus.send(PeerId(0), PeerId(1), "first", 1, 0);
-  EXPECT_TRUE(bus.deliver_round(always_online, rng).empty());
-  bus.set_link_filter(nullptr);
-  bus.send(PeerId(0), PeerId(1), "second", 1, 1);
-  EXPECT_EQ(bus.deliver_round(always_online, rng).size(), 1u);
-}
-
-TEST(MessageBus, MessagesQueueAcrossSends) {
-  StringBus bus;
-  Rng rng(1);
-  bus.send(PeerId(0), PeerId(1), "first", 1, 0);
-  bus.send(PeerId(0), PeerId(1), "second", 1, 0);
-  const auto delivered = bus.deliver_round(always_online, rng);
-  ASSERT_EQ(delivered.size(), 2u);
-  EXPECT_EQ(delivered[0].payload, "first");
-  EXPECT_EQ(delivered[1].payload, "second");
-}
-
-// ---------------------------------------------------------------------------
 // ShardedMessageBus: the two-phase, per-(src, dst)-cell bus behind the
-// parallel round engine.
+// parallel round engine and pgrid::ReplicatedIndex.
 
 using ShardedStringBus = ShardedMessageBus<std::string>;
 

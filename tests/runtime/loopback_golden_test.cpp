@@ -29,7 +29,7 @@ struct GoldenOutcome {
   bool converged = false;
   common::SimTime end_time = 0.0;
   std::size_t aware = 0;
-  LoopbackCluster::ClusterTotals totals;
+  RuntimeStats totals;
 };
 
 GoldenOutcome run_golden() {

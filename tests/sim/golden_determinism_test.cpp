@@ -3,8 +3,8 @@
 // The hot-path work (dense peer sets, shared arenas, the sharded bus,
 // incremental metrics, pooled sweeps) is pure mechanics: it must not
 // change a single RNG draw or metric. These tests pin complete runs of
-// the round simulator, the event simulator and a seed sweep to FNV-1a
-// fingerprints. Any behavioural drift — a reordered sample, a skipped
+// the round simulator, the churned continuous-time cluster and a seed
+// sweep to FNV-1a fingerprints. Any behavioural drift — a reordered sample, a skipped
 // bernoulli draw, a different merge order — changes a fingerprint and
 // fails loudly. The constants were re-captured when per-node RNGs moved
 // to counter-based streams, again when sampling switched to pick-time
@@ -15,9 +15,10 @@
 // merges its flooding list — all three change which peers the same rolls
 // land on. The bus's canonical (to, from, seq) delivery order — what
 // ShardInvariance guards — was untouched). The in-memory fingerprints
-// (PlainPushPhase, EventSimulator) were re-captured once more when
-// OutboundMessage::size_bytes switched from the heuristic wire_size model
-// to the exact codec length (gossip::encoded_size): only the bytes words
+// (PlainPushPhase, and the event-simulator golden that ChurnedCluster
+// later replaced) were re-captured once more when OutboundMessage::
+// size_bytes switched from the heuristic wire_size model to the exact
+// codec length (gossip::encoded_size): only the bytes words
 // moved — message counts, awareness and RNG draws are pinned unchanged,
 // and the serialize-mode goldens (FullFeatureRun, ShardInvariance), which
 // always charged exact frame sizes, kept their constants across the
@@ -32,7 +33,7 @@
 // the constants below from a build of that change (see docs/benchmarks.md,
 // "Performance methodology").
 #include "churn/churn_model.hpp"
-#include "sim/event_simulator.hpp"
+#include "runtime/loopback_cluster.hpp"
 #include "sim/round_simulator.hpp"
 #include "sim/sweep.hpp"
 
@@ -138,40 +139,58 @@ TEST(GoldenDeterminism, FullFeatureRun) {
   EXPECT_EQ(fingerprint(metrics), 6120119791987765793ULL);
 }
 
-TEST(GoldenDeterminism, EventSimulator) {
-  sim::EventSimConfig config;
+TEST(GoldenDeterminism, ChurnedCluster) {
+  // The continuous-time cluster under sessions, lazy pull and views of 20:
+  // real PeerRuntimes over the inproc switch, one publish then a remove.
+  runtime::LoopbackClusterConfig config;
   config.population = 150;
-  config.gossip.estimated_total_replicas = 150;
-  config.gossip.fanout_fraction = 0.05;
-  config.gossip.pull.lazy = true;
-  config.mean_online_time = 50.0;
-  config.mean_offline_time = 150.0;
+  config.sessions.emplace(50.0, 150.0);
   config.initial_view_size = 20;
-  config.seed = 77;
-  sim::EventSimulator es(config);
-  es.schedule_publish(1.0, "k1", "v1");
-  es.schedule_remove(30.0, "k1");
-  es.schedule_loss_window(10.0, 20.0, 0.5);
-  es.run_until(120.0);
+  config.network.latency = std::make_shared<net::ConstantLatency>(0.5);
+  config.runtime.retry.max_attempts = 1;
+  config.runtime.gossip.estimated_total_replicas = 150;
+  config.runtime.gossip.fanout_fraction = 0.05;
+  config.runtime.gossip.pull.lazy = true;
+  config.runtime.seed = 77;
+  runtime::LoopbackCluster cluster(config);
+  cluster.run_until(1.0);
+  const auto writer = cluster.pick_writer();
+  ASSERT_TRUE(writer.has_value());
+  const auto id = cluster.publish(*writer, "k1", "v1");
+  ASSERT_TRUE(id.has_value());
+  cluster.run_until(30.0);
+  const auto remover = cluster.pick_writer();
+  ASSERT_TRUE(remover.has_value());
+  ASSERT_TRUE(cluster.peer(*remover).remove("k1"));
+  cluster.run_until(120.0);
 
-  const auto& stats = es.stats();
-  EXPECT_EQ(stats.messages_sent, 952u);
-  EXPECT_EQ(stats.messages_delivered, 369u);
-  EXPECT_EQ(es.online_count(), 30u);
+  const runtime::RuntimeStats totals = cluster.totals();
+  const net::InprocNetworkStats& net = cluster.network().stats();
+  std::size_t deleted = 0;
+  for (std::uint32_t i = 0; i < 150; ++i) {
+    if (cluster.peer(common::PeerId(i)).node().store().is_deleted("k1")) {
+      ++deleted;
+    }
+  }
+  EXPECT_EQ(totals.datagrams_out, 1131u);
+  EXPECT_EQ(net.datagrams_delivered, 494u);
+  EXPECT_EQ(cluster.online_count(), 45u);
+  EXPECT_EQ(cluster.aware_count(*id), 57u);
+  EXPECT_EQ(deleted, 11u);
   Fnv f;
-  f.add(stats.messages_sent);
-  f.add(stats.messages_delivered);
-  f.add(stats.messages_to_offline);
-  f.add(stats.messages_lost);
-  f.add(stats.push_messages);
-  f.add(stats.pull_messages);
-  f.add(stats.ack_messages);
-  f.add(stats.query_messages);
-  f.add(stats.bytes_sent);
-  f.add(stats.reconnects);
-  f.add(es.online_count());
-  f.add(es.aware_fraction_total(es.published().front().id));
-  EXPECT_EQ(f.h, 10263162818406648865ULL);
+  f.add(totals.datagrams_out);
+  f.add(totals.datagrams_in);
+  f.add(totals.dropped_while_offline);
+  f.add(totals.rounds_ticked);
+  f.add(totals.pull_response_bytes_in);
+  f.add(net.datagrams_submitted);
+  f.add(net.datagrams_delivered);
+  f.add(net.dropped_offline);
+  f.add(cluster.reconnects());
+  f.add(static_cast<std::uint64_t>(cluster.online_count()));
+  f.add(static_cast<std::uint64_t>(cluster.aware_count(*id)));
+  f.add(static_cast<std::uint64_t>(deleted));
+  EXPECT_EQ(f.h, 15186953482745143626ULL);
 }
 
 TEST(GoldenDeterminism, ShardInvariance) {

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "gossip/codec.hpp"
@@ -306,6 +307,29 @@ TEST(ReplicaStoreTest, CountTriggerCompactsAndRecoversFromSnapshot) {
 
   const auto recovered = recover_node(0, config);
   expect_bit_identical(lived, recovered);
+}
+
+TEST(ReplicaStoreTest, OpenCreatesMissingParentDirectories) {
+  // A nested data_dir whose parents do not exist yet (peerd --data-dir
+  // a/b/c) must come into existence wholesale, not leave the peer volatile.
+  const std::string root = ::testing::TempDir() + "/rs_nested";
+  std::filesystem::remove_all(root);
+  StoreConfig config;
+  config.data_dir = root + "/a/b/c";
+
+  auto lived = make_node(0);
+  {
+    std::string error;
+    auto store = ReplicaStore::open(config, &error);
+    ASSERT_TRUE(store.has_value()) << error;
+    EXPECT_TRUE(std::filesystem::is_directory(config.data_dir));
+    const auto frame = push_frame(make_value(1), 0);
+    std::vector<gossip::OutboundMessage> out;
+    ASSERT_TRUE(lived.handle_frame(PeerId(2), frame, 0, out));
+    ASSERT_TRUE(store->append_frame(PeerId(2), 0, frame).has_value());
+  }
+  expect_bit_identical(lived, recover_node(0, config));
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace
