@@ -18,6 +18,7 @@
 
 #include "analysis/forward_probability.hpp"
 #include "bench_util.hpp"
+#include "churn/heterogeneous.hpp"
 #include "sim/round_simulator.hpp"
 
 using namespace updp2p;
@@ -43,16 +44,15 @@ std::unique_ptr<sim::RoundSimulator> make_simulator(
   config.seed = seed;
   // Session churn with ~30% stationary availability; mean online session
   // 20 rounds, offline ~47 rounds.
-  auto churn = std::make_unique<churn::SessionChurn>(kPopulation, 20.0,
-                                                     20.0 / kAvailability -
-                                                         20.0);
+  auto churn = churn::make_session_churn(kPopulation, 20.0,
+                                         20.0 / kAvailability - 20.0);
   auto simulator =
       std::make_unique<sim::RoundSimulator>(config, std::move(churn));
 
   if (selection == gossip::TargetSelection::kFixedNeighbors) {
     // Perfect topology snapshot at time 0: each peer's fixed set is drawn
     // from the currently-online population.
-    common::Rng rng(seed ^ 0xD1);
+    common::StreamRng rng(seed ^ 0xD1);
     const auto online = simulator->churn().online().online_peers();
     for (std::uint32_t i = 0; i < kPopulation; ++i) {
       std::vector<common::PeerId> fixed;

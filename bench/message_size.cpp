@@ -92,7 +92,7 @@ void compressed_list_section() {
       "(ids uniform in [0, 10000))");
   table.header({"members", "delta-varint bytes", "bytes/member", "flat u32",
                 "ratio"});
-  common::Rng rng(42);
+  common::StreamRng rng(42);
   for (const std::size_t members :
        {std::size_t{32}, std::size_t{256}, std::size_t{1'024},
         std::size_t{4'096}, std::size_t{9'000}}) {

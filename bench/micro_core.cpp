@@ -71,7 +71,7 @@ void BM_StoreApplyChain(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     version::VersionedStore store;
-    version::LocalWriter writer(common::PeerId(1), common::Rng(7));
+    version::LocalWriter writer(common::PeerId(1), common::StreamRng(7));
     state.ResumeTiming();
     for (int i = 0; i < 64; ++i) {
       benchmark::DoNotOptimize(
@@ -83,7 +83,7 @@ BENCHMARK(BM_StoreApplyChain);
 
 void BM_StoreDelta(benchmark::State& state) {
   version::VersionedStore rich;
-  version::LocalWriter writer(common::PeerId(1), common::Rng(7));
+  version::LocalWriter writer(common::PeerId(1), common::StreamRng(7));
   for (int i = 0; i < 128; ++i) {
     (void)writer.write(rich, "key-" + std::to_string(i), "payload",
                        static_cast<double>(i));
@@ -101,7 +101,7 @@ void BM_ViewSample(benchmark::State& state) {
   for (std::uint32_t i = 1; i < population; ++i) {
     view.add(common::PeerId(i));
   }
-  common::Rng rng(99);
+  common::StreamRng rng(99);
   const std::unordered_set<common::PeerId> exclude;
   for (auto _ : state) {
     benchmark::DoNotOptimize(view.sample(rng, 32, exclude));
@@ -117,7 +117,7 @@ void BM_ViewSampleInto(benchmark::State& state) {
   for (std::uint32_t i = 1; i < population; ++i) {
     view.add(common::PeerId(i));
   }
-  common::Rng rng(99);
+  common::StreamRng rng(99);
   std::vector<common::PeerId> out;
   for (auto _ : state) {
     view.sample_into(rng, 32, out);
@@ -134,7 +134,7 @@ void BM_BuildForwardList(benchmark::State& state) {
   std::vector<common::PeerId> targets;
   for (std::uint32_t i = 0; i < 256; ++i) received.insert(common::PeerId(i));
   for (std::uint32_t i = 200; i < 260; ++i) targets.emplace_back(i);
-  common::Rng rng(3);
+  common::StreamRng rng(3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gossip::build_forward_list(
         config, received, targets, common::PeerId(1000), rng));
@@ -153,7 +153,7 @@ void BM_BuildForwardListInto(benchmark::State& state) {
   std::vector<common::PeerId> targets;
   for (std::uint32_t i = 0; i < 256; ++i) received.insert(common::PeerId(i));
   for (std::uint32_t i = 200; i < 260; ++i) targets.emplace_back(i);
-  common::Rng rng(3);
+  common::StreamRng rng(3);
   common::ChunkedPeerSet out;
   for (auto _ : state) {
     gossip::build_forward_list_into(config, received, targets,
@@ -182,7 +182,7 @@ gossip::GossipPayload codec_bench_payload() {
   version::VersionedValue value;
   value.key = "calendar/fri-10am";
   value.payload = "standup moved to 10:30 — war room";
-  version::VersionIdFactory factory(common::PeerId(3), common::Rng(17));
+  version::VersionIdFactory factory(common::PeerId(3), common::StreamRng(17));
   value.id = factory.mint(12.5);
   value.history.observe(common::PeerId(3), 7);
   value.history.observe(common::PeerId(900), 2);
@@ -284,7 +284,7 @@ std::vector<std::byte> replay_bench_image() {
     value.key = "key-" + std::to_string(i % 16);
     value.payload = "payload-" + std::to_string(i);
     version::VersionIdFactory factory(common::PeerId(1 + i % 30),
-                                      common::Rng(i * 7 + 1));
+                                      common::StreamRng(i * 7 + 1));
     value.id = factory.mint(static_cast<double>(i));
     value.history.observe(common::PeerId(1 + i % 30), 1 + i);
     value.written_at = static_cast<double>(i);

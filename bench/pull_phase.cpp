@@ -7,6 +7,7 @@
 #include "analysis/pull_model.hpp"
 #include "baselines/anti_entropy.hpp"
 #include "bench_util.hpp"
+#include "churn/heterogeneous.hpp"
 #include "runtime/loopback_cluster.hpp"
 
 using namespace updp2p;
@@ -159,7 +160,7 @@ void anti_entropy_section() {
         config.population = 200;
         config.push_pull = push_pull;
         config.seed = 900 + seed;
-        auto churn = std::make_unique<churn::SessionChurn>(
+        auto churn = churn::make_session_churn(
             config.population, availability >= 1.0 ? 1e9 : 10.0,
             availability >= 1.0 ? 1.0 : 10.0 * (1.0 - availability) /
                                              availability);

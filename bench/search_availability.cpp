@@ -50,8 +50,8 @@ void pgrid_section() {
     config.refs_per_level = 5;
     const auto network = pgrid::PGridNetwork::build(config);
 
-    common::Rng rng(0xabcd);
-    churn::StaticChurn churn(config.peers, availability);
+    common::StreamRng rng(0xabcd);
+    churn::BernoulliChurn churn(config.peers, availability, 1.0, 0.0);
     churn.reset(rng);
     const auto is_online = [&churn](common::PeerId peer) {
       return churn.is_online(peer);

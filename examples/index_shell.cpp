@@ -43,7 +43,7 @@ gossip::QueryRule parse_rule(const std::string& word) {
 }
 
 common::PeerId random_online_peer(pgrid::ReplicatedIndex& index,
-                                  common::Rng& rng) {
+                                  common::StreamRng& rng) {
   for (int tries = 0; tries < 1'000; ++tries) {
     const common::PeerId peer(
         static_cast<std::uint32_t>(rng.uniform_below(index.population())));
@@ -52,7 +52,7 @@ common::PeerId random_online_peer(pgrid::ReplicatedIndex& index,
   return common::PeerId(0);
 }
 
-bool execute(pgrid::ReplicatedIndex& index, common::Rng& rng,
+bool execute(pgrid::ReplicatedIndex& index, common::StreamRng& rng,
              const std::string& line) {
   std::istringstream in(line);
   std::string command;
@@ -162,7 +162,7 @@ int main() {
   config.gossip.forward_probability = analysis::pf_geometric(0.9);
   config.gossip.pull.no_update_timeout = 6;
   pgrid::ReplicatedIndex index(config);
-  common::Rng rng(2026);
+  common::StreamRng rng(2026);
 
   std::cout << "updp2p index shell — " << index.population() << " peers, "
             << (1 << config.grid.depth) << " partitions (type 'help')\n";

@@ -29,8 +29,8 @@ int main() {
             << (1 << grid.depth()) << " partitions\n";
 
   // --- 2. Route a catalogue lookup under 30% availability -------------------
-  common::Rng rng(99);
-  churn::StaticChurn availability(grid_config.peers, 0.30);
+  common::StreamRng rng(99);
+  churn::BernoulliChurn availability(grid_config.peers, 0.30, 1.0, 0.0);
   availability.reset(rng);
   const auto is_online = [&availability](common::PeerId peer) {
     return availability.is_online(peer);

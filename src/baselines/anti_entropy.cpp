@@ -4,9 +4,16 @@
 
 namespace updp2p::baselines {
 
+namespace {
+/// Purpose key of the system's one stream (churn, partner picks, seeding).
+constexpr std::uint64_t kAntiEntropyPurpose = 0xAE;
+}  // namespace
+
 AntiEntropySystem::AntiEntropySystem(AntiEntropyConfig config,
                                      std::unique_ptr<churn::ChurnModel> churn)
-    : config_(config), churn_(std::move(churn)), rng_(config.seed) {
+    : config_(config),
+      churn_(std::move(churn)),
+      rng_(config.seed, 0, kAntiEntropyPurpose) {
   UPDP2P_ENSURE(churn_ != nullptr, "a churn model is required");
   UPDP2P_ENSURE(churn_->population() == config_.population,
                 "churn population must match system population");

@@ -61,7 +61,7 @@ class AntiEntropySystem {
 
   AntiEntropyConfig config_;
   std::unique_ptr<churn::ChurnModel> churn_;
-  common::Rng rng_;
+  common::StreamRng rng_;
   std::vector<version::VersionedStore> stores_;
   version::VersionVector seeded_summary_;
 };

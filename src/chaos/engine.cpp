@@ -264,7 +264,8 @@ void Engine::apply_op(const Op& op) {
       const auto id = cluster_->publish(op.peer, op.key, payload);
       if (id) {
         ++report_.published;
-        tracker_.note_published(*id, op.key, op.peer);
+        tracker_.note_published(
+            *cluster_->peer(op.peer).node().read(op.key), op.peer);
         trace("publish " + op.key + " via " +
               std::to_string(op.peer.value()) + " -> " + id->to_string());
       } else {

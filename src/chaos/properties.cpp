@@ -1,15 +1,17 @@
 #include "chaos/properties.hpp"
 
+#include <algorithm>
+
 #include "gossip/node.hpp"
 
 namespace updp2p::chaos {
 
 PropertyTracker::PropertyTracker(std::size_t population) : knew_(population) {}
 
-void PropertyTracker::note_published(const version::VersionId& id,
-                                     const std::string& key,
+void PropertyTracker::note_published(const version::VersionedValue& value,
                                      common::PeerId publisher) {
-  published_.push_back(Published{id, key, publisher});
+  published_.push_back(
+      Published{value.id, value.key, value.history, publisher});
 }
 
 void PropertyTracker::observe(common::PeerId peer,
@@ -46,7 +48,14 @@ void PropertyTracker::check_recovery(common::PeerId peer,
 void PropertyTracker::check_final(common::PeerId peer,
                                   const gossip::ReplicaNode& node) {
   for (const Published& update : published_) {
-    if (!node.knows_version(update.id)) {
+    if (node.knows_version(update.id)) continue;
+    const auto versions = node.store().versions(update.key);
+    const bool superseded = std::any_of(
+        versions.begin(), versions.end(),
+        [&update](const version::VersionedValue& held) {
+          return update.history.covered_by(held.history);
+        });
+    if (!superseded) {
       violations_.push_back(
           "eventual delivery: peer " + std::to_string(peer.value()) +
           " never learned version '" + update.key + "' published by peer " +

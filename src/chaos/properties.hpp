@@ -10,7 +10,8 @@
 //    died with (append-before-ack, §"no lost update after ack");
 //  * eventual delivery — after the schedule ends (scenarios end healed,
 //    with a settle phase), every live online replica knows every
-//    successfully published version.
+//    successfully published version, or stores a version of its key whose
+//    history dominates it (pull never ships a superseded version).
 //
 // Violations are strings meant for humans AND for the shrinker, which
 // only needs "empty or not".
@@ -22,7 +23,7 @@
 
 #include "common/hash.hpp"
 #include "common/types.hpp"
-#include "version/version_id.hpp"
+#include "version/store.hpp"
 
 namespace updp2p::gossip {
 class ReplicaNode;
@@ -35,8 +36,8 @@ class PropertyTracker {
   explicit PropertyTracker(std::size_t population);
 
   /// Records a successful publish (publish on a dead/offline peer is a
-  /// traced no-op, not a tracked update).
-  void note_published(const version::VersionId& id, const std::string& key,
+  /// traced no-op, not a tracked update), with the version's history.
+  void note_published(const version::VersionedValue& value,
                       common::PeerId publisher);
 
   /// Re-scans one live peer's awareness of every published version.
@@ -66,6 +67,7 @@ class PropertyTracker {
   struct Published {
     version::VersionId id;
     std::string key;
+    version::VersionVector history;
     common::PeerId publisher;
   };
 

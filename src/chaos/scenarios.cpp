@@ -73,6 +73,24 @@ phase 20
   heal
 )",
 
+    // Overwrite while offline: peers 5-9 miss alpha and then peer 3's
+    // overwrite of it. Pull ships only the dominating version, so the
+    // returning peers never hold the first alpha; eventual delivery must
+    // accept the version that supersedes it.
+    R"(name overwrite-while-offline
+population 10
+round 0.25
+phase 1
+  offline 5-9
+  publish 0 alpha
+phase 2
+  publish 3 alpha
+phase 1
+  online 5-9
+phase 20
+  heal
+)",
+
     // Skewed clocks: fast and slow peers tick rounds at 2x and 0.5x;
     // convergence must not depend on synchronized round boundaries.
     R"(name clock-skew

@@ -22,25 +22,6 @@ std::vector<common::PeerId> OnlineSet::online_peers() const {
   return out;
 }
 
-// --- StaticChurn -----------------------------------------------------------
-
-StaticChurn::StaticChurn(std::size_t population, double online_fraction)
-    : ChurnModel(population), online_fraction_(online_fraction) {
-  UPDP2P_ENSURE(online_fraction >= 0.0 && online_fraction <= 1.0,
-                "online fraction must be in [0,1]");
-}
-
-void StaticChurn::reset(common::Rng& rng) {
-  auto& set = mutable_online();
-  const auto n = static_cast<std::uint32_t>(population());
-  const auto k = static_cast<std::uint32_t>(
-      online_fraction_ * static_cast<double>(n) + 0.5);
-  for (std::uint32_t i = 0; i < n; ++i) set.set(common::PeerId(i), false);
-  for (const std::uint32_t idx : rng.sample_without_replacement(n, k)) {
-    set.set(common::PeerId(idx), true);
-  }
-}
-
 // --- BernoulliChurn ---------------------------------------------------------
 
 BernoulliChurn::BernoulliChurn(std::size_t population,
@@ -56,7 +37,7 @@ BernoulliChurn::BernoulliChurn(std::size_t population,
                 "initial online fraction must be in [0,1]");
 }
 
-void BernoulliChurn::reset(common::Rng& rng) {
+void BernoulliChurn::reset(common::StreamRng& rng) {
   auto& set = mutable_online();
   const auto n = static_cast<std::uint32_t>(population());
   const auto k = static_cast<std::uint32_t>(
@@ -67,7 +48,7 @@ void BernoulliChurn::reset(common::Rng& rng) {
   }
 }
 
-void BernoulliChurn::advance(common::Rng& rng) {
+void BernoulliChurn::advance(common::StreamRng& rng) {
   auto& set = mutable_online();
   for (std::uint32_t i = 0; i < population(); ++i) {
     const common::PeerId peer(i);
@@ -83,43 +64,6 @@ double BernoulliChurn::stationary_fraction() const noexcept {
   const double leave = 1.0 - sigma_;
   const double denom = p_join_ + leave;
   return denom == 0.0 ? initial_online_fraction_ : p_join_ / denom;
-}
-
-// --- SessionChurn ------------------------------------------------------------
-
-SessionChurn::SessionChurn(std::size_t population, double mean_online_rounds,
-                           double mean_offline_rounds)
-    : ChurnModel(population),
-      stay_prob_(1.0 - 1.0 / std::max(1.0, mean_online_rounds)),
-      join_prob_(1.0 / std::max(1.0, mean_offline_rounds)) {
-  UPDP2P_ENSURE(mean_online_rounds >= 1.0 && mean_offline_rounds >= 1.0,
-                "mean session lengths are at least one round");
-}
-
-double SessionChurn::availability() const noexcept {
-  const double leave = 1.0 - stay_prob_;
-  return join_prob_ / (join_prob_ + leave);
-}
-
-void SessionChurn::reset(common::Rng& rng) {
-  // Start at the stationary distribution.
-  auto& set = mutable_online();
-  const double avail = availability();
-  for (std::uint32_t i = 0; i < population(); ++i) {
-    set.set(common::PeerId(i), rng.bernoulli(avail));
-  }
-}
-
-void SessionChurn::advance(common::Rng& rng) {
-  auto& set = mutable_online();
-  for (std::uint32_t i = 0; i < population(); ++i) {
-    const common::PeerId peer(i);
-    if (set.is_online(peer)) {
-      if (!rng.bernoulli(stay_prob_)) set.set(peer, false);
-    } else {
-      if (rng.bernoulli(join_prob_)) set.set(peer, true);
-    }
-  }
 }
 
 // --- TraceChurn ---------------------------------------------------------------
@@ -144,12 +88,14 @@ void TraceChurn::apply_round(std::size_t round) {
   for (const common::PeerId peer : online_list) set.set(peer, true);
 }
 
-void TraceChurn::reset(common::Rng& /*rng*/) {
+void TraceChurn::reset(common::StreamRng& /*rng*/) {
   round_ = 0;
   apply_round(0);
 }
 
-void TraceChurn::advance(common::Rng& /*rng*/) { apply_round(++round_); }
+void TraceChurn::advance(common::StreamRng& /*rng*/) {
+  apply_round(++round_);
+}
 
 // --- SessionProcess -------------------------------------------------------------
 

@@ -47,10 +47,10 @@ class ChurnModel {
   virtual ~ChurnModel() = default;
 
   /// (Re)initialises the round-0 online set.
-  virtual void reset(common::Rng& rng) = 0;
+  virtual void reset(common::StreamRng& rng) = 0;
 
   /// Advances the process by one push round.
-  virtual void advance(common::Rng& rng) = 0;
+  virtual void advance(common::StreamRng& rng) = 0;
 
   [[nodiscard]] const OnlineSet& online() const noexcept { return online_; }
   [[nodiscard]] bool is_online(common::PeerId peer) const noexcept {
@@ -71,28 +71,17 @@ class ChurnModel {
   OnlineSet online_;
 };
 
-/// σ = 1, p_j = 0: a fixed fraction is online for the whole push phase.
-/// Exactly the population model behind Fig. 5 (Sigma = 1).
-class StaticChurn final : public ChurnModel {
- public:
-  StaticChurn(std::size_t population, double online_fraction);
-
-  void reset(common::Rng& rng) override;
-  void advance(common::Rng& /*rng*/) override {}
-
- private:
-  double online_fraction_;
-};
-
 /// The paper's per-round process: online peers stay with probability σ,
-/// offline peers join with probability p_j.
+/// offline peers join with probability p_j. σ = 1, p_j = 0 holds a fixed
+/// fraction online for the whole push phase — the population model behind
+/// Fig. 5 (Sigma = 1); bernoulli(1) and bernoulli(0) consume no draw.
 class BernoulliChurn final : public ChurnModel {
  public:
   BernoulliChurn(std::size_t population, double initial_online_fraction,
                  double sigma, double p_join);
 
-  void reset(common::Rng& rng) override;
-  void advance(common::Rng& rng) override;
+  void reset(common::StreamRng& rng) override;
+  void advance(common::StreamRng& rng) override;
 
   [[nodiscard]] double sigma() const noexcept { return sigma_; }
   [[nodiscard]] double p_join() const noexcept { return p_join_; }
@@ -105,25 +94,6 @@ class BernoulliChurn final : public ChurnModel {
   double p_join_;
 };
 
-/// Two-state Markov churn parameterised by mean session lengths (in rounds)
-/// instead of transition probabilities: E[online session] = 1/(1-σ),
-/// E[offline session] = 1/p_j. Convenience wrapper over BernoulliChurn
-/// for workload descriptions phrased in session durations.
-class SessionChurn final : public ChurnModel {
- public:
-  SessionChurn(std::size_t population, double mean_online_rounds,
-               double mean_offline_rounds);
-
-  void reset(common::Rng& rng) override;
-  void advance(common::Rng& rng) override;
-
-  [[nodiscard]] double availability() const noexcept;
-
- private:
-  double stay_prob_;
-  double join_prob_;
-};
-
 /// Replays an explicit per-round schedule (deterministic regression tests,
 /// catastrophe scenarios like mass disconnections).
 class TraceChurn final : public ChurnModel {
@@ -133,8 +103,8 @@ class TraceChurn final : public ChurnModel {
   TraceChurn(std::size_t population,
              std::vector<std::vector<common::PeerId>> schedule);
 
-  void reset(common::Rng& rng) override;
-  void advance(common::Rng& rng) override;
+  void reset(common::StreamRng& rng) override;
+  void advance(common::StreamRng& rng) override;
 
   [[nodiscard]] std::size_t current_round() const noexcept { return round_; }
 
@@ -147,8 +117,10 @@ class TraceChurn final : public ChurnModel {
 
 /// Continuous-time alternating-renewal availability for
 /// runtime::LoopbackCluster: exponential online/offline session durations.
-/// Both draws work with either RNG engine through the shared distribution
-/// mixin, like RetryPolicy::delay.
+/// The cluster draws both from per-peer StreamRngs. The two draws stay
+/// generic over the distribution mixin because the live benchmark's
+/// inproc_churn workload still feeds them the xoshiro engine; they are the
+/// last engine-generic functions outside src/common.
 class SessionProcess {
  public:
   SessionProcess(double mean_online_time, double mean_offline_time);

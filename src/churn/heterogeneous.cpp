@@ -18,7 +18,7 @@ HeterogeneousChurn::HeterogeneousChurn(std::vector<PeerRates> rates)
   }
 }
 
-void HeterogeneousChurn::reset(common::Rng& rng) {
+void HeterogeneousChurn::reset(common::StreamRng& rng) {
   auto& set = mutable_online();
   for (std::uint32_t i = 0; i < population(); ++i) {
     set.set(common::PeerId(i),
@@ -26,7 +26,7 @@ void HeterogeneousChurn::reset(common::Rng& rng) {
   }
 }
 
-void HeterogeneousChurn::advance(common::Rng& rng) {
+void HeterogeneousChurn::advance(common::StreamRng& rng) {
   auto& set = mutable_online();
   for (std::uint32_t i = 0; i < population(); ++i) {
     const common::PeerId peer(i);
@@ -47,6 +47,9 @@ double HeterogeneousChurn::stationary_availability(common::PeerId peer) const {
 }
 
 namespace {
+/// Purpose key of DiurnalTraceGenerator's habit draws.
+constexpr std::uint64_t kHabitPurpose = 0xD1A1;
+
 /// Derives p_join so the stationary availability hits the target given σ:
 /// a = p / (p + 1−σ)  =>  p = a(1−σ) / (1−a).
 double p_join_for(double availability, double sigma) {
@@ -81,6 +84,20 @@ std::unique_ptr<HeterogeneousChurn> make_backbone_churn(
   return std::make_unique<HeterogeneousChurn>(std::move(rates));
 }
 
+std::unique_ptr<HeterogeneousChurn> make_session_churn(
+    std::size_t population, double mean_online_rounds,
+    double mean_offline_rounds) {
+  UPDP2P_ENSURE(mean_online_rounds >= 1.0 && mean_offline_rounds >= 1.0,
+                "mean session lengths are at least one round");
+  HeterogeneousChurn::PeerRates rates;
+  rates.sigma = 1.0 - 1.0 / mean_online_rounds;
+  rates.p_join = 1.0 / mean_offline_rounds;
+  rates.initial_online_probability =
+      rates.p_join / (rates.p_join + (1.0 - rates.sigma));
+  return std::make_unique<HeterogeneousChurn>(
+      std::vector<HeterogeneousChurn::PeerRates>(population, rates));
+}
+
 DiurnalTraceGenerator::DiurnalTraceGenerator(std::size_t population,
                                              common::Round period_rounds,
                                              double day_availability,
@@ -110,7 +127,7 @@ std::vector<std::vector<common::PeerId>> DiurnalTraceGenerator::generate(
   // Each peer gets a random "habit offset" so individual sessions are
   // stable (people keep their hours) while aggregate availability follows
   // the diurnal wave.
-  common::Rng rng(seed);
+  common::StreamRng rng(seed, 0, kHabitPurpose);
   std::vector<double> habit(population_);
   for (auto& h : habit) h = rng.uniform01();
 

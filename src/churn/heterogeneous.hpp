@@ -5,10 +5,11 @@
 // exist and thus would make possible further performance improvements."
 //
 // HeterogeneousChurn gives every peer its own (σ_i, p_join_i); the
-// backbone() factory builds the paper's scenario: a small fraction of
-// highly available peers amid a flaky majority. DiurnalTraceGenerator
-// produces deterministic schedules with a day/night availability swing for
-// TraceChurn.
+// make_backbone_churn() factory builds the paper's scenario: a small
+// fraction of highly available peers amid a flaky majority, and
+// make_session_churn() the homogeneous case phrased in mean session
+// lengths. DiurnalTraceGenerator produces deterministic schedules with a
+// day/night availability swing for TraceChurn.
 #pragma once
 
 #include <memory>
@@ -30,8 +31,8 @@ class HeterogeneousChurn final : public ChurnModel {
 
   explicit HeterogeneousChurn(std::vector<PeerRates> rates);
 
-  void reset(common::Rng& rng) override;
-  void advance(common::Rng& rng) override;
+  void reset(common::StreamRng& rng) override;
+  void advance(common::StreamRng& rng) override;
 
   [[nodiscard]] const PeerRates& rates(common::PeerId peer) const {
     return rates_.at(peer.value());
@@ -52,6 +53,14 @@ class HeterogeneousChurn final : public ChurnModel {
     std::size_t population, double backbone_fraction,
     double backbone_availability, double backbone_sigma,
     double flaky_availability, double flaky_sigma);
+
+/// Homogeneous two-state churn phrased in mean session lengths (in rounds):
+/// every peer stays online with σ = 1 − 1/mean_online_rounds and rejoins
+/// with p_j = 1/mean_offline_rounds, starting from the stationary
+/// availability. Both means must be at least one round.
+[[nodiscard]] std::unique_ptr<HeterogeneousChurn> make_session_churn(
+    std::size_t population, double mean_online_rounds,
+    double mean_offline_rounds);
 
 /// Deterministic day/night availability schedule for TraceChurn: per-peer
 /// phase-shifted square waves whose duty cycle oscillates between

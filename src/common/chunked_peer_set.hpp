@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/ensure.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace updp2p::common {
@@ -222,8 +223,7 @@ class ChunkedPeerSet {
   /// algorithm over ranks), sampling directly from the compressed form —
   /// the surviving elements never materialise as a full vector. Draws
   /// exactly min(cap, size) uniform_below calls, independent of set size.
-  template <typename RngT>
-  void keep_random(RngT& rng, std::size_t cap) {
+  void keep_random(StreamRng& rng, std::size_t cap) {
     if (cap >= size_) return;
     if (cap == 0) {
       clear();

@@ -1,17 +1,23 @@
 // Deterministic, splittable random number generation.
 //
 // Every stochastic component in updp2p (churn, fanout selection, forward
-// coin flips, latency models) draws from a generator that is seeded
-// explicitly, so a whole experiment is reproducible from a single root
-// seed. Two engines share one distribution toolkit (RngOps):
+// coin flips, latency models, version-id nonces, workloads) draws from a
+// StreamRng that is keyed explicitly, so a whole experiment is reproducible
+// from a single root seed:
 //
-//   * Rng — sequential xoshiro256**; fast, state-advancing. Used where draw
-//     order is inherently serial (churn transitions, workload generation).
 //   * StreamRng — counter-based Philox4x32-10, keyed by
 //     (seed, stream, purpose). Draw sequences depend only on the key, never
 //     on how many draws other streams made, which decouples randomness from
 //     iteration order — the property the sharded round engine needs to stay
-//     bit-deterministic at any thread count.
+//     bit-deterministic at any thread count. Each consumer owns a named
+//     purpose constant, so a draw in one component never shifts another's.
+//   * Rng — sequential xoshiro256**. No component under src/, bench/ or
+//     examples/ draws from it (updp2p-lint's rng-discipline rule enforces
+//     that); it stays only because the live benchmark's inproc_churn
+//     workload (livebench/src/inproc_churn.cpp) still seeds its sessions
+//     from it, and goes once that workload keys a StreamRng instead.
+//
+// Both share one distribution toolkit (RngOps).
 #pragma once
 
 #include <array>
@@ -38,8 +44,7 @@ namespace updp2p::common {
 
 /// Distribution algorithms over any UniformRandomBitGenerator with a full
 /// 64-bit output range. CRTP so Rng and StreamRng produce bit-identical
-/// draw sequences from identical raw outputs — golden tests only depend on
-/// the engine, not on which class wraps it.
+/// draw sequences from identical raw outputs.
 template <typename Derived>
 class RngOps {
  public:
@@ -201,8 +206,9 @@ class RngOps {
   }
 };
 
-/// xoshiro256** PRNG (Blackman & Vigna). Small, fast, passes BigCrush;
-/// plenty for simulation workloads. Satisfies UniformRandomBitGenerator.
+/// xoshiro256** PRNG (Blackman & Vigna). Kept for the live benchmark's
+/// inproc_churn workload only; see the file comment. Satisfies
+/// UniformRandomBitGenerator.
 class Rng : public RngOps<Rng> {
  public:
   using result_type = std::uint64_t;
@@ -319,8 +325,7 @@ class StreamRng : public RngOps<StreamRng> {
   }
 
   /// Collapses (key, hi, tag) into a 64-bit seed — pure, non-advancing.
-  /// Used to hand deterministic sub-seeds to components that keep their own
-  /// sequential engine (e.g. version::LocalWriter's Rng).
+  /// The seed of split_for's child stream.
   [[nodiscard]] std::uint64_t derive_seed(std::uint64_t tag) const noexcept {
     std::uint64_t sm = (static_cast<std::uint64_t>(key1_) << 32 | key0_) ^
                        hi_ ^ (tag * 0x9e3779b97f4a7c15ULL);

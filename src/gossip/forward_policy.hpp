@@ -31,10 +31,8 @@ class ForwardDecider {
   [[nodiscard]] double probability(common::Round t,
                                    double list_fraction) const;
 
-  /// Bernoulli decision with the effective probability. Works with either
-  /// RNG engine (Rng or StreamRng).
-  template <typename RngT>
-  [[nodiscard]] bool should_forward(RngT& rng, common::Round t,
+  /// Bernoulli decision with the effective probability.
+  [[nodiscard]] bool should_forward(common::StreamRng& rng, common::Round t,
                                     double list_fraction) const {
     return rng.bernoulli(probability(t, list_fraction));
   }

@@ -13,7 +13,7 @@ ReplicaNode::ReplicaNode(common::PeerId self, GossipConfig config,
       config_(std::move(config)),
       rng_(rng),
       view_(self),
-      writer_(self, common::Rng(rng.derive_seed(self.value()))),
+      writer_(self, rng.split_for(self.value())),
       forward_(config_) {
   config_.validate();
   view_.set_preferred_weight(config_.acks.preferred_weight);

@@ -15,11 +15,10 @@ const char* to_string(PartialListMode mode) noexcept {
   return "?";
 }
 
-template <typename RngT>
 void build_forward_list_into(const PartialListConfig& config,
                              const common::ChunkedPeerSet& received,
                              std::span<const common::PeerId> new_targets,
-                             common::PeerId self, RngT& rng,
+                             common::PeerId self, common::StreamRng& rng,
                              common::ChunkedPeerSet& out) {
   out.clear();
   if (config.mode == PartialListMode::kNone) return;
@@ -57,31 +56,13 @@ void build_forward_list_into(const PartialListConfig& config,
   }
 }
 
-template <typename RngT>
 common::ChunkedPeerSet build_forward_list(
     const PartialListConfig& config, const common::ChunkedPeerSet& received,
     const std::vector<common::PeerId>& new_targets, common::PeerId self,
-    RngT& rng) {
+    common::StreamRng& rng) {
   common::ChunkedPeerSet out;
   build_forward_list_into(config, received, new_targets, self, rng, out);
   return out;
 }
-
-template void build_forward_list_into(const PartialListConfig&,
-                                      const common::ChunkedPeerSet&,
-                                      std::span<const common::PeerId>,
-                                      common::PeerId, common::Rng&,
-                                      common::ChunkedPeerSet&);
-template void build_forward_list_into(const PartialListConfig&,
-                                      const common::ChunkedPeerSet&,
-                                      std::span<const common::PeerId>,
-                                      common::PeerId, common::StreamRng&,
-                                      common::ChunkedPeerSet&);
-template common::ChunkedPeerSet build_forward_list(
-    const PartialListConfig&, const common::ChunkedPeerSet&,
-    const std::vector<common::PeerId>&, common::PeerId, common::Rng&);
-template common::ChunkedPeerSet build_forward_list(
-    const PartialListConfig&, const common::ChunkedPeerSet&,
-    const std::vector<common::PeerId>&, common::PeerId, common::StreamRng&);
 
 }  // namespace updp2p::gossip

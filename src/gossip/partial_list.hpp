@@ -25,20 +25,17 @@ namespace updp2p::gossip {
 /// Builds the outgoing R_f into `out` (replacing its contents): the union
 /// of the received list, the forwarder itself and the newly chosen
 /// targets, then the configured cap. kNone yields an empty list. With warm
-/// chunk buffers the call performs no heap allocation. Works with either
-/// RNG engine (Rng or StreamRng); instantiated for both in the .cpp.
-template <typename RngT>
+/// chunk buffers the call performs no heap allocation.
 void build_forward_list_into(const PartialListConfig& config,
                              const common::ChunkedPeerSet& received,
                              std::span<const common::PeerId> new_targets,
-                             common::PeerId self, RngT& rng,
+                             common::PeerId self, common::StreamRng& rng,
                              common::ChunkedPeerSet& out);
 
 /// Allocating convenience wrapper around build_forward_list_into.
-template <typename RngT>
 [[nodiscard]] common::ChunkedPeerSet build_forward_list(
     const PartialListConfig& config, const common::ChunkedPeerSet& received,
     const std::vector<common::PeerId>& new_targets, common::PeerId self,
-    RngT& rng);
+    common::StreamRng& rng);
 
 }  // namespace updp2p::gossip

@@ -111,8 +111,7 @@ void ReplicaView::clear_presumed_offline(common::PeerId peer) {
   presumed_offline_until_.erase(peer);
 }
 
-template <typename RngT>
-void ReplicaView::sample_into(RngT& rng, std::size_t count,
+void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
                               std::vector<common::PeerId>& out,
                               const common::DensePeerSet* exclude,
                               common::Round now) const {
@@ -199,9 +198,8 @@ void ReplicaView::sample_into(RngT& rng, std::size_t count,
   }
 }
 
-template <typename RngT>
 std::vector<common::PeerId> ReplicaView::sample(
-    RngT& rng, std::size_t count,
+    common::StreamRng& rng, std::size_t count,
     const std::unordered_set<common::PeerId>& exclude,
     common::Round now) const {
   std::vector<common::PeerId> out;
@@ -216,20 +214,5 @@ std::vector<common::PeerId> ReplicaView::sample(
   sample_into(rng, count, out, &scratch, now);
   return out;
 }
-
-template void ReplicaView::sample_into(common::Rng&, std::size_t,
-                                       std::vector<common::PeerId>&,
-                                       const common::DensePeerSet*,
-                                       common::Round) const;
-template void ReplicaView::sample_into(common::StreamRng&, std::size_t,
-                                       std::vector<common::PeerId>&,
-                                       const common::DensePeerSet*,
-                                       common::Round) const;
-template std::vector<common::PeerId> ReplicaView::sample(
-    common::Rng&, std::size_t, const std::unordered_set<common::PeerId>&,
-    common::Round) const;
-template std::vector<common::PeerId> ReplicaView::sample(
-    common::StreamRng&, std::size_t,
-    const std::unordered_set<common::PeerId>&, common::Round) const;
 
 }  // namespace updp2p::gossip

@@ -94,16 +94,14 @@ class ReplicaView {
   /// `preferred_weight()` times as likely to be picked first. Produces
   /// fewer than `count` when the view is small. Allocation-free once the
   /// arena's scratch buffers are warm.
-  template <typename RngT>
-  void sample_into(RngT& rng, std::size_t count,
+  void sample_into(common::StreamRng& rng, std::size_t count,
                    std::vector<common::PeerId>& out,
                    const common::DensePeerSet* exclude = nullptr,
                    common::Round now = 0) const;
 
   /// Allocating convenience wrapper around sample_into.
-  template <typename RngT>
   [[nodiscard]] std::vector<common::PeerId> sample(
-      RngT& rng, std::size_t count,
+      common::StreamRng& rng, std::size_t count,
       const std::unordered_set<common::PeerId>& exclude = {},
       common::Round now = 0) const;
 

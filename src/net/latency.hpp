@@ -5,14 +5,7 @@
 // concrete per-message delays. Paper §4.1 notes that real networks
 // interleave rounds — these models let tests exercise exactly that. The
 // inproc live transport samples them for its deterministic delivery
-// schedule.
-//
-// Sampling is written once against the shared distribution mixin
-// (common::RngOps) and exposed through two virtual overloads, one per
-// engine: the sequential Rng and the counter-based StreamRng (per-link
-// live-transport streams). Given identical raw engine
-// outputs, both overloads produce bit-identical samples — the same
-// contract RngOps gives everything else in the tree.
+// schedule, drawing from the link's own StreamRng.
 #pragma once
 
 #include <memory>
@@ -27,7 +20,6 @@ namespace updp2p::net {
 class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
-  [[nodiscard]] virtual common::SimTime sample(common::Rng& rng) const = 0;
   [[nodiscard]] virtual common::SimTime sample(common::StreamRng& rng)
       const = 0;
 };
@@ -37,9 +29,6 @@ class ConstantLatency final : public LatencyModel {
  public:
   explicit ConstantLatency(common::SimTime delay) : delay_(delay) {
     UPDP2P_ENSURE(delay >= 0.0, "latency must be non-negative");
-  }
-  [[nodiscard]] common::SimTime sample(common::Rng& /*rng*/) const override {
-    return delay_;
   }
   [[nodiscard]] common::SimTime sample(
       common::StreamRng& /*rng*/) const override {
@@ -56,20 +45,11 @@ class UniformLatency final : public LatencyModel {
   UniformLatency(common::SimTime lo, common::SimTime hi) : lo_(lo), hi_(hi) {
     UPDP2P_ENSURE(lo >= 0.0 && hi >= lo, "require 0 <= lo <= hi");
   }
-  [[nodiscard]] common::SimTime sample(common::Rng& rng) const override {
-    return sample_impl(rng);
-  }
   [[nodiscard]] common::SimTime sample(common::StreamRng& rng) const override {
-    return sample_impl(rng);
-  }
-
- private:
-  template <typename Engine>
-  [[nodiscard]] common::SimTime sample_impl(
-      common::RngOps<Engine>& rng) const {
     return lo_ + (hi_ - lo_) * rng.uniform01();
   }
 
+ private:
   common::SimTime lo_;
   common::SimTime hi_;
 };
@@ -82,20 +62,11 @@ class ExponentialLatency final : public LatencyModel {
     UPDP2P_ENSURE(base >= 0.0 && mean_extra > 0.0,
                   "base >= 0 and mean_extra > 0 required");
   }
-  [[nodiscard]] common::SimTime sample(common::Rng& rng) const override {
-    return sample_impl(rng);
-  }
   [[nodiscard]] common::SimTime sample(common::StreamRng& rng) const override {
-    return sample_impl(rng);
-  }
-
- private:
-  template <typename Engine>
-  [[nodiscard]] common::SimTime sample_impl(
-      common::RngOps<Engine>& rng) const {
     return base_ + rng.exponential(1.0 / mean_extra_);
   }
 
+ private:
   common::SimTime base_;
   common::SimTime mean_extra_;
 };

@@ -6,6 +6,12 @@
 
 namespace updp2p::pgrid {
 
+namespace {
+/// Purpose keys of the two constructions' streams under the grid seed.
+constexpr std::uint64_t kBuildPurpose = 0x9B1D;
+constexpr std::uint64_t kExchangePurpose = 0xE8C4;
+}  // namespace
+
 PGridNetwork PGridNetwork::build(const PGridConfig& config) {
   UPDP2P_ENSURE(config.peers > 0, "network needs peers");
   UPDP2P_ENSURE(config.depth > 0 && config.depth <= 24,
@@ -16,7 +22,7 @@ PGridNetwork PGridNetwork::build(const PGridConfig& config) {
 
   PGridNetwork network;
   network.config_ = config;
-  common::Rng rng(config.seed);
+  common::StreamRng rng(config.seed, 0, kBuildPurpose);
 
   // 1. Assign paths: shuffle peers, deal them round-robin over partitions
   //    so every partition gets an (almost) equal replica group.
@@ -98,7 +104,7 @@ const std::vector<common::PeerId>& PGridNetwork::replica_group(
 namespace {
 
 void add_ref(RoutingLevel& level, common::PeerId peer, std::size_t cap,
-             common::Rng& rng) {
+             common::StreamRng& rng) {
   if (std::find(level.refs.begin(), level.refs.end(), peer) !=
       level.refs.end()) {
     return;
@@ -121,7 +127,7 @@ void add_replica(PGridPeer& peer, common::PeerId other) {
 
 /// One pairwise exchange between peers a and b.
 void meet(PGridPeer& a, PGridPeer& b, std::uint8_t depth, std::size_t cap,
-          common::Rng& rng) {
+          common::StreamRng& rng) {
   const std::uint8_t l = a.path.common_prefix_length(b.path);
   const bool a_exhausted = l == a.path.length();
   const bool b_exhausted = l == b.path.length();
@@ -184,7 +190,7 @@ PGridNetwork PGridNetwork::build_by_exchanges(const PGridConfig& config,
 
   PGridNetwork network;
   network.config_ = config;
-  common::Rng rng(config.seed ^ 0xE8C4A9E5ULL);
+  common::StreamRng rng(config.seed, 0, kExchangePurpose);
 
   network.peers_.resize(config.peers);
   for (std::uint32_t i = 0; i < config.peers; ++i) {
@@ -254,7 +260,7 @@ PGridNetwork PGridNetwork::build_by_exchanges(const PGridConfig& config,
 
 SearchResult PGridNetwork::search(common::PeerId origin, const BitPath& key,
                                   const OnlineProbe& is_online,
-                                  common::Rng& rng) const {
+                                  common::StreamRng& rng) const {
   SearchResult result;
   common::PeerId current = origin;
   // Each hop strictly increases the matched prefix, so depth bounds hops.
@@ -290,7 +296,7 @@ SearchResult PGridNetwork::search(common::PeerId origin, const BitPath& key,
 SearchResult PGridNetwork::search_with_retries(common::PeerId origin,
                                                const BitPath& key,
                                                const OnlineProbe& is_online,
-                                               common::Rng& rng,
+                                               common::StreamRng& rng,
                                                unsigned max_tries) const {
   SearchResult total;
   for (unsigned i = 0; i < max_tries; ++i) {

@@ -83,14 +83,14 @@ class PGridNetwork {
   /// fails when every candidate reference of some hop is offline.
   [[nodiscard]] SearchResult search(common::PeerId origin, const BitPath& key,
                                     const OnlineProbe& is_online,
-                                    common::Rng& rng) const;
+                                    common::StreamRng& rng) const;
 
   /// Repeats `search` up to `max_tries` times (fresh random routing
   /// choices); models the serial-attempt analysis of paper §2.
   [[nodiscard]] SearchResult search_with_retries(common::PeerId origin,
                                                  const BitPath& key,
                                                  const OnlineProbe& is_online,
-                                                 common::Rng& rng,
+                                                 common::StreamRng& rng,
                                                  unsigned max_tries) const;
 
   [[nodiscard]] const PGridPeer& peer(common::PeerId id) const {

@@ -6,9 +6,15 @@
 
 namespace updp2p::pgrid {
 
+namespace {
+/// Purpose key of the index's routing stream (search choices, respondent
+/// shuffles); nodes hold the purpose-0 streams (seed, node_id).
+constexpr std::uint64_t kRoutePurpose = 0x207E;
+}  // namespace
+
 ReplicatedIndex::ReplicatedIndex(ReplicatedIndexConfig config)
     : config_(std::move(config)),
-      rng_(config_.seed),
+      rng_(config_.seed, 0, kRoutePurpose),
       grid_(PGridNetwork::build(config_.grid)),
       bus_(1, grid_.peer_count()) {
   nodes_.reserve(grid_.peer_count());
@@ -76,8 +82,8 @@ void ReplicatedIndex::step_round() {
   }
 }
 
-void ReplicatedIndex::drive(churn::ChurnModel& churn, common::Rng& rng,
-                            unsigned rounds) {
+void ReplicatedIndex::drive(churn::ChurnModel& churn,
+                            common::StreamRng& rng, unsigned rounds) {
   UPDP2P_ENSURE(churn.population() == nodes_.size(),
                 "churn population must match index population");
   for (unsigned r = 0; r < rounds; ++r) {

@@ -74,7 +74,8 @@ class ReplicatedIndex {
   /// Drives availability from a churn model for `rounds` rounds: each round
   /// the model advances and every peer whose state flipped gets the proper
   /// reconnect/disconnect treatment. The model's population must match.
-  void drive(churn::ChurnModel& churn, common::Rng& rng, unsigned rounds);
+  void drive(churn::ChurnModel& churn, common::StreamRng& rng,
+             unsigned rounds);
   [[nodiscard]] common::Round current_round() const noexcept { return round_; }
 
   // --- application API ----------------------------------------------------------
@@ -120,7 +121,7 @@ class ReplicatedIndex {
   void dispatch(common::PeerId from, std::vector<gossip::OutboundMessage> out);
 
   ReplicatedIndexConfig config_;
-  common::Rng rng_;
+  common::StreamRng rng_;
   /// Single-threaded driver: one scratch arena serves every node.
   gossip::WorkArena arena_;
   PGridNetwork grid_;

@@ -44,11 +44,9 @@ struct RetryPolicy {
     return std::min(delay, max_timeout);
   }
 
-  /// Jittered wait before retransmission `attempt`. Works with either RNG
-  /// engine through the shared distribution mixin.
-  template <typename Engine>
+  /// Jittered wait before retransmission `attempt`.
   [[nodiscard]] common::SimTime delay(unsigned attempt,
-                                      common::RngOps<Engine>& rng) const {
+                                      common::StreamRng& rng) const {
     const common::SimTime base = base_delay(attempt);
     if (jitter <= 0.0) return base;
     return base * (1.0 + jitter * (2.0 * rng.uniform01() - 1.0));

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/ensure.hpp"
-#include "common/logging.hpp"
 #include "gossip/codec.hpp"
 #include "sim/sweep_pool.hpp"
 
@@ -19,6 +18,10 @@ namespace {
 /// canonical position of a message in its recipient's batch, not on which
 /// thread processes it.
 constexpr std::uint64_t kLossPurpose = 0x6c6f7373;  // "loss"
+/// Stream-purpose tag of the sequential driver stream (bootstrap views,
+/// churn, publisher picks). Below kLossPurpose, so no round's loss stream
+/// can take its key, and nonzero, so it is never a node stream.
+constexpr std::uint64_t kDriverPurpose = 0x64726976;  // "driv"
 
 unsigned resolve_shard_count(unsigned shard_threads, std::size_t population) {
   unsigned count = shard_threads != 0
@@ -35,7 +38,7 @@ RoundSimulator::RoundSimulator(RoundSimConfig config,
                                std::unique_ptr<churn::ChurnModel> churn)
     : config_(std::move(config)),
       churn_(std::move(churn)),
-      rng_(config_.seed),
+      rng_(config_.seed, 0, kDriverPurpose),
       bus_(resolve_shard_count(config_.shard_threads, config_.population),
            config_.population),
       shard_count_(

@@ -168,8 +168,9 @@ class RoundSimulator {
   RoundSimConfig config_;
   std::unique_ptr<churn::ChurnModel> churn_;
   /// Sequential-phase draws only (churn advance, publisher pick,
-  /// bootstrap); never touched by shard tasks.
-  common::Rng rng_;
+  /// bootstrap); never touched by shard tasks. Keyed
+  /// (seed, 0, kDriverPurpose), apart from every node and loss stream.
+  common::StreamRng rng_;
   std::vector<gossip::ReplicaNode> nodes_;
   net::ShardedMessageBus<SimPayload> bus_;
   std::function<bool(common::PeerId, common::PeerId)> link_filter_;

@@ -6,8 +6,15 @@
 
 namespace updp2p::sim {
 
+namespace {
+/// Purpose key of the generator's stream.
+constexpr std::uint64_t kWorkloadPurpose = 0x30AD;
+}  // namespace
+
 WorkloadGenerator::WorkloadGenerator(WorkloadConfig config)
-    : config_(config), rng_(config.seed), revision_(config.key_count, 0) {
+    : config_(config),
+      rng_(config.seed, 0, kWorkloadPurpose),
+      revision_(config.key_count, 0) {
   UPDP2P_ENSURE(config_.key_count > 0, "need at least one key");
   UPDP2P_ENSURE(config_.zipf_exponent >= 0.0, "zipf exponent >= 0");
   UPDP2P_ENSURE(config_.update_rate >= 0.0 && config_.query_rate >= 0.0,

@@ -46,7 +46,7 @@ class WorkloadGenerator {
 
  private:
   WorkloadConfig config_;
-  common::Rng rng_;
+  common::StreamRng rng_;
   std::vector<std::uint64_t> revision_;  ///< per-key update counter
 };
 

@@ -129,7 +129,7 @@ class VersionedStore {
 /// fresh VersionId, applies it locally and returns it for propagation.
 class LocalWriter {
  public:
-  LocalWriter(common::PeerId self, common::Rng rng)
+  LocalWriter(common::PeerId self, common::StreamRng rng)
       : self_(self), id_factory_(self, rng) {}
 
   VersionedValue write(VersionedStore& store, std::string_view key,

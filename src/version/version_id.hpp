@@ -46,7 +46,7 @@ std::ostream& operator<<(std::ostream& os, const VersionId& id);
 /// Mints fresh version ids for one peer. Deterministic given the seed rng.
 class VersionIdFactory {
  public:
-  VersionIdFactory(common::PeerId owner, common::Rng rng) noexcept
+  VersionIdFactory(common::PeerId owner, common::StreamRng rng) noexcept
       : owner_(owner), rng_(rng) {}
 
   /// `logical_time` mirrors the paper's date/time ingredient.
@@ -54,7 +54,7 @@ class VersionIdFactory {
 
  private:
   common::PeerId owner_;
-  common::Rng rng_;
+  common::StreamRng rng_;
   std::uint64_t counter_ = 0;
 };
 

@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "churn/heterogeneous.hpp"
 #include "common/stats.hpp"
 
 namespace updp2p::baselines {
 namespace {
 
 std::unique_ptr<churn::ChurnModel> full_availability(std::size_t population) {
-  return std::make_unique<churn::StaticChurn>(population, 1.0);
+  return std::make_unique<churn::BernoulliChurn>(population, 1.0, 1.0, 0.0);
 }
 
 TEST(AntiEntropy, ConvergesWithEveryoneOnline) {
@@ -45,7 +46,7 @@ TEST(AntiEntropy, ConvergesUnderChurn) {
   AntiEntropyConfig config;
   config.population = 80;
   config.seed = 3;
-  auto churn = std::make_unique<churn::SessionChurn>(80, 10.0, 20.0);
+  auto churn = churn::make_session_churn(80, 10.0, 20.0);
   AntiEntropySystem system(config, std::move(churn));
   const auto metrics = system.propagate_until_consistent(400);
   // With churn, convergence among ALL peers (incl. currently offline ones)

@@ -190,6 +190,29 @@ TEST(ChaosEngine, MutationIsPartOfTheReplayIdentity) {
   EXPECT_EQ(clean.injector.mutation_drops, 0u);
 }
 
+TEST(ChaosEngine, OverwrittenVersionCountsAsDeliveredByItsSuccessor) {
+  // Peers 5-9 miss alpha and its overwrite; pull ships them only the
+  // overwrite, which dominates the first version. Eventual delivery must
+  // accept that (without the dominance rule several of these seeds report
+  // the superseded alpha as never delivered), yet still fire when pull
+  // responses are dropped and the returning peers learn nothing.
+  const Scenario scenario = load("overwrite-while-offline");
+  ChaosOptions clean_options;
+  clean_options.data_root = test_root("overwrite-clean");
+  ChaosOptions mutated_options;
+  mutated_options.data_root = test_root("overwrite-broken");
+  mutated_options.mutation = Mutation::kDropPullResponses;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const ChaosReport clean = run_scenario(scenario, seed, clean_options);
+    EXPECT_TRUE(clean.passed())
+        << "seed " << seed << ": "
+        << (clean.violations.empty() ? "" : clean.violations.front());
+    EXPECT_EQ(clean.published, 2u);
+    const ChaosReport mutated = run_scenario(scenario, seed, mutated_options);
+    EXPECT_FALSE(mutated.passed()) << "seed " << seed;
+  }
+}
+
 TEST(ChaosEngine, NoFaultRunIsALoopbackRun) {
   // With only publish ops, the harness adds nothing to the cluster it
   // drives: the same settings stepped directly on a LoopbackCluster end in

@@ -5,13 +5,14 @@
 #include <cmath>
 #include <vector>
 
+#include "churn/heterogeneous.hpp"
 #include "common/stats.hpp"
 
 namespace updp2p::churn {
 namespace {
 
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 
 TEST(OnlineSet, CountsTransitions) {
   OnlineSet set(4);
@@ -39,34 +40,40 @@ TEST(OnlineSet, FractionAndPeers) {
 }
 
 TEST(StaticChurn, ExactInitialFraction) {
-  StaticChurn churn(1'000, 0.25);
-  Rng rng(1);
+  // Static churn is BernoulliChurn with σ = 1, p_j = 0: the fixed
+  // population of Fig. 5. Advancing keeps the same peers online and
+  // consumes no draw.
+  BernoulliChurn churn(1'000, 0.25, 1.0, 0.0);
+  StreamRng rng(1);
   churn.reset(rng);
   EXPECT_EQ(churn.online_count(), 250u);
+  const auto before = churn.online().online_peers();
+  StreamRng untouched = rng;
   churn.advance(rng);
-  EXPECT_EQ(churn.online_count(), 250u);  // static by definition
+  EXPECT_EQ(churn.online().online_peers(), before);
+  EXPECT_EQ(rng(), untouched());
 }
 
 TEST(StaticChurn, AllAndNoneExtremes) {
-  Rng rng(1);
-  StaticChurn all(100, 1.0);
+  StreamRng rng(1);
+  BernoulliChurn all(100, 1.0, 1.0, 0.0);
   all.reset(rng);
   EXPECT_EQ(all.online_count(), 100u);
-  StaticChurn none(100, 0.0);
+  BernoulliChurn none(100, 0.0, 1.0, 0.0);
   none.reset(rng);
   EXPECT_EQ(none.online_count(), 0u);
 }
 
 TEST(BernoulliChurn, InitialFractionRespected) {
   BernoulliChurn churn(1'000, 0.10, 0.95, 0.0);
-  Rng rng(2);
+  StreamRng rng(2);
   churn.reset(rng);
   EXPECT_EQ(churn.online_count(), 100u);
 }
 
 TEST(BernoulliChurn, NoRejoinsMonotonicallyShrinks) {
   BernoulliChurn churn(2'000, 0.5, 0.9, 0.0);
-  Rng rng(3);
+  StreamRng rng(3);
   churn.reset(rng);
   std::size_t previous = churn.online_count();
   for (int round = 0; round < 10; ++round) {
@@ -91,31 +98,37 @@ TEST(BernoulliChurn, StationaryFractionFormula) {
 TEST(BernoulliChurn, ConvergesToStationaryFraction) {
   BernoulliChurn churn(20'000, 0.9, 0.95, 0.0125);
   // stationary = 0.0125 / (0.0125 + 0.05) = 0.2
-  Rng rng(4);
+  StreamRng rng(4);
   churn.reset(rng);
   for (int round = 0; round < 200; ++round) churn.advance(rng);
   EXPECT_NEAR(churn.online().online_fraction(), 0.2, 0.02);
 }
 
 TEST(SessionChurn, AvailabilityFromSessionLengths) {
-  SessionChurn churn(10'000, /*mean_online=*/10.0, /*mean_offline=*/40.0);
-  EXPECT_NEAR(churn.availability(), 0.2, 1e-9);
-  Rng rng(5);
-  churn.reset(rng);
-  EXPECT_NEAR(churn.online().online_fraction(), 0.2, 0.02);
+  const auto churn =
+      make_session_churn(10'000, /*mean_online=*/10.0, /*mean_offline=*/40.0);
+  const auto& rates = churn->rates(PeerId(9'999));
+  EXPECT_NEAR(rates.sigma, 0.9, 1e-12);
+  EXPECT_NEAR(rates.p_join, 0.025, 1e-12);
+  EXPECT_NEAR(churn->stationary_availability(PeerId(0)), 0.2, 1e-9);
+  StreamRng rng(5);
+  churn->reset(rng);
+  EXPECT_NEAR(churn->online().online_fraction(), 0.2, 0.02);
   common::RunningStats fraction;
   for (int round = 0; round < 100; ++round) {
-    churn.advance(rng);
-    fraction.add(churn.online().online_fraction());
+    churn->advance(rng);
+    fraction.add(churn->online().online_fraction());
   }
   EXPECT_NEAR(fraction.mean(), 0.2, 0.02);
+  EXPECT_DEATH((void)make_session_churn(10, 0.5, 40.0), "at least one round");
+  EXPECT_DEATH((void)make_session_churn(10, 10.0, 0.5), "at least one round");
 }
 
 TEST(TraceChurn, ReplaysSchedule) {
   std::vector<std::vector<PeerId>> schedule{
       {PeerId(0), PeerId(1)}, {PeerId(2)}, {}};
   TraceChurn churn(4, schedule);
-  Rng rng(1);
+  StreamRng rng(1);
   churn.reset(rng);
   EXPECT_TRUE(churn.is_online(PeerId(0)));
   EXPECT_TRUE(churn.is_online(PeerId(1)));
@@ -136,7 +149,7 @@ TEST(TraceChurn, ReplaysSchedule) {
 TEST(SessionProcess, StationaryStartFrequency) {
   SessionProcess process(25.0, 75.0);  // 25% availability
   EXPECT_NEAR(process.availability(), 0.25, 1e-12);
-  Rng rng(6);
+  StreamRng rng(6);
   int online = 0;
   constexpr int kTrials = 20'000;
   for (int i = 0; i < kTrials; ++i) {
@@ -149,7 +162,7 @@ TEST(SessionProcess, StationaryStartFrequency) {
 
 TEST(SessionProcess, TransitionTimesMatchMeans) {
   SessionProcess process(10.0, 40.0);
-  Rng rng(7);
+  StreamRng rng(7);
   common::RunningStats online_sessions, offline_sessions;
   for (int i = 0; i < 20'000; ++i) {
     online_sessions.add(process.next_transition(rng, true, 0.0));
@@ -161,7 +174,7 @@ TEST(SessionProcess, TransitionTimesMatchMeans) {
 
 TEST(SessionProcess, TransitionIsInFuture) {
   SessionProcess process(10.0, 40.0);
-  Rng rng(8);
+  StreamRng rng(8);
   for (int i = 0; i < 100; ++i) {
     EXPECT_GT(process.next_transition(rng, true, 123.0), 123.0);
   }
@@ -186,28 +199,30 @@ TEST(SessionProcess, StreamRngSessionsArePinned) {
   EXPECT_DOUBLE_EQ(times[2], 25.212093654093422);
   EXPECT_DOUBLE_EQ(times[3], 34.413878124285368);
 
-  Rng rng(77);
+  common::Rng rng(77);
   const auto [rng_online, rng_first] = process.start(rng);
   EXPECT_FALSE(rng_online);
   EXPECT_DOUBLE_EQ(rng_first, 44.491833469402209);
 }
 
-// Availability sweep: SessionChurn long-run fraction tracks the target.
+// Availability sweep: session churn's long-run fraction tracks the target.
 class SessionAvailabilitySweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(SessionAvailabilitySweep, LongRunFractionMatches) {
   const double availability = GetParam();
   const double mean_online = 10.0;
   const double mean_offline = mean_online * (1.0 - availability) / availability;
-  SessionChurn churn(5'000, mean_online, std::max(1.0, mean_offline));
-  Rng rng(99);
-  churn.reset(rng);
+  const auto churn =
+      make_session_churn(5'000, mean_online, std::max(1.0, mean_offline));
+  StreamRng rng(99);
+  churn->reset(rng);
   common::RunningStats fraction;
   for (int round = 0; round < 150; ++round) {
-    churn.advance(rng);
-    fraction.add(churn.online().online_fraction());
+    churn->advance(rng);
+    fraction.add(churn->online().online_fraction());
   }
-  EXPECT_NEAR(fraction.mean(), churn.availability(), 0.03);
+  EXPECT_NEAR(fraction.mean(), churn->stationary_availability(PeerId(0)),
+              0.03);
 }
 
 INSTANTIATE_TEST_SUITE_P(Availabilities, SessionAvailabilitySweep,

@@ -8,14 +8,14 @@ namespace updp2p::churn {
 namespace {
 
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 
 TEST(HeterogeneousChurn, PerPeerRatesRespected) {
   std::vector<HeterogeneousChurn::PeerRates> rates(2);
   rates[0] = {1.0, 1.0, 1.0};  // always online
   rates[1] = {0.0, 0.0, 0.0};  // never online
   HeterogeneousChurn churn(std::move(rates));
-  Rng rng(1);
+  StreamRng rng(1);
   churn.reset(rng);
   for (int round = 0; round < 20; ++round) {
     EXPECT_TRUE(churn.is_online(PeerId(0)));
@@ -33,7 +33,7 @@ TEST(HeterogeneousChurn, StationaryAvailabilityFormula) {
 
 TEST(HeterogeneousChurn, LongRunMatchesStationaryPerClass) {
   auto churn = make_backbone_churn(4'000, 0.25, 0.9, 0.995, 0.1, 0.95);
-  Rng rng(7);
+  StreamRng rng(7);
   churn->reset(rng);
   common::RunningStats backbone_online, flaky_online;
   for (int round = 0; round < 300; ++round) {
@@ -131,7 +131,7 @@ TEST(DiurnalTrace, DeterministicPerSeed) {
 TEST(DiurnalTrace, WorksWithTraceChurn) {
   DiurnalTraceGenerator generator(200, 24, 0.5, 0.1);
   TraceChurn churn(200, generator.generate(48, 5));
-  Rng rng(1);
+  StreamRng rng(1);
   churn.reset(rng);
   const auto trough = churn.online_count();
   for (int t = 0; t < 12; ++t) churn.advance(rng);

@@ -80,7 +80,7 @@ TEST(TraceIo, GeneratedDiurnalTraceSurvivesRoundTrip) {
   }
   // And it feeds TraceChurn directly.
   TraceChurn churn(50, *parsed);
-  common::Rng rng(1);
+  common::StreamRng rng(1);
   churn.reset(rng);
   EXPECT_EQ(churn.online_count(), schedule[0].size());
 }

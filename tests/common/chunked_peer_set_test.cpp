@@ -89,7 +89,7 @@ TEST(ChunkedPeerSet, EqualityIsContentBased) {
 }
 
 TEST(ChunkedPeerSet, AbsorbReportsExactlyTheDifference) {
-  Rng rng(42);
+  StreamRng rng(42);
   for (int trial = 0; trial < 20; ++trial) {
     ChunkedPeerSet mine;
     ChunkedPeerSet theirs;
@@ -120,7 +120,7 @@ TEST(ChunkedPeerSet, AbsorbReportsExactlyTheDifference) {
 }
 
 TEST(ChunkedPeerSet, SubtractMatchesReference) {
-  Rng rng(7);
+  StreamRng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     ChunkedPeerSet mine;
     ChunkedPeerSet theirs;
@@ -163,7 +163,7 @@ TEST(ChunkedPeerSet, SubtractGallopingSmallVsLargeArrays) {
 }
 
 TEST(ChunkedPeerSet, KeepLowestAndHighest) {
-  Rng rng(11);
+  StreamRng rng(11);
   for (int trial = 0; trial < 10; ++trial) {
     std::set<std::uint32_t> ref;
     ChunkedPeerSet set;
@@ -193,7 +193,7 @@ TEST(ChunkedPeerSet, KeepLowestAndHighest) {
 TEST(ChunkedPeerSet, KeepRandomSamplesUniformlyWithoutReplacement) {
   ChunkedPeerSet base;
   for (std::uint32_t i = 0; i < 10'000; ++i) base.insert(PeerId(i * 7));
-  Rng rng(123);
+  StreamRng rng(123);
   std::vector<std::uint64_t> hits(10'000, 0);
   for (int trial = 0; trial < 200; ++trial) {
     ChunkedPeerSet set = base;
@@ -221,7 +221,7 @@ TEST(ChunkedPeerSet, KeepRandomSamplesUniformlyWithoutReplacement) {
 TEST(ChunkedPeerSet, KeepRandomCapAtLeastSizeIsIdentity) {
   ChunkedPeerSet set{PeerId(1), PeerId(2), PeerId(3)};
   const ChunkedPeerSet before = set;
-  Rng rng(5);
+  StreamRng rng(5);
   set.keep_random(rng, 3);
   EXPECT_TRUE(set == before);
   set.keep_random(rng, 10);
@@ -303,7 +303,7 @@ TEST(ChunkedPeerSet, AppendChunkBuildersEnforceCanonicalForm) {
 
 TEST(ChunkedPeerSet, RandomisedModelCheck) {
   // Mixed-operation fuzz against the reference model.
-  Rng rng(991);
+  StreamRng rng(991);
   ChunkedPeerSet set;
   std::set<std::uint32_t> ref;
   for (int step = 0; step < 20'000; ++step) {

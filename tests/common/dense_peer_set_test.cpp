@@ -73,7 +73,7 @@ TEST(DensePeerSet, ManyClearCyclesNeverLeakStaleEntries) {
 // Property test: under a randomized stream of inserts, membership queries
 // and epoch resets, DensePeerSet agrees with std::unordered_set exactly.
 TEST(DensePeerSet, AgreesWithUnorderedSetUnderRandomOperations) {
-  Rng rng(0xD15EA5E);
+  StreamRng rng(0xD15EA5E);
   DensePeerSet dense;
   std::unordered_set<std::uint32_t> reference;
 

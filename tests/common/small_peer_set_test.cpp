@@ -67,7 +67,7 @@ TEST(SmallPeerSet, SparseIdsMatchReferenceSet) {
   // Property: agree with std::unordered_set over random sparse ids.
   SmallPeerSet set;
   std::unordered_set<std::uint32_t> reference;
-  Rng rng(42);
+  StreamRng rng(42);
   for (int i = 0; i < 5'000; ++i) {
     const auto id = static_cast<std::uint32_t>(rng.uniform_below(1u << 30));
     EXPECT_EQ(set.insert(PeerId(id)), reference.insert(id).second);

@@ -7,7 +7,7 @@ namespace updp2p {
 namespace {
 
 TEST(Umbrella, EverythingIsReachable) {
-  common::Rng rng(1);
+  common::StreamRng rng(1);
   gossip::GossipConfig config;
   config.estimated_total_replicas = 10;
   config.fanout_fraction = 0.3;

@@ -14,14 +14,15 @@
 namespace updp2p::gossip {
 namespace {
 
-version::VersionedValue make_value(common::Rng& rng) {
+version::VersionedValue make_value(common::StreamRng& rng) {
   version::VersionedValue value;
   value.key = "key-" + std::to_string(rng.uniform_int(0, 9));
   value.payload = std::string(
       static_cast<std::size_t>(rng.uniform_int(0, 40)), 'x');
   version::VersionIdFactory factory(
       common::PeerId(static_cast<std::uint32_t>(rng.uniform_int(0, 50))),
-      common::Rng(static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20))));
+      common::StreamRng(
+          static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20))));
   value.id = factory.mint(1.0);
   value.history.observe(
       common::PeerId(static_cast<std::uint32_t>(rng.uniform_int(0, 50))),
@@ -31,7 +32,7 @@ version::VersionedValue make_value(common::Rng& rng) {
 }
 
 /// One of each payload alternative, with light randomisation.
-std::vector<GossipPayload> sample_payloads(common::Rng& rng) {
+std::vector<GossipPayload> sample_payloads(common::StreamRng& rng) {
   std::vector<GossipPayload> payloads;
 
   PushMessage push;
@@ -127,7 +128,7 @@ void check_bytes(std::span<const std::byte> bytes) {
 }
 
 TEST(CodecFuzz, RandomBytesNeverCrash) {
-  common::Rng rng(0xC0DEC);
+  common::StreamRng rng(0xC0DEC);
   WireBytes buffer;
   for (int trial = 0; trial < 50'000; ++trial) {
     const std::size_t len = static_cast<std::size_t>(rng.uniform_int(0, 128));
@@ -142,7 +143,7 @@ TEST(CodecFuzz, RandomBytesNeverCrash) {
 TEST(CodecFuzz, RandomBytesWithValidHeaderNeverCrash) {
   // Force the magic/version prefix so the fuzz reaches the per-kind body
   // parsers instead of dying at the frame check.
-  common::Rng rng(0xFEED);
+  common::StreamRng rng(0xFEED);
   WireBytes buffer;
   for (int trial = 0; trial < 50'000; ++trial) {
     buffer.clear();
@@ -158,7 +159,7 @@ TEST(CodecFuzz, RandomBytesWithValidHeaderNeverCrash) {
 }
 
 TEST(CodecFuzz, EveryTruncationIsRejectedCleanly) {
-  common::Rng rng(0x7271);
+  common::StreamRng rng(0x7271);
   for (const GossipPayload& payload : sample_payloads(rng)) {
     const WireBytes wire = encode(payload);
     for (std::size_t len = 0; len < wire.size(); ++len) {
@@ -176,7 +177,7 @@ TEST(CodecFuzz, ProbeOfTruncatedFramesNeverDiverges) {
   // exactly what it reports on the full frame — it may never invent a
   // different kind, version or nonce. (check_bytes already covers the
   // probe-vs-decode side on these prefixes; this pins probe-vs-probe.)
-  common::Rng rng(0x9B0B);
+  common::StreamRng rng(0x9B0B);
   for (const GossipPayload& payload : sample_payloads(rng)) {
     const WireBytes wire = encode(payload);
     const auto full = probe_frame(wire);
@@ -193,7 +194,7 @@ TEST(CodecFuzz, ProbeOfTruncatedFramesNeverDiverges) {
 }
 
 TEST(CodecFuzz, SingleBitFlipsNeverCrash) {
-  common::Rng rng(0xB175);
+  common::StreamRng rng(0xB175);
   for (const GossipPayload& payload : sample_payloads(rng)) {
     const WireBytes wire = encode(payload);
     for (std::size_t byte_idx = 0; byte_idx < wire.size(); ++byte_idx) {
@@ -209,7 +210,7 @@ TEST(CodecFuzz, SingleBitFlipsNeverCrash) {
 TEST(CodecFuzz, RandomSlicesOfConcatenatedFramesNeverCrash) {
   // Datagram truncation/reassembly bugs often show up as mid-stream reads:
   // fuzz windows into a concatenation of several valid frames.
-  common::Rng rng(0x51CE);
+  common::StreamRng rng(0x51CE);
   WireBytes stream;
   for (const GossipPayload& payload : sample_payloads(rng)) {
     const WireBytes wire = encode(payload);
@@ -236,7 +237,7 @@ TEST(CodecFuzz, RandomSlicesOfConcatenatedFramesNeverCrash) {
 /// the very end of a push frame, so appending bytes to this prefix yields a
 /// frame whose only questionable content is the peerset.
 WireBytes push_prefix_without_peerset() {
-  common::Rng rng(0xCAFE);
+  common::StreamRng rng(0xCAFE);
   PushMessage push;
   push.value = make_value(rng);
   push.round = 7;
@@ -271,7 +272,7 @@ void append_bitmap_chunk_bytes(WireBytes& out, std::uint64_t key,
 
 TEST(CodecFuzz, ChunkedSetRoundTripsSparseAndDenseChunks) {
   PushMessage push;
-  common::Rng rng(0x0DD5);
+  common::StreamRng rng(0x0DD5);
   push.value = make_value(rng);
   // Sparse low chunk, a dense chunk that must promote to bitmap form, and a
   // far-away high-key chunk: all three chunk shapes on one wire.
@@ -408,7 +409,7 @@ TEST(CodecFuzz, HostileChunkHeaderBitFlipsNeverCrash) {
   // Flip every bit of a frame whose peerset has one array and one bitmap
   // chunk: the chunk headers themselves become the fuzz surface.
   PushMessage push;
-  common::Rng rng(0xF1B5);
+  common::StreamRng rng(0xF1B5);
   push.value = make_value(rng);
   push.flooding_list.insert(common::PeerId(17));
   for (std::uint32_t i = 0; i < 4'200; ++i) {

@@ -9,13 +9,13 @@ namespace updp2p::gossip {
 namespace {
 
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 
 version::VersionedValue sample_value(std::uint64_t seed = 1) {
   version::VersionedValue value;
   value.key = "calendar/fri-10am";
   value.payload = "standup @ 10:30";
-  version::VersionIdFactory factory(PeerId(3), Rng(seed));
+  version::VersionIdFactory factory(PeerId(3), StreamRng(seed));
   value.id = factory.mint(12.5);
   value.history.observe(PeerId(3), 7);
   value.history.observe(PeerId(900), 2);
@@ -76,7 +76,7 @@ TEST(Codec, PullRequestRoundTrip) {
   PullRequest request;
   request.summary.observe(PeerId(1), 10);
   request.summary.observe(PeerId(2), 20);
-  version::VersionIdFactory factory(PeerId(5), Rng(8));
+  version::VersionIdFactory factory(PeerId(5), StreamRng(8));
   request.have.push_back(factory.mint(1.0));
   request.have.push_back(factory.mint(2.0));
   request.store_digest = common::Digest128{0x1234, 0x5678};
@@ -111,7 +111,7 @@ TEST(Codec, PullResponseRoundTrip) {
 }
 
 TEST(Codec, AckRoundTrip) {
-  version::VersionIdFactory factory(PeerId(9), Rng(4));
+  version::VersionIdFactory factory(PeerId(9), StreamRng(4));
   AckMessage ack{factory.mint(1.0)};
   const auto decoded = decode(encode(GossipPayload{ack}));
   ASSERT_TRUE(decoded.has_value());
@@ -210,7 +210,7 @@ TEST(Codec, RejectsEveryTruncation) {
 }
 
 TEST(Codec, SurvivesRandomGarbage) {
-  Rng rng(1234);
+  StreamRng rng(1234);
   for (int trial = 0; trial < 2'000; ++trial) {
     WireBytes garbage(rng.uniform_below(64));
     for (auto& byte : garbage) {
@@ -227,7 +227,7 @@ TEST(Codec, SurvivesRandomCorruptionOfValidFrames) {
   push.value = sample_value();
   push.flooding_list = {PeerId(1), PeerId(2), PeerId(3)};
   const auto bytes = encode(GossipPayload{push});
-  Rng rng(777);
+  StreamRng rng(777);
   for (int trial = 0; trial < 2'000; ++trial) {
     auto corrupted = bytes;
     const std::size_t index = rng.pick_index(corrupted.size());
@@ -253,7 +253,7 @@ TEST(Codec, EncodedSizeIsCompact) {
 class CodecProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CodecProperty, RandomPayloadRoundTrip) {
-  Rng rng(GetParam());
+  StreamRng rng(GetParam());
   for (int trial = 0; trial < 100; ++trial) {
     PushMessage push;
     version::VersionedValue value;

@@ -71,7 +71,7 @@ TEST(ForwardDecider, ShouldForwardMatchesProbabilityStatistically) {
   auto config = base_config();
   config.forward_probability = analysis::pf_constant(0.3);
   ForwardDecider decider(config);
-  common::Rng rng(5);
+  common::StreamRng rng(5);
   int forwards = 0;
   constexpr int kTrials = 50'000;
   for (int i = 0; i < kTrials; ++i) {

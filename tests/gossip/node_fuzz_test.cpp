@@ -11,9 +11,9 @@ namespace updp2p::gossip {
 namespace {
 
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 
-GossipConfig fuzz_config(Rng& rng) {
+GossipConfig fuzz_config(StreamRng& rng) {
   GossipConfig config;
   config.estimated_total_replicas = 64;
   config.fanout_fraction = 0.05 + rng.uniform01() * 0.2;
@@ -29,7 +29,7 @@ GossipConfig fuzz_config(Rng& rng) {
   return config;
 }
 
-version::VersionedValue random_value(Rng& rng) {
+version::VersionedValue random_value(StreamRng& rng) {
   version::VersionedValue value;
   value.key = "k" + std::to_string(rng.uniform_below(4));
   value.payload = "p" + std::to_string(rng.uniform_below(1000));
@@ -46,7 +46,7 @@ version::VersionedValue random_value(Rng& rng) {
   return value;
 }
 
-GossipPayload random_payload(Rng& rng) {
+GossipPayload random_payload(StreamRng& rng) {
   switch (rng.uniform_below(6)) {
     case 0: {
       PushMessage push;
@@ -101,7 +101,7 @@ GossipPayload random_payload(Rng& rng) {
 class NodeFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(NodeFuzz, SurvivesRandomMessageStorm) {
-  Rng rng(GetParam());
+  StreamRng rng(GetParam());
   auto config = fuzz_config(rng);
   ReplicaNode node(PeerId(0), config, common::StreamRng(rng(), 0));
   std::vector<PeerId> view;
@@ -168,7 +168,7 @@ class TwoNodeFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(TwoNodeFuzz, PairwiseGossipConverges) {
   // Two nodes exchanging ALL their traffic (with random drops) must end up
   // with equivalent stores after a final clean pull exchange.
-  Rng rng(GetParam() * 977);
+  StreamRng rng(GetParam() * 977);
   GossipConfig config;
   config.estimated_total_replicas = 2;
   config.fanout_fraction = 1.0;

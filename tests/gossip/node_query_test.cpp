@@ -7,7 +7,7 @@ namespace updp2p::gossip {
 namespace {
 
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 
 GossipConfig query_config() {
   GossipConfig config;

@@ -9,7 +9,7 @@ namespace updp2p::gossip {
 namespace {
 
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 
 GossipConfig test_config() {
   GossipConfig config;

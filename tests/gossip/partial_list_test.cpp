@@ -11,7 +11,7 @@ namespace {
 
 using common::ChunkedPeerSet;
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 
 std::vector<PeerId> ids(std::initializer_list<std::uint32_t> values) {
   std::vector<PeerId> out;
@@ -28,7 +28,7 @@ ChunkedPeerSet set_of(std::initializer_list<std::uint32_t> values) {
 TEST(PartialList, NoneModeYieldsEmptyList) {
   PartialListConfig config;
   config.mode = PartialListMode::kNone;
-  Rng rng(1);
+  StreamRng rng(1);
   EXPECT_TRUE(
       build_forward_list(config, set_of({1, 2}), ids({3}), PeerId(9), rng)
           .empty());
@@ -37,7 +37,7 @@ TEST(PartialList, NoneModeYieldsEmptyList) {
 TEST(PartialList, UnboundedMergesReceivedSelfAndTargets) {
   PartialListConfig config;
   config.mode = PartialListMode::kUnbounded;
-  Rng rng(1);
+  StreamRng rng(1);
   const auto list =
       build_forward_list(config, set_of({1, 2}), ids({3, 4}), PeerId(9), rng);
   EXPECT_EQ(list, set_of({1, 2, 3, 4, 9}));
@@ -46,7 +46,7 @@ TEST(PartialList, UnboundedMergesReceivedSelfAndTargets) {
 TEST(PartialList, Deduplicates) {
   PartialListConfig config;
   config.mode = PartialListMode::kUnbounded;
-  Rng rng(1);
+  StreamRng rng(1);
   const auto list =
       build_forward_list(config, set_of({1, 2, 9}), ids({2, 3}), PeerId(9), rng);
   EXPECT_EQ(list, set_of({1, 2, 3, 9}));
@@ -56,7 +56,7 @@ TEST(PartialList, DropTailKeepsLowestIds) {
   PartialListConfig config;
   config.mode = PartialListMode::kDropTail;
   config.max_entries = 3;
-  Rng rng(1);
+  StreamRng rng(1);
   const auto list = build_forward_list(config, set_of({1, 2, 3, 4}), ids({5}),
                                        PeerId(9), rng);
   EXPECT_EQ(list, set_of({1, 2, 3}));
@@ -66,7 +66,7 @@ TEST(PartialList, DropHeadKeepsHighestIds) {
   PartialListConfig config;
   config.mode = PartialListMode::kDropHead;
   config.max_entries = 3;
-  Rng rng(1);
+  StreamRng rng(1);
   const auto list = build_forward_list(config, set_of({1, 2, 3, 4}), ids({5}),
                                        PeerId(9), rng);
   // merged = {1 2 3 4 5 9} -> keep the 3 highest ids.
@@ -77,7 +77,7 @@ TEST(PartialList, DropRandomKeepsCapSizedSubset) {
   PartialListConfig config;
   config.mode = PartialListMode::kDropRandom;
   config.max_entries = 4;
-  Rng rng(2);
+  StreamRng rng(2);
   const auto received = set_of({1, 2, 3, 4, 5, 6, 7, 8});
   const auto list =
       build_forward_list(config, received, ids({10}), PeerId(9), rng);
@@ -94,7 +94,7 @@ TEST(PartialList, CapNotExceededNotTruncatedBelow) {
   PartialListConfig config;
   config.mode = PartialListMode::kDropRandom;
   config.max_entries = 10;
-  Rng rng(3);
+  StreamRng rng(3);
   const auto list =
       build_forward_list(config, set_of({1, 2}), ids({3}), PeerId(9), rng);
   EXPECT_EQ(list.size(), 4u);  // under cap: everything kept
@@ -103,7 +103,7 @@ TEST(PartialList, CapNotExceededNotTruncatedBelow) {
 TEST(PartialList, BuildIntoReusesOutputSet) {
   PartialListConfig config;
   config.mode = PartialListMode::kUnbounded;
-  Rng rng(1);
+  StreamRng rng(1);
   ChunkedPeerSet out;
   build_forward_list_into(config, set_of({1, 2}), ids({3}), PeerId(9), rng,
                           out);
@@ -117,7 +117,7 @@ TEST(PartialList, DropRandomIsUnbiasedish) {
   PartialListConfig config;
   config.mode = PartialListMode::kDropRandom;
   config.max_entries = 2;
-  Rng rng(4);
+  StreamRng rng(4);
   std::unordered_map<PeerId, int> kept;
   constexpr int kTrials = 6'000;
   const auto received = set_of({1, 2, 3});

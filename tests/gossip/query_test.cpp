@@ -21,7 +21,7 @@ version::VersionedValue make_value(const std::string& payload,
     value.history.observe(PeerId(static_cast<std::uint32_t>(peer)),
                           static_cast<std::uint64_t>(counter));
   }
-  version::VersionIdFactory factory(PeerId(0), common::Rng(id_seed));
+  version::VersionIdFactory factory(PeerId(0), common::StreamRng(id_seed));
   value.id = factory.mint(0.0);
   return value;
 }

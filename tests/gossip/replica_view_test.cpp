@@ -9,7 +9,7 @@ namespace updp2p::gossip {
 namespace {
 
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 
 TEST(ReplicaView, AddAndContains) {
   ReplicaView view{PeerId(0)};
@@ -38,7 +38,7 @@ TEST(ReplicaView, MergeCountsNewMembers) {
 TEST(ReplicaView, SampleReturnsDistinctMembers) {
   ReplicaView view{PeerId(0)};
   for (std::uint32_t i = 1; i <= 50; ++i) view.add(PeerId(i));
-  Rng rng(1);
+  StreamRng rng(1);
   const auto sample = view.sample(rng, 10, {});
   EXPECT_EQ(sample.size(), 10u);
   std::unordered_set<PeerId> unique(sample.begin(), sample.end());
@@ -49,7 +49,7 @@ TEST(ReplicaView, SampleReturnsDistinctMembers) {
 TEST(ReplicaView, SampleHonoursExclusions) {
   ReplicaView view{PeerId(0)};
   for (std::uint32_t i = 1; i <= 10; ++i) view.add(PeerId(i));
-  Rng rng(2);
+  StreamRng rng(2);
   std::unordered_set<PeerId> exclude{PeerId(1), PeerId(2), PeerId(3)};
   for (int trial = 0; trial < 50; ++trial) {
     for (const PeerId peer : view.sample(rng, 7, exclude)) {
@@ -62,13 +62,13 @@ TEST(ReplicaView, SampleReturnsFewerWhenViewSmall) {
   ReplicaView view{PeerId(0)};
   view.add(PeerId(1));
   view.add(PeerId(2));
-  Rng rng(3);
+  StreamRng rng(3);
   EXPECT_EQ(view.sample(rng, 10, {}).size(), 2u);
 }
 
 TEST(ReplicaView, SampleEmptyCases) {
   ReplicaView view{PeerId(0)};
-  Rng rng(4);
+  StreamRng rng(4);
   EXPECT_TRUE(view.sample(rng, 5, {}).empty());
   view.add(PeerId(1));
   EXPECT_TRUE(view.sample(rng, 0, {}).empty());
@@ -85,7 +85,7 @@ TEST(ReplicaView, PresumedOfflineSkippedUntilExpiry) {
   EXPECT_TRUE(view.is_presumed_offline(PeerId(1), 5));
   EXPECT_EQ(view.presumed_offline_count(5), 1u);
 
-  Rng rng(5);
+  StreamRng rng(5);
   for (int trial = 0; trial < 30; ++trial) {
     const auto sample = view.sample(rng, 2, {}, /*now=*/5);
     ASSERT_EQ(sample.size(), 1u);
@@ -140,7 +140,7 @@ TEST(ReplicaView, PreferredPeersAreOversampled) {
   view.mark_preferred(PeerId(1));
   EXPECT_TRUE(view.is_preferred(PeerId(1)));
 
-  Rng rng(6);
+  StreamRng rng(6);
   int preferred_hits = 0;
   int other_hits = 0;
   constexpr int kTrials = 4'000;
@@ -162,7 +162,7 @@ TEST(ReplicaView, PreferredDoesNotDuplicateInOneSample) {
   view.add(PeerId(1));
   view.add(PeerId(2));
   view.mark_preferred(PeerId(1));
-  Rng rng(7);
+  StreamRng rng(7);
   for (int trial = 0; trial < 50; ++trial) {
     const auto sample = view.sample(rng, 2, {});
     std::unordered_set<PeerId> unique(sample.begin(), sample.end());

@@ -12,7 +12,7 @@ namespace updp2p {
 namespace {
 
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 using gossip::OutboundMessage;
 using gossip::ReplicaNode;
 
@@ -26,7 +26,7 @@ struct InFlight {
 class ConvergenceProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ConvergenceProperty, AnyScheduleConvergesAfterCleanSweep) {
-  Rng rng(GetParam() * 1'000'003);
+  StreamRng rng(GetParam() * 1'000'003);
 
   gossip::GossipConfig config;
   config.estimated_total_replicas = kNodes;

@@ -75,7 +75,7 @@ TEST(PGridGossip, SearchThenReadReturnsFreshValue) {
 
   // Route a search to the responsible partition, then read from the found
   // replica's simulated store (group index == simulator peer index).
-  common::Rng rng(6);
+  common::StreamRng rng(6);
   const auto result = grid.search(PeerId(0), key,
                                   [](PeerId) { return true; }, rng);
   ASSERT_TRUE(result.found);

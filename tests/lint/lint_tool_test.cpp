@@ -119,6 +119,12 @@ TEST_F(LintToolTest, RngDisciplineFlagsRawEngineAndDistribution) {
   EXPECT_EQ(out.exit_code, 1) << out.text;
   expect_finding(out, "src/gossip/rng_flagged.cpp", 5, "rng-discipline");
   expect_finding(out, "src/gossip/rng_flagged.cpp", 6, "rng-discipline");
+  expect_finding(out, "src/gossip/rng_flagged.cpp", 11, "rng-discipline");
+}
+
+TEST_F(LintToolTest, RngDisciplineAllowsStreamRngAndRngOps) {
+  install("rng_near_miss.cpp", "src/gossip/rng_near_miss.cpp");
+  expect_clean(run_lint());
 }
 
 TEST_F(LintToolTest, RngDisciplineAllowsTheSanctionedHome) {

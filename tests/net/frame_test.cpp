@@ -98,7 +98,7 @@ TEST(Frame, RejectsOutOfRangeSourceId) {
 }
 
 TEST(Frame, RandomBytesNeverCrashAndValidFramesSurviveNoise) {
-  common::Rng rng(0xF4A3);
+  common::StreamRng rng(0xF4A3);
   std::vector<std::byte> buffer;
   for (int trial = 0; trial < 20'000; ++trial) {
     const std::size_t len = rng.uniform_int(0, 64);

@@ -9,7 +9,7 @@ namespace {
 
 TEST(ConstantLatency, AlwaysSameDelay) {
   ConstantLatency latency(0.5);
-  common::Rng rng(1);
+  common::StreamRng rng(1);
   for (int i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(latency.sample(rng), 0.5);
   }
@@ -17,7 +17,7 @@ TEST(ConstantLatency, AlwaysSameDelay) {
 
 TEST(UniformLatency, StaysWithinBounds) {
   UniformLatency latency(0.1, 0.3);
-  common::Rng rng(2);
+  common::StreamRng rng(2);
   common::RunningStats stats;
   for (int i = 0; i < 50'000; ++i) {
     const double d = latency.sample(rng);
@@ -30,7 +30,7 @@ TEST(UniformLatency, StaysWithinBounds) {
 
 TEST(ExponentialLatency, BasePlusTail) {
   ExponentialLatency latency(0.05, 0.1);
-  common::Rng rng(3);
+  common::StreamRng rng(3);
   common::RunningStats stats;
   for (int i = 0; i < 100'000; ++i) {
     const double d = latency.sample(rng);
@@ -43,19 +43,11 @@ TEST(ExponentialLatency, BasePlusTail) {
 TEST(LatencyModels, UsableThroughBasePointer) {
   std::unique_ptr<LatencyModel> model =
       std::make_unique<ConstantLatency>(1.0);
-  common::Rng rng(4);
+  common::StreamRng rng(4);
   EXPECT_DOUBLE_EQ(model->sample(rng), 1.0);
 }
 
-// --- counter-based engine (ISSUE 3 satellite): both overloads share one ---
-// --- distribution implementation, and StreamRng draws are reproducible ---
-
-TEST(LatencyModels, StreamRngOverloadThroughBasePointer) {
-  std::unique_ptr<LatencyModel> model =
-      std::make_unique<ConstantLatency>(0.25);
-  common::StreamRng rng(4, 0, 0);
-  EXPECT_DOUBLE_EQ(model->sample(rng), 0.25);
-}
+// --- StreamRng draws are reproducible under the same key -------------------
 
 TEST(LatencyModels, StreamRngSequencesReproduceUnderSameKey) {
   UniformLatency uniform(0.1, 0.3);
@@ -98,9 +90,9 @@ TEST(LatencyModels, StreamRngSamplesStayInDistributionBounds) {
 }
 
 TEST(LatencyModels, PinnedStreamRngSequence) {
-  // Golden pin: these exact samples fell out of (seed=1, stream=2,
-  // purpose=3) when the dual-engine port landed. Any change to the mixin,
-  // Philox keying or uniform01 mapping shows up here.
+  // Golden pin: these exact samples fall out of (seed=1, stream=2,
+  // purpose=3). Any change to the mixin, Philox keying or uniform01
+  // mapping shows up here.
   UniformLatency uniform(0.0, 1.0);
   common::StreamRng rng(1, 2, 3);
   const double expected[4] = {

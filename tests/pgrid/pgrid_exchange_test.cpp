@@ -8,7 +8,7 @@ namespace updp2p::pgrid {
 namespace {
 
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 
 PGridConfig config_64() {
   PGridConfig config;
@@ -82,7 +82,7 @@ TEST(PGridExchange, ReplicaListsShareThePath) {
 
 TEST(PGridExchange, SearchWorksOnOrganicNetwork) {
   const auto network = PGridNetwork::build_by_exchanges(config_64());
-  Rng rng(5);
+  StreamRng rng(5);
   const auto all_online = [](PeerId) { return true; };
   std::size_t found = 0;
   constexpr int kQueries = 200;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/forward_probability.hpp"
+#include "churn/heterogeneous.hpp"
 
 namespace updp2p::pgrid {
 namespace {
@@ -147,10 +148,10 @@ TEST(ReplicatedIndex, DriveWithChurnModelStaysConsistent) {
   index.step_rounds(8);  // push completes while everyone is online
 
   // Now churn the whole system for a while and verify the group heals.
-  churn::SessionChurn churn(128, 15.0, 10.0);  // 60% availability
-  common::Rng rng(3);
-  churn.reset(rng);
-  index.drive(churn, rng, 60);
+  const auto churn = churn::make_session_churn(128, 15.0, 10.0);  // 60%
+  common::StreamRng rng(3);
+  churn->reset(rng);
+  index.drive(*churn, rng, 60);
 
   // Bring everyone back; pulls finish the reconciliation.
   for (std::uint32_t i = 0; i < 128; ++i) {
@@ -164,8 +165,8 @@ TEST(ReplicatedIndex, DriveWithChurnModelStaysConsistent) {
 
 TEST(ReplicatedIndex, DriveRejectsMismatchedPopulation) {
   ReplicatedIndex index(small_config());
-  churn::StaticChurn churn(64, 0.5);  // wrong population
-  common::Rng rng(1);
+  churn::BernoulliChurn churn(64, 0.5, 1.0, 0.0);  // wrong population
+  common::StreamRng rng(1);
   EXPECT_DEATH(index.drive(churn, rng, 1), "population");
 }
 

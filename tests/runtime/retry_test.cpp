@@ -59,23 +59,6 @@ TEST(RetryPolicy, JitteredDelaysReproduceUnderSameStream) {
   EXPECT_EQ(draw(), draw());
 }
 
-TEST(RetryPolicy, WorksWithBothRngEngines) {
-  // The shared RngOps mixin means sequential and counter-based engines draw
-  // through the same code path; both must satisfy the jitter band.
-  RetryPolicy policy;
-  common::Rng sequential(5);
-  common::StreamRng counter(5, 0, 0);
-  for (int i = 0; i < 100; ++i) {
-    const double a = policy.delay(2, sequential);
-    const double b = policy.delay(2, counter);
-    const double base = policy.base_delay(2);
-    EXPECT_GE(a, base * (1.0 - policy.jitter));
-    EXPECT_LE(a, base * (1.0 + policy.jitter));
-    EXPECT_GE(b, base * (1.0 - policy.jitter));
-    EXPECT_LE(b, base * (1.0 + policy.jitter));
-  }
-}
-
 TEST(RetryPolicy, BackoffCapIsExactAtAndPastSaturation) {
   RetryPolicy policy;
   policy.initial_timeout = 0.3;

@@ -217,9 +217,10 @@ TEST(RoundSimulator, WireSerializationPreservesBehaviour) {
 
 TEST(RoundSimulator, RejectsMismatchedChurnPopulation) {
   auto config = base_config(100);
-  EXPECT_DEATH(RoundSimulator(config,
-                              std::make_unique<churn::StaticChurn>(50, 0.5)),
-               "population");
+  EXPECT_DEATH(
+      RoundSimulator(config, std::make_unique<churn::BernoulliChurn>(
+                                 50, 0.5, 1.0, 0.0)),
+      "population");
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ TEST(Workload, ZeroRatesYieldNothing) {
 }
 
 TEST(Zipf, RanksStayInRangeAndSkew) {
-  common::Rng rng(11);
+  common::StreamRng rng(11);
   std::vector<int> counts(20, 0);
   for (int i = 0; i < 50'000; ++i) {
     const auto rank = rng.zipf(20, 1.0);
@@ -117,7 +117,7 @@ TEST(Zipf, RanksStayInRangeAndSkew) {
 }
 
 TEST(Zipf, DegenerateCases) {
-  common::Rng rng(12);
+  common::StreamRng rng(12);
   EXPECT_EQ(rng.zipf(1, 1.0), 0u);
   EXPECT_EQ(rng.zipf(0, 1.0), 0u);
 }

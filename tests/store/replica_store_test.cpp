@@ -63,7 +63,7 @@ version::VersionedValue make_value(std::uint64_t seed) {
   value.payload = "payload-" + std::to_string(seed);
   version::VersionIdFactory factory(
       PeerId(static_cast<std::uint32_t>(1 + seed % 30)),
-      common::Rng(seed * 7 + 1));
+      common::StreamRng(seed * 7 + 1));
   value.id = factory.mint(static_cast<double>(seed));
   value.history.observe(PeerId(static_cast<std::uint32_t>(1 + seed % 30)),
                         1 + seed);

@@ -18,7 +18,7 @@ version::VersionedValue sample_value(std::uint64_t seed) {
   value.payload = std::string(8 + seed % 23, static_cast<char>('a' + seed % 26));
   version::VersionIdFactory factory(
       common::PeerId(static_cast<std::uint32_t>(seed % 40)),
-      common::Rng(seed + 1));
+      common::StreamRng(seed + 1));
   value.id = factory.mint(static_cast<double>(seed));
   value.history.observe(common::PeerId(static_cast<std::uint32_t>(seed % 40)),
                         1 + seed % 5);

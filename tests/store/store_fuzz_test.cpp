@@ -18,14 +18,15 @@
 namespace updp2p::store {
 namespace {
 
-version::VersionedValue fuzz_value(common::Rng& rng) {
+version::VersionedValue fuzz_value(common::StreamRng& rng) {
   version::VersionedValue value;
   value.key = "key-" + std::to_string(rng.uniform_int(0, 9));
   value.payload = std::string(
       static_cast<std::size_t>(rng.uniform_int(0, 40)), 'p');
   version::VersionIdFactory factory(
       common::PeerId(static_cast<std::uint32_t>(rng.uniform_int(0, 50))),
-      common::Rng(static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20))));
+      common::StreamRng(
+          static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20))));
   value.id = factory.mint(rng.uniform01() * 50.0);
   value.history.observe(
       common::PeerId(static_cast<std::uint32_t>(rng.uniform_int(0, 50))),
@@ -66,7 +67,7 @@ void check_snapshot_invariant(std::span<const std::byte> bytes) {
   EXPECT_TRUE(decode_snapshot(reencoded).has_value());
 }
 
-gossip::WireBytes valid_snapshot_image(common::Rng& rng) {
+gossip::WireBytes valid_snapshot_image(common::StreamRng& rng) {
   SnapshotData data;
   data.last_seq = static_cast<std::uint64_t>(rng.uniform_int(0, 10000));
   for (int i = 0; i < 8; ++i) {
@@ -78,7 +79,7 @@ gossip::WireBytes valid_snapshot_image(common::Rng& rng) {
   return encode_snapshot(data);
 }
 
-std::vector<std::byte> valid_wal_image(common::Rng& rng) {
+std::vector<std::byte> valid_wal_image(common::StreamRng& rng) {
   const std::string path = ::testing::TempDir() + "/updp2p_fuzz_wal.log";
   std::remove(path.c_str());
   std::string error;
@@ -108,7 +109,7 @@ std::vector<std::byte> valid_wal_image(common::Rng& rng) {
 class StoreFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StoreFuzz, RandomNoise) {
-  common::Rng rng(GetParam());
+  common::StreamRng rng(GetParam());
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<std::byte> noise(
         static_cast<std::size_t>(rng.uniform_int(0, 300)));
@@ -121,7 +122,7 @@ TEST_P(StoreFuzz, RandomNoise) {
 }
 
 TEST_P(StoreFuzz, TruncationsOfValidImages) {
-  common::Rng rng(GetParam());
+  common::StreamRng rng(GetParam());
   const auto wal_image = valid_wal_image(rng);
   for (std::size_t cut = 0; cut <= wal_image.size(); ++cut) {
     check_wal_invariant(std::span<const std::byte>(wal_image.data(), cut));
@@ -134,7 +135,7 @@ TEST_P(StoreFuzz, TruncationsOfValidImages) {
 }
 
 TEST_P(StoreFuzz, BitFlipsOfValidImages) {
-  common::Rng rng(GetParam());
+  common::StreamRng rng(GetParam());
   auto wal_image = valid_wal_image(rng);
   for (std::size_t i = 0; i < wal_image.size(); ++i) {
     for (int bit : {0, 3, 7}) {
@@ -156,7 +157,7 @@ TEST_P(StoreFuzz, BitFlipsOfValidImages) {
 TEST_P(StoreFuzz, HostileLengthsInWalHeaders) {
   // Adversarial header fields straddling the bounds: every combination
   // must stop the scan without reading past the buffer.
-  common::Rng rng(GetParam());
+  common::StreamRng rng(GetParam());
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<std::byte> bytes(kWalHeaderBytes +
                                  static_cast<std::size_t>(

@@ -8,13 +8,13 @@ namespace updp2p::version {
 namespace {
 
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 
 class StoreTest : public ::testing::Test {
  protected:
   VersionedStore store_;
-  LocalWriter alice_{PeerId(1), Rng(11)};
-  LocalWriter bob_{PeerId(2), Rng(22)};
+  LocalWriter alice_{PeerId(1), StreamRng(11)};
+  LocalWriter bob_{PeerId(2), StreamRng(22)};
 };
 
 TEST_F(StoreTest, LocalWriteIsReadable) {
@@ -185,7 +185,7 @@ TEST_F(StoreTest, CoveredButUnstoredSiblingStillConverges) {
       value.history.observe(common::PeerId(static_cast<std::uint32_t>(peer)),
                             static_cast<std::uint64_t>(counter));
     }
-    VersionIdFactory factory(common::PeerId(9), common::Rng(seed));
+    VersionIdFactory factory(common::PeerId(9), common::StreamRng(seed));
     value.id = factory.mint(0.0);
     store.apply(value);
     return value;
@@ -283,7 +283,7 @@ TEST_F(StoreTest, ApplyOutcomeToString) {
 class StoreConvergence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StoreConvergence, AllPairsReconciliationConverges) {
-  Rng rng(GetParam());
+  StreamRng rng(GetParam());
   constexpr int kStores = 5;
   std::vector<VersionedStore> stores(kStores);
   std::vector<LocalWriter> writers;

@@ -8,7 +8,7 @@ namespace updp2p::version {
 namespace {
 
 using common::PeerId;
-using common::Rng;
+using common::StreamRng;
 
 TEST(VersionId, DefaultIsNull) {
   VersionId id;
@@ -16,12 +16,12 @@ TEST(VersionId, DefaultIsNull) {
 }
 
 TEST(VersionId, MintedIdsAreNotNull) {
-  VersionIdFactory factory(PeerId(1), Rng(42));
+  VersionIdFactory factory(PeerId(1), StreamRng(42));
   EXPECT_FALSE(factory.mint(0.0).is_null());
 }
 
 TEST(VersionId, MintedIdsAreUnique) {
-  VersionIdFactory factory(PeerId(1), Rng(42));
+  VersionIdFactory factory(PeerId(1), StreamRng(42));
   std::unordered_set<VersionId> seen;
   for (int i = 0; i < 10'000; ++i) {
     EXPECT_TRUE(seen.insert(factory.mint(1.5)).second) << "dup at " << i;
@@ -29,19 +29,19 @@ TEST(VersionId, MintedIdsAreUnique) {
 }
 
 TEST(VersionId, DistinctPeersMintDistinctIds) {
-  VersionIdFactory a(PeerId(1), Rng(42));
-  VersionIdFactory b(PeerId(2), Rng(42));
+  VersionIdFactory a(PeerId(1), StreamRng(42));
+  VersionIdFactory b(PeerId(2), StreamRng(42));
   EXPECT_NE(a.mint(0.0), b.mint(0.0));
 }
 
 TEST(VersionId, DeterministicGivenSeed) {
-  VersionIdFactory a(PeerId(1), Rng(42));
-  VersionIdFactory b(PeerId(1), Rng(42));
+  VersionIdFactory a(PeerId(1), StreamRng(42));
+  VersionIdFactory b(PeerId(1), StreamRng(42));
   EXPECT_EQ(a.mint(3.0), b.mint(3.0));
 }
 
 TEST(VersionId, ToStringIs32Hex) {
-  VersionIdFactory factory(PeerId(9), Rng(1));
+  VersionIdFactory factory(PeerId(9), StreamRng(1));
   EXPECT_EQ(factory.mint(0.0).to_string().size(), 32u);
 }
 

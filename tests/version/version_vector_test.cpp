@@ -109,7 +109,7 @@ TEST(VersionVector, CausalityToString) {
 
 class VersionVectorProperty : public ::testing::TestWithParam<std::uint64_t> {
  protected:
-  VersionVector random_vector(common::Rng& rng) {
+  VersionVector random_vector(common::StreamRng& rng) {
     VersionVector vv;
     const auto entries = rng.uniform_below(6);
     for (std::uint64_t i = 0; i < entries; ++i) {
@@ -121,7 +121,7 @@ class VersionVectorProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(VersionVectorProperty, CompareIsAntisymmetric) {
-  common::Rng rng(GetParam());
+  common::StreamRng rng(GetParam());
   for (int i = 0; i < 200; ++i) {
     const auto a = random_vector(rng);
     const auto b = random_vector(rng);
@@ -137,7 +137,7 @@ TEST_P(VersionVectorProperty, CompareIsAntisymmetric) {
 }
 
 TEST_P(VersionVectorProperty, MergeIsIdempotentCommutativeAssociative) {
-  common::Rng rng(GetParam() ^ 0xabcdef);
+  common::StreamRng rng(GetParam() ^ 0xabcdef);
   for (int i = 0; i < 200; ++i) {
     const auto a = random_vector(rng);
     const auto b = random_vector(rng);
@@ -161,7 +161,7 @@ TEST_P(VersionVectorProperty, MergeIsIdempotentCommutativeAssociative) {
 }
 
 TEST_P(VersionVectorProperty, MergeIsLeastUpperBound) {
-  common::Rng rng(GetParam() ^ 0x5555);
+  common::StreamRng rng(GetParam() ^ 0x5555);
   for (int i = 0; i < 200; ++i) {
     const auto a = random_vector(rng);
     const auto b = random_vector(rng);

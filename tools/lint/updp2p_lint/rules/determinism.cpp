@@ -2,7 +2,7 @@
 //
 // Protects the engine's headline guarantee: bit-identical RunMetrics at any
 // shard/thread count (DESIGN.md §6). Every source of entropy in the
-// deterministic core must flow through common::Rng / common::StreamRng; a
+// deterministic core must flow through a keyed common::StreamRng; a
 // single wall-clock read or std::random_device in gossip/sim code silently
 // breaks the golden tests' meaning even when they still pass on one machine.
 //
@@ -39,7 +39,7 @@ class DeterminismRule final : public Rule {
   [[nodiscard]] std::string_view id() const override { return "determinism"; }
   [[nodiscard]] std::string_view summary() const override {
     return "wall clocks and ambient entropy are banned in the deterministic "
-           "core; use common::Rng/StreamRng and the simulated round clock";
+           "core; key a common::StreamRng and use the simulated round clock";
   }
 
   void check(const FileContext& file, std::vector<Finding>& out) const override {
@@ -51,8 +51,8 @@ class DeterminismRule final : public Rule {
 
       if (t.text == "random_device") {
         out.push_back({file.path, t.line, std::string(id()),
-                       "std::random_device is ambient entropy; seed a "
-                       "common::Rng or key a common::StreamRng instead"});
+                       "std::random_device is ambient entropy; key a "
+                       "common::StreamRng purpose instead"});
         continue;
       }
       if (t.text == "system_clock" || t.text == "steady_clock" ||
@@ -69,8 +69,8 @@ class DeterminismRule final : public Rule {
         if (next != nullptr && is_punct(*next, "(")) {
           out.push_back({file.path, t.line, std::string(id()),
                          "std::" + t.text +
-                             "() is hidden global RNG state; use "
-                             "common::Rng/StreamRng"});
+                             "() is hidden global RNG state; key a "
+                             "common::StreamRng"});
         }
         continue;
       }

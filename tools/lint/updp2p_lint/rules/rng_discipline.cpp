@@ -1,14 +1,19 @@
 // Rule: rng-discipline
 //
-// All randomness flows through common::Rng (SplitMix-seeded xoshiro-family
-// engine) or common::StreamRng (counter-based Philox4x32-10, keyed by
-// seed/stream/purpose — CHANGES.md PR 2). Raw standard-library engines and
-// distributions anywhere else fork the randomness discipline: they are not
-// counter-based, not stream-keyed, and their distributions are
-// implementation-defined (libstdc++ vs libc++ produce different sequences),
-// which would make "golden" numbers toolchain-dependent.
+// All randomness flows through common::StreamRng (counter-based
+// Philox4x32-10, keyed by seed/stream/purpose), so a draw in one component
+// can never shift another's. Two things fork that discipline:
+//   * raw standard-library engines and distributions: not counter-based,
+//     not stream-keyed, and their distributions are implementation-defined
+//     (libstdc++ vs libc++ produce different sequences), which would make
+//     "golden" numbers toolchain-dependent;
+//   * the sequential xoshiro engine common::Rng, which src/common/rng.hpp
+//     keeps only for the live benchmark: a second engine is a second way to
+//     draw, and its draws shift with every earlier draw.
 //
 // Flagged everywhere except the sanctioned home, src/common/rng.{hpp,cpp}.
+// The identifier Rng is flagged; StreamRng, RngOps, comments and strings
+// are not.
 
 #include "updp2p_lint/rule.hpp"
 #include "updp2p_lint/token_match.hpp"
@@ -44,8 +49,9 @@ class RngDisciplineRule final : public Rule {
     return "rng-discipline";
   }
   [[nodiscard]] std::string_view summary() const override {
-    return "raw std engines/distributions outside src/common/rng.* fork the "
-           "stream-keyed randomness discipline; use common::Rng/StreamRng";
+    return "raw std engines/distributions and common::Rng outside "
+           "src/common/rng.* fork the stream-keyed randomness discipline; "
+           "key a common::StreamRng";
   }
 
   void check(const FileContext& file, std::vector<Finding>& out) const override {
@@ -54,13 +60,19 @@ class RngDisciplineRule final : public Rule {
     for (std::size_t i = 0; i < tokens.size(); ++i) {
       const Token& t = tokens[i];
       if (t.kind != TokenKind::kIdentifier || t.preproc) continue;
-      // Member accesses (`obj.mt19937`) are not std uses; everything else —
-      // bare or std:: qualified — counts, since `using std::mt19937` exists.
+      // Member accesses (`obj.mt19937`) are not engine uses; everything
+      // else — bare or qualified — counts, since `using std::mt19937` and
+      // `using common::Rng` exist.
       if (is_member_access(tokens, i)) continue;
-      if (is_banned_engine(t.text)) {
+      if (t.text == "Rng") {
+        out.push_back({file.path, t.line, std::string(id()),
+                       "sequential xoshiro engine common::Rng; key a "
+                       "common::StreamRng purpose instead "
+                       "(src/common/rng.hpp)"});
+      } else if (is_banned_engine(t.text)) {
         out.push_back({file.path, t.line, std::string(id()),
                        "raw std engine " + t.text +
-                           "; randomness must come from common::Rng / "
+                           "; randomness must come from a keyed "
                            "common::StreamRng (src/common/rng.hpp)"});
       } else if (is_std_distribution(t.text)) {
         out.push_back({file.path, t.line, std::string(id()),
