@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the library's hot paths: version
 // vector comparison/merge, store apply/delta, replica-view sampling,
-// partial-list construction, full simulated push phases, and the
-// analytical-model evaluation itself.
+// partial-list construction, the runtime's timer-wheel deadline query,
+// full simulated push phases, and the analytical-model evaluation itself.
 //
 // Usage:
 //   micro_core                  full run; writes BENCH_core.json (ns/op,
@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <string>
 #include <string_view>
@@ -27,6 +28,7 @@
 #include "gossip/node.hpp"
 #include "gossip/partial_list.hpp"
 #include "gossip/replica_view.hpp"
+#include "runtime/timer_wheel.hpp"
 #include "sim/round_simulator.hpp"
 #include "store/wal.hpp"
 #include "version/store.hpp"
@@ -338,6 +340,31 @@ void BM_StoreReplay10k(benchmark::State& state) {
   set_traffic_counters(state, replayed, bytes, 1);
 }
 BENCHMARK(BM_StoreReplay10k)->Unit(benchmark::kMillisecond);
+
+void BM_TimerWheelNextDeadline(benchmark::State& state) {
+  // The event loop's per-poll sleep sizing under a PeerRuntime's retry
+  // load: N pending timers spread over 3 s; each step the earliest one is
+  // confirmed (cancelled), time moves on by one spacing, a fresh retry is
+  // armed 3 s out, and the loop asks for the next deadline.
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  const double spacing = 3.0 / static_cast<double>(pending);
+  runtime::TimerWheel wheel;
+  std::deque<runtime::TimerWheel::TimerId> in_flight;
+  double now = 0.0;
+  for (std::size_t i = 1; i <= pending; ++i) {
+    in_flight.push_back(wheel.schedule_at(spacing * static_cast<double>(i),
+                                          [](common::SimTime) {}));
+  }
+  for (auto _ : state) {
+    wheel.cancel(in_flight.front());
+    in_flight.pop_front();
+    now += spacing;
+    wheel.advance(now);
+    in_flight.push_back(wheel.schedule_at(now + 3.0, [](common::SimTime) {}));
+    benchmark::DoNotOptimize(wheel.next_deadline());
+  }
+}
+BENCHMARK(BM_TimerWheelNextDeadline)->Arg(16)->Arg(1024);
 
 void BM_SimulatedUpdate(benchmark::State& state) {
   const auto population = static_cast<std::size_t>(state.range(0));

@@ -4,10 +4,17 @@
 Compares a fresh BENCH_core.json against the checked-in baseline on the
 guarded benchmarks and fails when wall time per op regresses more than the
 threshold. The guard is about catching accidental hot-path regressions in
-review, not about enforcing absolute numbers: both files must come from the
-SAME machine (the fresh run happens inside verify.sh moments earlier), so a
->15% ns_per_op swing on a pinned-iteration-count benchmark is a code change,
-not noise. Skip with verify.sh --skip-bench-guard on busy/shared hardware.
+review, not about enforcing absolute numbers.
+
+The fresh run comes from this machine, moments earlier inside verify.sh.
+The baseline is whatever BENCH_core.json was checked in, so it may come from
+another host. A >15% ns_per_op swing on a pinned-iteration-count benchmark
+reads as a code change only when both files come from the same machine.
+The guard therefore prints both files' provenance (git SHA, CPU model,
+hardware and usable threads, timestamp) above its verdicts, and says so
+when the CPU model or a thread count differs: then the verdicts measure
+the hosts as well as the code. Skip with verify.sh --skip-bench-guard on
+busy/shared hardware.
 
 Usage:
   check_bench_regression.py BASELINE FRESH --bench NAME [--bench NAME ...]
@@ -19,7 +26,12 @@ import json
 import sys
 
 
-def load_benchmarks(path):
+# The meta fields that decide whether two runs ran on comparable hosts.
+HOST_FIELDS = ("cpu_model", "hardware_threads", "usable_threads")
+
+
+def load(path):
+    """Returns (meta, benchmarks by bare name) of one BENCH_core.json."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     table = {}
@@ -28,7 +40,16 @@ def load_benchmarks(path):
         # index by the bare prefix so guard names stay stable.
         bare = record["name"].split("/")[0]
         table.setdefault(bare, record)
-    return table
+    return doc.get("meta", {}), table
+
+
+def describe(label, path, meta):
+    def field(name):
+        return meta.get(name, "unknown")
+    print(f"  {label} {path}: git {str(field('git_sha'))[:12]}, "
+          f"{field('cpu_model')}, {field('hardware_threads')} hardware / "
+          f"{field('usable_threads')} usable threads, "
+          f"{field('timestamp_utc')}")
 
 
 def main():
@@ -40,8 +61,15 @@ def main():
     parser.add_argument("--max-regression", type=float, default=0.15)
     opts = parser.parse_args()
 
-    baseline = load_benchmarks(opts.baseline)
-    fresh = load_benchmarks(opts.fresh)
+    baseline_meta, baseline = load(opts.baseline)
+    fresh_meta, fresh = load(opts.fresh)
+    describe("baseline", opts.baseline, baseline_meta)
+    describe("fresh   ", opts.fresh, fresh_meta)
+    differing = [name for name in HOST_FIELDS
+                 if baseline_meta.get(name) != fresh_meta.get(name)]
+    if differing:
+        print(f"  hosts differ ({', '.join(differing)}): these verdicts "
+              "compare machines as well as code")
 
     failures = []
     for name in opts.benches:

@@ -34,12 +34,12 @@ struct PartialListConfig {
   std::size_t max_entries = 0;
 };
 
-/// §6 acknowledgement optimisation.
+/// §6 acknowledgement optimisation: when enabled, a replica acks the first
+/// pusher of each version it receives (paper: "only to the first or first k
+/// random replicas"; this implementation takes k = 1). Later pushes of the
+/// same version are duplicates and get no ack.
 struct AckConfig {
   bool enabled = false;
-  /// Reply to the first k distinct pushers of an update (paper: "only to
-  /// the first or first k random replicas").
-  unsigned ack_first_k = 1;
   /// Rounds a peer that never acked is presumed offline and skipped when
   /// selecting fanout targets. 0 disables suppression.
   common::Round suppression_rounds = 0;

@@ -174,9 +174,9 @@ void ReplicaNode::handle_push_first(common::PeerId from,
     make_pull(now, out, from);
   }
 
-  // §6 acknowledgement to the first pusher(s). This is the first receipt
-  // (duplicate count 0), so any positive ack_first_k acks it.
-  if (config_.acks.enabled && config_.acks.ack_first_k > 0) {
+  // §6 acknowledgement to the first pusher: this path runs only on the
+  // version's first receipt, so its sender is that pusher.
+  if (config_.acks.enabled) {
     out.push_back(wrap(from, AckMessage{value->id}));
     ++stats_.acks_sent;
   }

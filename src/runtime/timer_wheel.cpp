@@ -1,5 +1,6 @@
 #include "runtime/timer_wheel.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/ensure.hpp"
@@ -29,6 +30,8 @@ TimerWheel::TimerId TimerWheel::schedule_at(common::SimTime deadline,
   const TimerId id = next_id_++;
   slots_[tick % slots_.size()].push_back(Entry{id, tick, std::move(callback)});
   live_.emplace(id, tick);
+  deadlines_.push_back(Deadline{tick, id});
+  std::push_heap(deadlines_.begin(), deadlines_.end());
   return id;
 }
 
@@ -73,16 +76,23 @@ void TimerWheel::advance(common::SimTime now) {
       entry.callback(tick_time);
     }
   }
+  // Every timer due by now has fired or was cancelled.
+  while (!deadlines_.empty() && deadlines_.front().tick <= current_tick_) {
+    std::pop_heap(deadlines_.begin(), deadlines_.end());
+    deadlines_.pop_back();
+  }
   advancing_scratch_in_use_ = false;
 }
 
 std::optional<common::SimTime> TimerWheel::next_deadline() const {
   if (live_.empty()) return std::nullopt;
-  std::uint64_t min_tick = ~std::uint64_t{0};
-  for (const auto& [id, tick] : live_) {
-    if (tick < min_tick) min_tick = tick;
+  // Live timers are all in the heap, so the first live top is the minimum.
+  while (!live_.contains(deadlines_.front().id)) {
+    std::pop_heap(deadlines_.begin(), deadlines_.end());
+    deadlines_.pop_back();
   }
-  return static_cast<common::SimTime>(min_tick) * tick_duration_;
+  return static_cast<common::SimTime>(deadlines_.front().tick) *
+         tick_duration_;
 }
 
 }  // namespace updp2p::runtime

@@ -1,17 +1,25 @@
 // Monotonic hashed timer wheel.
 //
 // PeerRuntime needs many short-lived timers (one per in-flight retransmit,
-// plus the round cadence) with O(1) schedule/cancel. A hashed wheel fits:
+// plus the round cadence) with cheap schedule/cancel. A hashed wheel fits:
 // time is quantised into ticks, each tick hashes to one of `slot_count`
 // slots, and timers whose deadline lies more than one wheel revolution out
 // simply stay in their slot until the wheel comes around to their tick
 // (deadline ticks are stored absolutely, so no cascade pass is needed).
+//
+// Beside the slots, a min-heap of (deadline tick, id) answers "when is the
+// next timer due" without a scan; schedule pays an O(log n) push for it.
+// It is pruned lazily: cancel leaves the entry behind, next_deadline pops
+// tops whose timer is no longer pending, and advance pops tops whose tick
+// has passed.
 //
 // Determinism contract: timers fire in (deadline tick, schedule order), and
 // time only moves forward (advance enforces monotonicity). A deadline in
 // the past fires on the next advance. Callbacks may schedule and cancel
 // timers freely — timers scheduled for ticks the current advance has not
 // passed yet fire within the same advance call.
+//
+// Not thread-safe, next_deadline included: it is const but prunes the heap.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +60,11 @@ class TimerWheel {
 
   [[nodiscard]] common::SimTime now() const noexcept { return now_; }
   [[nodiscard]] std::size_t pending() const noexcept { return live_.size(); }
-  /// Earliest pending fire time (tick-quantised); nullopt when idle. Linear
-  /// in the number of pending timers — meant for event-loop sleep sizing,
-  /// not hot paths.
+  /// Earliest pending fire time (tick-quantised); nullopt when idle.
+  /// Amortised O(1): it reads the heap's top after popping the cancelled
+  /// timers found there (O(log n) each, and an entry is popped only once).
+  /// The heap holds one entry per timer that is scheduled and whose tick
+  /// has not yet passed, cancelled ones included.
   [[nodiscard]] std::optional<common::SimTime> next_deadline() const;
 
  private:
@@ -62,6 +72,14 @@ class TimerWheel {
     TimerId id = kInvalidTimer;
     std::uint64_t deadline_tick = 0;
     Callback callback;
+  };
+  struct Deadline {
+    std::uint64_t tick = 0;
+    TimerId id = kInvalidTimer;
+    /// Orders std::*_heap as a min-heap on tick.
+    bool operator<(const Deadline& other) const noexcept {
+      return tick > other.tick;
+    }
   };
 
   [[nodiscard]] std::uint64_t tick_ceil(common::SimTime at) const noexcept;
@@ -71,6 +89,9 @@ class TimerWheel {
   /// Pending timers: id -> absolute deadline tick. Source of truth for
   /// liveness (cancel is a lazy erase here; slots purge on sweep).
   std::unordered_map<TimerId, std::uint64_t> live_;
+  /// Min-heap by tick with an entry for every live timer, plus stale ones
+  /// that next_deadline and advance prune from the top (hence mutable).
+  mutable std::vector<Deadline> deadlines_;
   std::uint64_t current_tick_ = 0;  ///< all ticks <= this have fired
   common::SimTime now_ = 0.0;
   TimerId next_id_ = 1;

@@ -162,7 +162,6 @@ TEST(ReplicaNode, MembershipGrowsFromFloodingList) {
 TEST(ReplicaNode, AckSentToFirstPusherOnly) {
   auto config = test_config();
   config.acks.enabled = true;
-  config.acks.ack_first_k = 1;
   auto alice = make_node(0, config);
   auto bob = make_node(1, config);
   const auto from_alice = alice.publish("key", "v1", 0);
