@@ -13,8 +13,10 @@ reads as a code change only when both files come from the same machine.
 The guard therefore prints both files' provenance (git SHA, CPU model,
 hardware and usable threads, timestamp) above its verdicts, and says so
 when the CPU model or a thread count differs: then the verdicts measure
-the hosts as well as the code. Skip with verify.sh --skip-bench-guard on
-busy/shared hardware.
+the hosts as well as the code. A row that ran more shard threads than its
+file's usable_threads is marked non-scaling, per file: its time measures
+threads taking turns on fewer cores, not parallel speed-up. Skip with
+verify.sh --skip-bench-guard on busy/shared hardware.
 
 Usage:
   check_bench_regression.py BASELINE FRESH --bench NAME [--bench NAME ...]
@@ -50,6 +52,15 @@ def describe(label, path, meta):
           f"{field('cpu_model')}, {field('hardware_threads')} hardware / "
           f"{field('usable_threads')} usable threads, "
           f"{field('timestamp_utc')}")
+
+
+def non_scaling(record, meta):
+    """Returns a mark when the row ran more threads than its host could
+    run at once, else None."""
+    threads, usable = record.get("threads"), meta.get("usable_threads")
+    if isinstance(threads, int) and isinstance(usable, int) and threads > usable:
+        return f"non-scaling ({threads} threads, {usable} usable)"
+    return None
 
 
 def main():
@@ -91,8 +102,12 @@ def main():
                 f"{name}: {base_ns:.0f} -> {fresh_ns:.0f} ns/op "
                 f"({(ratio - 1.0) * 100:+.1f}%, limit "
                 f"+{opts.max_regression * 100:.0f}%)")
+        marks = [f"{label} {mark}" for label, mark in (
+            ("baseline", non_scaling(baseline[name], baseline_meta)),
+            ("fresh", non_scaling(fresh[name], fresh_meta))) if mark]
+        suffix = f" [{'; '.join(marks)}]" if marks else ""
         print(f"  {name}: {base_ns:.0f} -> {fresh_ns:.0f} ns/op "
-              f"({(ratio - 1.0) * 100:+.1f}%) {verdict}")
+              f"({(ratio - 1.0) * 100:+.1f}%) {verdict}{suffix}")
 
     if failures:
         print("bench guard FAILED:", file=sys.stderr)

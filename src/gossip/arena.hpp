@@ -21,7 +21,6 @@
 #include "common/chunked_peer_set.hpp"
 #include "common/dense_peer_set.hpp"
 #include "common/types.hpp"
-#include "gossip/codec.hpp"
 
 namespace updp2p::gossip {
 
@@ -31,10 +30,6 @@ struct WorkArena {
   std::vector<common::PeerId> contacts;  ///< make_pull contacts
   common::ChunkedPeerSet list;           ///< outgoing forward list build
   common::ChunkedPeerSet recv_list;      ///< streaming push-frame decode
-
-  // Wire-path scratch: one encode per fan-out (the interned-frame cache
-  // serves the other N-1 targets), one reference alive at a time.
-  FrameCache frames;
 
   // ReplicaView::sample_into scratch.
   std::vector<common::PeerId> pool;      ///< weighted candidate pool

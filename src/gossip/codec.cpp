@@ -480,30 +480,6 @@ std::optional<DecodedPush> decode_push_into(std::span<const std::byte> bytes,
   return DecodedPush{std::move(*value), static_cast<common::Round>(*round)};
 }
 
-SharedFrame FrameCache::intern(const GossipPayload& payload) {
-  if (const auto* push = std::get_if<PushMessage>(&payload)) {
-    // Identity equality, not value equality: a fan-out's messages share
-    // the SharedValue/SharedPeerList objects, so pointer matches identify
-    // "the same push, next target" with zero comparisons of content.
-    // Distinct objects with equal contents encode to identical bytes
-    // anyway, so a conservative miss only costs a redundant encode.
-    if (frame_ && push->value.identity() == value_.identity() &&
-        push->flooding_list.identity() == list_.identity() &&
-        push->round == round_) {
-      ++hits_;
-      return frame_;
-    }
-    ++encodes_;
-    frame_ = SharedFrame(encode(payload));
-    value_ = push->value;
-    list_ = push->flooding_list;
-    round_ = push->round;
-    return frame_;
-  }
-  ++encodes_;
-  return SharedFrame(encode(payload));
-}
-
 std::optional<GossipPayload> decode(std::span<const std::byte> bytes) {
   std::size_t offset = 0;
   const auto kind = get_frame_header(bytes, offset);

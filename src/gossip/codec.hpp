@@ -36,15 +36,14 @@
 // a peer must survive garbage from the network.
 //
 // Zero-copy pipeline (docs/protocol.md "Frame sharing & lazy decode"):
-// encoded frames are immutable once built, so a fan-out of N pushes shares
-// ONE SharedFrame (refcount bumps, no re-encode); receivers classify
+// encoded frames are immutable once built, so a fan-out of N pushes is
+// encoded once and every recipient reads the same bytes; receivers classify
 // duplicates from probe_frame() — a header probe that never touches the
 // flooding-list section — and only first receipts pay the full decode,
 // streaming the peerset chunks into a warm arena ChunkedPeerSet.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -105,33 +104,6 @@ void encode_into(const GossipPayload& payload, WireBytes& out);
 [[nodiscard]] std::optional<GossipPayload> decode(
     std::span<const std::byte> bytes);
 
-/// One encoded frame shared by reference: the fan-out of a push to N
-/// targets carries N copies of one SharedFrame (refcount bumps), and a
-/// simulator's delivery path hands the same bytes to every recipient. The
-/// bytes are immutable after construction — that is what makes sharing
-/// across shard threads safe.
-class SharedFrame {
- public:
-  SharedFrame() = default;
-  explicit SharedFrame(WireBytes bytes)
-      : data_(std::make_shared<const WireBytes>(std::move(bytes))) {}
-
-  /// False for a default-constructed (no frame) value.
-  [[nodiscard]] explicit operator bool() const noexcept {
-    return data_ != nullptr;
-  }
-  [[nodiscard]] std::span<const std::byte> bytes() const noexcept {
-    return data_ ? std::span<const std::byte>(*data_)
-                 : std::span<const std::byte>();
-  }
-  [[nodiscard]] std::size_t size_bytes() const noexcept {
-    return data_ ? data_->size() : 0;
-  }
-
- private:
-  std::shared_ptr<const WireBytes> data_;
-};
-
 /// What a header probe can read without walking the variable-length tail:
 /// the message kind plus the cheap identifying fields (enough for duplicate
 /// classification and retry cancellation). See probe_frame() for the trust
@@ -174,36 +146,6 @@ struct DecodedPush {
 /// cleared and the return is nullopt.
 [[nodiscard]] std::optional<DecodedPush> decode_push_into(
     std::span<const std::byte> bytes, common::ChunkedPeerSet& list);
-
-/// Single-entry encode cache for the fan-out-heavy dispatch path: a push
-/// forwarded to N targets arrives as N OutboundMessages sharing one
-/// SharedValue and one SharedPeerList, so keying on those identities (plus
-/// the round) lets N-1 of the encodes collapse into refcount bumps.
-/// Non-push payloads (and push payloads built fresh) are encoded directly.
-/// One cache per WorkArena — single-threaded by the arena contract.
-class FrameCache {
- public:
-  /// Returns a frame whose bytes equal encode(payload), reusing the cached
-  /// buffer when `payload` is the same shared push the last call encoded.
-  [[nodiscard]] SharedFrame intern(const GossipPayload& payload);
-
-  /// Frames served from the cache since construction (diagnostics).
-  [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
-  /// Frames actually encoded since construction (diagnostics).
-  [[nodiscard]] std::uint64_t encodes() const noexcept { return encodes_; }
-
- private:
-  // The cache holds STRONG references to the keyed value/list (not raw
-  // pointers): identities are compared as pointers, and keeping the
-  // objects alive is what makes that sound — a freed allocation could
-  // otherwise be recycled at the same address for different contents.
-  SharedValue value_;
-  SharedPeerList list_;
-  common::Round round_ = 0;
-  SharedFrame frame_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t encodes_ = 0;
-};
 
 // --- low-level primitives (exposed for tests and reuse) ---------------------
 

@@ -70,9 +70,9 @@ class SharedPeerList {
   }
 
   /// Stable identity of the shared representation (nullptr when default-
-  /// constructed). Equal identities imply equal contents — the encode
-  /// cache (gossip::FrameCache) uses this to recognise one fan-out's
-  /// shared list across its N messages without comparing sets.
+  /// constructed). Equal identities imply equal contents — the round
+  /// simulator uses this to recognise one fan-out's shared list across its
+  /// N messages without comparing sets, and stores and encodes it once.
   [[nodiscard]] const void* identity() const noexcept { return data_.get(); }
 
   /// Copy-on-write insert (list construction in decode paths and tests).

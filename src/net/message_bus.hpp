@@ -16,10 +16,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
+#include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/ensure.hpp"
 #include "common/types.hpp"
 
 namespace updp2p::net {
@@ -41,61 +43,62 @@ struct BusStats {
   }
 };
 
-/// In-flight or delivered message envelope.
+/// In-flight or delivered message handle: 16 bytes, trivially copyable.
 ///
-/// Payloads are moved, never copied, between send and delivery, so a
-/// Payload holding ref-counted data (e.g. a gossip::SharedFrame of encoded
-/// bytes) fans out to N recipients for N refcount bumps — the bus itself
-/// never duplicates a wire frame. size_bytes is whatever the sender
-/// charged; the bus only accumulates it.
-template <typename Payload>
+/// Each payload is stored once, in its source shard's table (add_payload),
+/// and envelopes name it by index: a push fanned out to N recipients is N
+/// handles to one payload, so collecting and sorting a round's traffic
+/// moves 16-byte handles and never touches a payload (read: payload()).
 struct Envelope {
   common::PeerId from;
   common::PeerId to;
-  Payload payload;
-  std::uint64_t size_bytes = 0;
-  common::Round sent_round = 0;
   /// Per-sender monotone sequence number. (from, seq) is unique within a
   /// round, which gives the sharded bus a total delivery order that does
   /// not depend on shard layout or thread interleaving.
   std::uint32_t seq = 0;
+  /// Index into the payload table of shard_of(from).
+  std::uint32_t payload = 0;
 };
+static_assert(sizeof(Envelope) == 16 &&
+              std::is_trivially_copyable_v<Envelope>);
 
 /// Round-synchronous bus partitioned into per-(src_shard, dst_shard)
 /// outboxes for parallel round execution.
 ///
 /// The population [0, population) is cut into `shard_count` contiguous
 /// blocks. During the parallel phase each shard task mutates only its own
-/// row of outbox cells (send_from_shard) and its own stats slot, so no two
-/// threads ever touch the same cell — the bus needs no locks. The protocol
-/// is two-phase:
+/// row of outbox cells (send_from_shard), its own payload table
+/// (add_payload) and its own stats slot, so no two threads ever write the
+/// same memory — the bus needs no locks. The protocol is two-phase:
 ///
-///   1. begin_round() — sequential: every cell's pending buffer becomes the
-///      in-flight buffer (messages sent in round t surface in round t+1,
-///      the discrete-time model of §3).
-///   2. collect_into(dst, batch) — one caller per dst shard, in parallel:
-///      gathers every in-flight envelope addressed to `dst` and sorts it by
-///      the canonical (to, from, seq) key. The canonical order makes the
-///      delivery sequence — and therefore every downstream RNG draw — a
-///      pure function of the message *set*, independent of shard count and
-///      thread interleaving. (from, seq) is unique per sender, so the sort
-///      has no ties and no reliance on stability.
+///   1. begin_round() — sequential: every cell's pending buffer, and every
+///      source shard's payload table, becomes the in-flight one (messages
+///      sent in round t surface in round t+1, the discrete-time model of
+///      §3). The previous in-flight payloads are destroyed here.
+///   2. collect_into(dst, batch, deliverable) — one caller per dst shard,
+///      in parallel: gathers the in-flight envelopes addressed to `dst`,
+///      counts and leaves out those whose recipient cannot receive, and
+///      sorts the rest by the canonical (to, from, seq) key. The canonical
+///      order makes the delivery sequence — and therefore every downstream
+///      RNG draw — a pure function of the message *set*, independent of
+///      shard count and thread interleaving. (from, seq) is unique per
+///      sender, so the sort has no ties and no reliance on stability.
 ///
 /// Delivery policy (offline receivers, partitions, random loss) is the
-/// driver's job: it classifies each collected envelope and records the
-/// outcome into its shard_stats(dst) slot; send-side counters are kept by
+/// driver's job: its `deliverable` predicate decides which recipients can
+/// receive, and it records the outcome of every collected envelope into
+/// its shard_stats(dst) slot; send-side counters are kept by
 /// send_from_shard in the source shard's slot. stats() merges all slots.
 template <typename Payload>
 class ShardedMessageBus {
  public:
-  using EnvelopeT = Envelope<Payload>;
-
   ShardedMessageBus(std::size_t shard_count, std::size_t population)
       : shards_(shard_count == 0 ? 1 : shard_count),
         block_(population == 0 ? 1
                                : (population + shards_ - 1) / shards_),
         cells_(shards_ * shards_),
-        shard_stats_(shards_) {}
+        slots_(shards_),
+        inflight_payloads_(shards_) {}
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_; }
   [[nodiscard]] std::size_t shard_of(common::PeerId peer) const noexcept {
@@ -103,26 +106,41 @@ class ShardedMessageBus {
     return shard < shards_ ? shard : shards_ - 1;
   }
 
-  /// Enqueues a message from the parallel task that owns `src_shard`
-  /// (which must be shard_of(from)). Thread-safe across *distinct* source
-  /// shards by disjointness, not by locking.
-  void send_from_shard(std::size_t src_shard, common::PeerId from,
-                       common::PeerId to, Payload payload,
-                       std::uint64_t size_bytes, common::Round round,
-                       std::uint32_t seq) {
-    BusStats& stats = shard_stats_[src_shard].stats;
-    ++stats.messages_sent;
-    stats.bytes_sent += size_bytes;
-    cells_[src_shard * shards_ + shard_of(to)].pending.push_back(
-        EnvelopeT{from, to, std::move(payload), size_bytes, round, seq});
+  /// Stores a payload for this round's sends from `src_shard` and returns
+  /// its index; any number of send_from_shard calls may then refer to it.
+  /// Called from the task that owns `src_shard`.
+  [[nodiscard]] std::uint32_t add_payload(std::size_t src_shard,
+                                          Payload payload) {
+    std::vector<Payload>& table = slots_[src_shard].payloads;
+    UPDP2P_ENSURE(table.size() < std::numeric_limits<std::uint32_t>::max(),
+                  "a shard's payload table outgrew the u32 envelope index");
+    table.push_back(std::move(payload));
+    return static_cast<std::uint32_t>(table.size() - 1);
   }
 
-  /// Sequential-context convenience (round-0 publish, reconnect hooks).
+  /// Enqueues a handle to payload `payload` (an index add_payload returned
+  /// this round) from the parallel task that owns `src_shard`, which must
+  /// be shard_of(from): payload() looks the index up there. Thread-safe
+  /// across *distinct* source shards by disjointness, not by locking.
+  void send_from_shard(std::size_t src_shard, common::PeerId from,
+                       common::PeerId to, std::uint32_t payload,
+                       std::uint64_t size_bytes, std::uint32_t seq) {
+    ShardSlot& slot = slots_[src_shard];
+    UPDP2P_ENSURE(shard_of(from) == src_shard &&
+                      payload < slot.payloads.size(),
+                  "a send must name a payload its sender's shard stored");
+    ++slot.stats.messages_sent;
+    slot.stats.bytes_sent += size_bytes;
+    cells_[src_shard * shards_ + shard_of(to)].pending.push_back(
+        Envelope{from, to, seq, payload});
+  }
+
+  /// Sequential-context convenience: add_payload, then send_from_shard.
   void send(common::PeerId from, common::PeerId to, Payload payload,
-            std::uint64_t size_bytes, common::Round round,
-            std::uint32_t seq) {
-    send_from_shard(shard_of(from), from, to, std::move(payload), size_bytes,
-                    round, seq);
+            std::uint64_t size_bytes, std::uint32_t seq) {
+    const std::size_t shard = shard_of(from);
+    send_from_shard(shard, from, to, add_payload(shard, std::move(payload)),
+                    size_bytes, seq);
   }
 
   /// Publishes the pending buffers: everything sent before this call
@@ -134,42 +152,61 @@ class ShardedMessageBus {
       cell.inflight.clear();  // capacity retained
       std::swap(cell.pending, cell.inflight);
     }
+    for (std::size_t shard = 0; shard < shards_; ++shard) {
+      inflight_payloads_[shard].clear();
+      std::swap(slots_[shard].payloads, inflight_payloads_[shard]);
+    }
   }
 
   /// Gathers the in-flight envelopes addressed to shard `dst` into `batch`
-  /// (replacing its contents), sorted by (to, from, seq). Envelopes are
-  /// moved out; call once per shard per round, from the task owning `dst`.
-  void collect_into(std::size_t dst_shard, std::vector<EnvelopeT>& batch) {
+  /// (replacing its contents), sorted by (to, from, seq). An envelope
+  /// whose recipient fails `deliverable(to)` is counted and left out
+  /// before the sort; the count is returned. Call once per shard per
+  /// round, from the task owning `dst`.
+  template <typename Deliverable>
+  [[nodiscard]] std::uint64_t collect_into(std::size_t dst_shard,
+                                           std::vector<Envelope>& batch,
+                                           Deliverable&& deliverable) {
     batch.clear();
-    std::size_t total = 0;
+    std::uint64_t undeliverable = 0;
     for (std::size_t src = 0; src < shards_; ++src) {
-      total += cells_[src * shards_ + dst_shard].inflight.size();
-    }
-    batch.reserve(total);
-    for (std::size_t src = 0; src < shards_; ++src) {
-      for (EnvelopeT& envelope : cells_[src * shards_ + dst_shard].inflight) {
-        batch.push_back(std::move(envelope));
+      for (const Envelope& envelope :
+           cells_[src * shards_ + dst_shard].inflight) {
+        if (deliverable(envelope.to)) {
+          batch.push_back(envelope);
+        } else {
+          ++undeliverable;
+        }
       }
     }
     std::sort(batch.begin(), batch.end(),
-              [](const EnvelopeT& a, const EnvelopeT& b) {
+              [](const Envelope& a, const Envelope& b) {
                 if (a.to != b.to) return a.to < b.to;
                 if (a.from != b.from) return a.from < b.from;
                 return a.seq < b.seq;
               });
+    return undeliverable;
+  }
+
+  /// The payload an in-flight envelope names; valid until the next
+  /// begin_round. Safe from any shard task during the parallel phase.
+  // holds(shard): in-flight tables are written only by the sequential
+  // begin_round; shard tasks only read them
+  [[nodiscard]] const Payload& payload(const Envelope& envelope) const {
+    return inflight_payloads_[shard_of(envelope.from)][envelope.payload];
   }
 
   /// The stats slot owned by `shard` — the parallel task records its
   /// delivery outcomes here without contention.
   [[nodiscard]] BusStats& shard_stats(std::size_t shard) noexcept {
-    return shard_stats_[shard].stats;
+    return slots_[shard].stats;
   }
 
   /// Merged view over all shard slots.
   // holds(shard): read-only merge run sequentially after the round joins
   [[nodiscard]] BusStats stats() const {
     BusStats merged;
-    for (const PaddedStats& slot : shard_stats_) {
+    for (const ShardSlot& slot : slots_) {
       merged.messages_sent += slot.stats.messages_sent;
       merged.messages_delivered += slot.stats.messages_delivered;
       merged.messages_to_offline += slot.stats.messages_to_offline;
@@ -189,18 +226,22 @@ class ShardedMessageBus {
 
  private:
   struct Cell {
-    std::vector<EnvelopeT> pending;   ///< sends this round
-    std::vector<EnvelopeT> inflight;  ///< deliverable this round
+    std::vector<Envelope> pending;   ///< sends this round
+    std::vector<Envelope> inflight;  ///< deliverable this round
   };
-  /// Padded so per-shard counters never false-share a cache line.
-  struct alignas(64) PaddedStats {
+  /// What one shard task writes during the parallel phase, padded so two
+  /// shards' counters never false-share a cache line.
+  struct alignas(64) ShardSlot {
     BusStats stats;
+    std::vector<Payload> payloads;  ///< payloads of this round's sends
   };
 
   std::size_t shards_;
   std::size_t block_;
   std::vector<Cell> cells_;  ///< row-major [src][dst] — guarded-by(shard)
-  std::vector<PaddedStats> shard_stats_;  // guarded-by(shard)
+  std::vector<ShardSlot> slots_;  // guarded-by(shard)
+  /// Per source shard: the payloads the in-flight envelopes name.
+  std::vector<std::vector<Payload>> inflight_payloads_;  // guarded-by(shard)
 };
 
 }  // namespace updp2p::net

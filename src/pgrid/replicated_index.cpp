@@ -46,7 +46,7 @@ void ReplicatedIndex::dispatch(common::PeerId from,
   std::uint32_t& seq = send_seq_[from.value()];
   for (auto& message : out) {
     bus_.send(from, message.to, std::move(message.payload),
-              message.size_bytes, round_, seq++);
+              message.size_bytes, seq++);
   }
 }
 
@@ -64,17 +64,14 @@ void ReplicatedIndex::set_online(common::PeerId peer, bool online) {
 void ReplicatedIndex::step_round() {
   ++round_;
   bus_.begin_round();
-  bus_.collect_into(0, batch_);
   net::BusStats& stats = bus_.shard_stats(0);
-  for (const auto& envelope : batch_) {
-    if (!online_[envelope.to.value()]) {
-      ++stats.messages_to_offline;
-      continue;
-    }
+  stats.messages_to_offline += bus_.collect_into(
+      0, batch_, [this](common::PeerId to) { return online_[to.value()]; });
+  for (const net::Envelope& envelope : batch_) {
     ++stats.messages_delivered;
     dispatch(envelope.to,
              nodes_[envelope.to.value()]->handle_message(
-                 envelope.from, envelope.payload, round_));
+                 envelope.from, bus_.payload(envelope), round_));
   }
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     if (!online_[i]) continue;

@@ -131,7 +131,7 @@ class ReplicatedIndex {
   /// (to, from, seq) order and records outcomes in shard_stats(0).
   net::ShardedMessageBus<gossip::GossipPayload> bus_;
   std::vector<std::uint32_t> send_seq_;  ///< per-sender envelope sequence
-  std::vector<net::Envelope<gossip::GossipPayload>> batch_;
+  std::vector<net::Envelope> batch_;
   common::Round round_ = 0;
 };
 

@@ -23,6 +23,23 @@ constexpr std::uint64_t kLossPurpose = 0x6c6f7373;  // "loss"
 /// can take its key, and nonzero, so it is never a node stream.
 constexpr std::uint64_t kDriverPurpose = 0x64726976;  // "driv"
 
+/// What a fan-out run's pushes share: one value object, one flooding-list
+/// object and the round. Equal identities imply equal contents (the run's
+/// first payload lives through the dispatch, so no address is reused); a
+/// null value, as every non-push message has, never continues a run.
+struct FanOutKey {
+  const void* value = nullptr;
+  const void* list = nullptr;
+  common::Round round = 0;
+  bool operator==(const FanOutKey&) const = default;
+};
+
+FanOutKey fan_out_key(const gossip::GossipPayload& payload) {
+  const auto* push = std::get_if<gossip::PushMessage>(&payload);
+  if (push == nullptr) return {};
+  return {push->value.identity(), push->flooding_list.identity(), push->round};
+}
+
 unsigned resolve_shard_count(unsigned shard_threads, std::size_t population) {
   unsigned count = shard_threads != 0
                        ? shard_threads
@@ -101,6 +118,11 @@ void RoundSimulator::dispatch_from(std::size_t shard, common::PeerId from,
                                    std::vector<gossip::OutboundMessage>& out) {
   Shard& sh = shards_[shard];
   std::uint32_t& seq = send_seq_[from.value()];
+  // The open fan-out run, stored (and in wire mode encoded) once: its key,
+  // its payload index and, in wire mode, its frame length.
+  FanOutKey run;
+  std::uint32_t run_payload = 0;
+  std::size_t frame_bytes = 0;
   for (auto& message : out) {
     switch (message.payload.index()) {
       case gossip::kPushIndex: ++sh.push_messages; break;
@@ -110,21 +132,24 @@ void RoundSimulator::dispatch_from(std::size_t shard, common::PeerId from,
       default: ++sh.query_messages; break;
     }
     const std::uint64_t size = message.size_bytes;
-    gossip::SharedFrame frame;
-    if (config_.serialize_messages) {
-      // One interned encode per fan-out: a push forwarded to N targets
-      // shares a single immutable frame (N-1 cache hits), and recipients
-      // lazy-decode it in handle_frame. encoded_size() already priced the
-      // message exactly, which the frame must confirm byte for byte.
-      frame = sh.arena.frames.intern(message.payload);
-      UPDP2P_ENSURE(frame.size_bytes() == size,
-                    "encoded_size must equal the encoded frame length");
+    const FanOutKey key = fan_out_key(message.payload);
+    if (key.value == nullptr || key != run) {
+      run = key;
+      SimPayload stored;
+      if (config_.serialize_messages) {
+        stored.frame = gossip::encode(message.payload);
+        frame_bytes = stored.frame.size();
+      } else {
+        stored.payload = std::move(message.payload);
+      }
+      run_payload = bus_.add_payload(shard, std::move(stored));
     }
+    // encoded_size() priced every message exactly, which its run's frame
+    // must confirm byte for byte.
+    UPDP2P_ENSURE(!config_.serialize_messages || frame_bytes == size,
+                  "encoded_size must equal the encoded frame length");
     sh.bytes += size;
-    bus_.send_from_shard(shard, from, message.to,
-                         SimPayload{std::move(message.payload),
-                                    std::move(frame)},
-                         size, round_, seq++);
+    bus_.send_from_shard(shard, from, message.to, run_payload, size, seq++);
   }
   out.clear();
 }
@@ -180,18 +205,17 @@ void RoundSimulator::step_shard(unsigned shard) {
 
   // 1. Deliver this shard's slice of last round's messages, in canonical
   //    (to, from, seq) order.
-  bus_.collect_into(shard, sh.batch);
   net::BusStats& bstats = bus_.shard_stats(shard);
+  bstats.messages_to_offline +=
+      bus_.collect_into(shard, sh.batch, [this](common::PeerId to) {
+        return online_[to.value()] != 0;
+      });
   const bool has_filter = static_cast<bool>(link_filter_);
   const double loss = config_.message_loss;
   common::StreamRng loss_rng;
   std::uint32_t loss_recipient = std::numeric_limits<std::uint32_t>::max();
-  for (auto& envelope : sh.batch) {
+  for (const net::Envelope& envelope : sh.batch) {
     const std::uint32_t to = envelope.to.value();
-    if (online_[to] == 0) {
-      ++bstats.messages_to_offline;
-      continue;
-    }
     if (has_filter && !link_filter_(envelope.from, envelope.to)) {
       // §3: peers across a cut perceive each other as offline, but the
       // loss is attributed separately so partition experiments report
@@ -213,26 +237,22 @@ void RoundSimulator::step_shard(unsigned shard) {
     ++bstats.messages_delivered;
     gossip::ReplicaNode& node = nodes_[to];
     const std::uint64_t duplicates_before = node.stats().duplicate_pushes;
-    if (envelope.payload.frame) {
-      // Wire mode: deliver the shared encoded bytes; the node probes the
+    const SimPayload& stored = bus_.payload(envelope);
+    if (config_.serialize_messages) {
+      // Wire mode: deliver the stored encoded bytes; the node probes the
       // header, counts duplicates without decoding, and stream-decodes
-      // first receipts. The in-memory payload is deliberately unused.
-      UPDP2P_ENSURE(node.handle_frame(envelope.from,
-                                      envelope.payload.frame.bytes(), round_,
+      // first receipts.
+      UPDP2P_ENSURE(node.handle_frame(envelope.from, stored.frame, round_,
                                       sh.reactions),
                     "own encoder output must always decode");
     } else {
-      node.handle_message(envelope.from, envelope.payload.payload, round_,
+      node.handle_message(envelope.from, stored.payload, round_,
                           sh.reactions);
     }
     sh.duplicates += node.stats().duplicate_pushes - duplicates_before;
     note_awareness(to, sh);
     dispatch_from(shard, envelope.to, sh.reactions);
   }
-  // Drop the batch's payloads now (capacity retained): shared payload
-  // buffers are released as soon as every recipient shard is done with
-  // them, bounding peak memory to one round's traffic.
-  sh.batch.clear();
 
   // 2. Per-round timers for this shard's online nodes. Shards are
   //    contiguous blocks, so the slice is [begin, end).

@@ -29,6 +29,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "gossip/arena.hpp"
+#include "gossip/codec.hpp"
 #include "gossip/node.hpp"
 #include "net/message_bus.hpp"
 #include "sim/metrics.hpp"
@@ -51,7 +52,7 @@ struct RoundSimConfig {
   bool round_timers = true;
   double message_loss = 0.0;
   /// Serialise every payload through the binary wire codec on send (one
-  /// interned encode per fan-out, frame shared by reference) and deliver
+  /// encode per fan-out run, stored once on the bus) and deliver
   /// via ReplicaNode::handle_frame (probe + lazy decode) — integration-
   /// proves gossip/codec end to end. Byte counters charge exact encoded
   /// sizes in BOTH modes (OutboundMessage::size_bytes == encoded frame
@@ -64,15 +65,15 @@ struct RoundSimConfig {
   unsigned shard_threads = 1;
 };
 
-/// What travels on the simulator's bus. In-memory runs carry only the
-/// payload; serialize_messages runs additionally carry the encoded frame,
-/// interned once per fan-out (gossip::FrameCache) and shared by reference
-/// across every recipient — delivery then goes through
-/// ReplicaNode::handle_frame (probe + lazy decode) and never reads
-/// `payload`, so the run exercises exactly what a deployment would receive.
+/// What the simulator's bus stores once per fan-out run: consecutive
+/// pushes of one dispatch sharing a value, a flooding list and a round
+/// (any other message is a run of its own); every recipient's envelope
+/// names the one stored object. serialize_messages runs store only the
+/// encoded frame and deliver through ReplicaNode::handle_frame (probe +
+/// lazy decode), exercising exactly what a deployment would receive.
 struct SimPayload {
-  gossip::GossipPayload payload;
-  gossip::SharedFrame frame;  ///< engaged only when serialize_messages
+  gossip::GossipPayload payload;  ///< in-memory runs only
+  gossip::WireBytes frame;        ///< serialize_messages runs only
 };
 
 class RoundSimulator {
@@ -132,7 +133,7 @@ class RoundSimulator {
   /// false-share counter lines.
   struct alignas(64) Shard {
     gossip::WorkArena arena;
-    std::vector<net::Envelope<SimPayload>> batch;
+    std::vector<net::Envelope> batch;
     std::vector<gossip::OutboundMessage> reactions;
     std::uint64_t push_messages = 0;
     std::uint64_t pull_messages = 0;
@@ -150,7 +151,8 @@ class RoundSimulator {
 
   /// Moves `out`'s messages onto the bus from the task owning `shard`
   /// (which must be the sender's shard), classifying them for the shard's
-  /// counters. `out` is left cleared with capacity retained.
+  /// counters; each fan-out run's payload is stored (and in wire mode
+  /// encoded) once. `out` is left cleared with capacity retained.
   void dispatch_from(std::size_t shard, common::PeerId from,
                      std::vector<gossip::OutboundMessage>& out);
   /// Sequential-context dispatch (publish, reconnect hooks).

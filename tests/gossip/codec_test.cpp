@@ -407,76 +407,5 @@ TEST(Codec, DecodePushIntoStreamsTheListAndClearsOnFailure) {
   EXPECT_TRUE(list.empty());
 }
 
-TEST(Codec, SharedFrameSharesOneBufferAcrossCopies) {
-  SharedFrame empty;
-  EXPECT_FALSE(empty);
-  EXPECT_EQ(empty.size_bytes(), 0u);
-  EXPECT_TRUE(empty.bytes().empty());
-
-  SharedFrame frame(encode(sample_push()));
-  ASSERT_TRUE(frame);
-  const SharedFrame copy = frame;  // refcount bump, same bytes
-  EXPECT_EQ(copy.bytes().data(), frame.bytes().data());
-  EXPECT_EQ(copy.size_bytes(), frame.size_bytes());
-}
-
-TEST(Codec, FrameCacheInternsTheFanOut) {
-  // A fan-out to N targets re-sends the SAME shared value/list/round: one
-  // encode, N-1 cache hits, every hit aliasing one buffer.
-  FrameCache cache;
-  PushMessage push;
-  push.value = sample_value();
-  push.flooding_list = {PeerId(1), PeerId(2)};
-  push.round = 9;
-  const GossipPayload fanout{push};  // shares value + list with `push`
-
-  const SharedFrame first = cache.intern(fanout);
-  ASSERT_TRUE(first);
-  EXPECT_EQ(cache.encodes(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-  for (int target = 0; target < 5; ++target) {
-    const SharedFrame again = cache.intern(fanout);
-    EXPECT_EQ(again.bytes().data(), first.bytes().data());
-  }
-  EXPECT_EQ(cache.encodes(), 1u);
-  EXPECT_EQ(cache.hits(), 5u);
-  EXPECT_EQ(WireBytes(first.bytes().begin(), first.bytes().end()),
-            encode(fanout));
-}
-
-TEST(Codec, FrameCacheMissesOnAnyKeyChange) {
-  FrameCache cache;
-  PushMessage push;
-  push.value = sample_value();
-  push.flooding_list = {PeerId(1)};
-  push.round = 1;
-  const GossipPayload original{push};
-  (void)cache.intern(original);
-
-  // Same contents, different shared allocation: identity keying must miss
-  // (contents-equal but distinct objects may diverge later under COW).
-  PushMessage rebuilt;
-  rebuilt.value = sample_value();
-  rebuilt.flooding_list = {PeerId(1)};
-  rebuilt.round = 1;
-  (void)cache.intern(GossipPayload{rebuilt});
-  EXPECT_EQ(cache.encodes(), 2u);
-
-  // Different round under the same value/list: miss, and the encoded
-  // bytes must be the NEW round's bytes.
-  PushMessage next_round = push;
-  next_round.round = 2;
-  const SharedFrame frame = cache.intern(GossipPayload{next_round});
-  EXPECT_EQ(cache.encodes(), 3u);
-  EXPECT_EQ(WireBytes(frame.bytes().begin(), frame.bytes().end()),
-            encode(GossipPayload{next_round}));
-
-  // Non-push payloads are never cached.
-  (void)cache.intern(GossipPayload{AckMessage{}});
-  (void)cache.intern(GossipPayload{AckMessage{}});
-  EXPECT_EQ(cache.encodes(), 5u);
-  EXPECT_EQ(cache.hits(), 0u);
-}
-
 }  // namespace
 }  // namespace updp2p::gossip

@@ -1,5 +1,5 @@
-// Wire-equivalence suite: the zero-copy serialized path (interned
-// SharedFrames on the bus, probe-classified duplicates, streamed
+// Wire-equivalence suite: the zero-copy serialized path (one encoded
+// frame per fan-out run on the bus, probe-classified duplicates, streamed
 // first-receipt decodes) must be OBSERVABLY IDENTICAL to delivering the
 // in-memory payloads — same deliveries, same duplicate counts, same
 // awareness curve, same per-node protocol state, at every shard count.
