@@ -57,8 +57,10 @@ int main() {
   // are model-only (the paper evaluated recurrences there too); at 10^4
   // and 10^5 we run the real protocol. Views bootstrap with a partial
   // random sample (the name-dropper regime) instead of the model's full
-  // membership so per-node state stays O(|view|); fanout still expects
-  // R*f_r = 100 pushes per forward. Results are bit-identical at any
+  // membership. Full views would share the bootstrap set's bitmap chunks
+  // and cost little memory; the partial views keep this table comparable
+  // with earlier runs. Fanout still expects R*f_r = 100 pushes per
+  // forward. Results are bit-identical at any
   // shard/thread count (GoldenDeterminism.ShardInvariance), so the
   // thread count below only changes wall-clock, never the numbers.
   common::TextTable check("Fig. 5 cross-check — sharded round simulator");

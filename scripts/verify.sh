@@ -132,10 +132,13 @@ echo "==> sanitizers: TSan build + concurrency suites"
 # under TSan), the chaos engine (threaded seed sweeps over LoopbackCluster),
 # and the durable-store suites (PeerRuntime owns a
 # ReplicaStore, so the WAL/snapshot/recovery + fuzz paths run under all
-# three sanitizer legs).
+# three sanitizer legs), and ChunkedPeerSet's threaded test (copies of one
+# set written and dropped on several threads: the copy-on-write bitmap
+# buffers' atomic counts and acquire-ordered unshare check).
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}" \
-  --target sim_tests net_tests runtime_tests store_tests chaos_tests
+  --target common_tests sim_tests net_tests runtime_tests store_tests \
+  chaos_tests
 ctest --preset tsan -j "${JOBS}"
 
 echo "==> verify OK"

@@ -25,6 +25,38 @@ ChunkedPeerSet::Chunk& ChunkedPeerSet::chunk_for(std::uint16_t key) {
   return chunks_[index];
 }
 
+std::uint64_t* ChunkedPeerSet::writable_words(Chunk& chunk) {
+  if (!chunk.bitmap.unique()) {
+    SharedBitmap copy = take_bitmap();
+    std::copy_n(chunk.bitmap.data(), kBitmapWords, copy.mutable_data());
+    chunk.bitmap = std::move(copy);
+  }
+  return chunk.bitmap.mutable_data();
+}
+
+ChunkedPeerSet::SharedBitmap ChunkedPeerSet::take_bitmap() {
+  if (spare_bitmaps_.empty()) return SharedBitmap::allocate();
+  SharedBitmap bitmap = std::move(spare_bitmaps_.back());
+  spare_bitmaps_.pop_back();
+  return bitmap;
+}
+
+void ChunkedPeerSet::release_bitmap(Chunk& chunk) noexcept {
+  if (!chunk.is_bitmap()) return;
+  if (chunk.bitmap.unique()) {
+    spare_bitmaps_.push_back(std::move(chunk.bitmap));
+  } else {
+    chunk.bitmap.reset();
+  }
+}
+
+void ChunkedPeerSet::park(Chunk& chunk) noexcept {
+  release_bitmap(chunk);
+  chunk.cardinality = 0;
+  chunk.lows.clear();
+  spare_.push_back(std::move(chunk));
+}
+
 ChunkedPeerSet::Chunk ChunkedPeerSet::take_chunk(std::uint16_t key) {
   Chunk chunk;
   if (!spare_.empty()) {
@@ -32,24 +64,145 @@ ChunkedPeerSet::Chunk ChunkedPeerSet::take_chunk(std::uint16_t key) {
     spare_.pop_back();
   }
   chunk.key = key;
-  chunk.cardinality = 0;
-  chunk.lows.clear();
-  chunk.bits.clear();
   return chunk;
 }
 
-ChunkedPeerSet::Chunk ChunkedPeerSet::copy_chunk(const Chunk& source) {
-  Chunk chunk = take_chunk(source.key);
-  chunk.cardinality = source.cardinality;
-  chunk.lows.assign(source.lows.begin(), source.lows.end());
-  chunk.bits.assign(source.bits.begin(), source.bits.end());
-  return chunk;
+void ChunkedPeerSet::insert_all(const ChunkedPeerSet& other) {
+  if (other.empty() || &other == this) return;
+  // Iterate by index: inserting chunks invalidates iterators. Both chunk
+  // lists are key-sorted, so a single merge walk pairs them up.
+  std::size_t mine = 0;
+  for (const Chunk& theirs : other.chunks_) {
+    while (mine < chunks_.size() && chunks_[mine].key < theirs.key) ++mine;
+    if (mine == chunks_.size() || chunks_[mine].key > theirs.key) {
+      // No local chunk for this range: take theirs whole, sharing a bitmap.
+      Chunk chunk = take_chunk(theirs.key);
+      chunk.cardinality = theirs.cardinality;
+      chunk.lows.assign(theirs.lows.begin(), theirs.lows.end());
+      chunk.bitmap = theirs.bitmap;
+      chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(mine),
+                     std::move(chunk));
+      size_ += theirs.cardinality;
+    } else {
+      const std::uint32_t before = chunks_[mine].cardinality;
+      union_chunk(chunks_[mine], theirs);
+      size_ += chunks_[mine].cardinality - before;
+    }
+    ++mine;
+  }
+  max_id_ = std::max(max_id_, other.max_id_);
+}
+
+void ChunkedPeerSet::union_chunk(Chunk& ours, const Chunk& theirs) {
+  if (theirs.is_bitmap()) {
+    const std::uint64_t* bits = theirs.bitmap.data();
+    if (!ours.is_bitmap()) {
+      // Theirs alone exceeds kArrayChunkMax, so the result is a bitmap. An
+      // array that is a subset — the bootstrap case: a view holding only
+      // its owner absorbs everyone — adopts their buffer outright.
+      if (std::all_of(ours.lows.begin(), ours.lows.end(),
+                      [bits](std::uint16_t low) {
+                        return ((bits[low >> 6] >> (low & 63)) & 1) != 0;
+                      })) {
+        ours.lows.clear();
+        ours.bitmap = theirs.bitmap;
+        ours.cardinality = theirs.cardinality;
+        return;
+      }
+      promote(ours);
+    }
+    const std::uint64_t* mine = ours.bitmap.data();
+    if (mine == bits) return;  // one shared buffer: nothing to add
+    // Novelty first, so a bitmap that gains nothing stays shared — the
+    // dominant duplicate-delivery case touches 8 KiB read-only.
+    bool gains = false;
+    bool covered = true;  // every id of ours is in theirs
+    for (std::size_t w = 0; w < kBitmapWords; ++w) {
+      gains |= (bits[w] & ~mine[w]) != 0;
+      covered &= (mine[w] & ~bits[w]) == 0;
+    }
+    if (!gains) return;
+    if (covered) {
+      release_bitmap(ours);
+      ours.bitmap = theirs.bitmap;
+      ours.cardinality = theirs.cardinality;
+      return;
+    }
+    // Word-parallel union: 64 ids per OR.
+    std::uint64_t* dst = writable_words(ours);
+    std::uint32_t cardinality = 0;
+    for (std::size_t w = 0; w < kBitmapWords; ++w) {
+      dst[w] |= bits[w];
+      cardinality += static_cast<std::uint32_t>(std::popcount(dst[w]));
+    }
+    ours.cardinality = cardinality;
+    return;
+  }
+  if (ours.is_bitmap()) {
+    const std::uint64_t* mine = ours.bitmap.data();
+    auto it = std::find_if(theirs.lows.begin(), theirs.lows.end(),
+                           [mine](std::uint16_t low) {
+                             return ((mine[low >> 6] >> (low & 63)) & 1) == 0;
+                           });
+    if (it == theirs.lows.end()) return;  // nothing new: stays shared
+    std::uint64_t* dst = writable_words(ours);
+    for (; it != theirs.lows.end(); ++it) {
+      std::uint64_t& word = dst[*it >> 6];
+      const std::uint64_t mask = std::uint64_t{1} << (*it & 63);
+      if ((word & mask) == 0) {
+        word |= mask;
+        ++ours.cardinality;
+      }
+    }
+    return;
+  }
+  // Sorted-array union, difference first: pass 1 collects theirs \ ours
+  // into scratch (ascending) without writing a single element of ours, so
+  // the dominant duplicate-delivery case — the incoming list is a subset of
+  // what we already hold — costs one read-only scan. The probe walk
+  // gallops (restartable lower_bound) when ours dwarfs theirs, and runs a
+  // dual-pointer sweep otherwise.
+  merge_scratch_.clear();
+  const std::vector<std::uint16_t>& a = ours.lows;
+  const std::vector<std::uint16_t>& b = theirs.lows;
+  if (a.size() >= 8 * b.size()) {
+    auto it = a.begin();
+    for (const std::uint16_t low : b) {
+      it = std::lower_bound(it, a.end(), low);
+      if (it == a.end() || *it != low) merge_scratch_.push_back(low);
+    }
+  } else {
+    std::size_t i = 0;
+    for (const std::uint16_t low : b) {
+      while (i < a.size() && a[i] < low) ++i;
+      if (i == a.size() || a[i] != low) merge_scratch_.push_back(low);
+    }
+  }
+  if (merge_scratch_.empty()) return;
+  // Pass 2: in-place backward merge of the fresh lows; writes stop at the
+  // first position where the remaining prefix is already placed.
+  const std::size_t n = ours.lows.size();
+  std::size_t j = merge_scratch_.size();
+  ours.cardinality += static_cast<std::uint32_t>(j);
+  ours.lows.resize(n + j);
+  std::size_t i = n;
+  std::size_t w = n + j;
+  while (j > 0) {
+    if (i > 0 && ours.lows[i - 1] > merge_scratch_[j - 1]) {
+      ours.lows[--w] = ours.lows[--i];
+    } else {
+      ours.lows[--w] = merge_scratch_[--j];
+    }
+  }
+  if (ours.lows.size() > kArrayChunkMax) promote(ours);
 }
 
 void ChunkedPeerSet::promote(Chunk& chunk) {
-  chunk.bits.assign(kBitmapWords, 0);
+  chunk.bitmap = take_bitmap();
+  std::uint64_t* bits = writable_words(chunk);
+  std::fill_n(bits, kBitmapWords, 0);
   for (const std::uint16_t low : chunk.lows) {
-    chunk.bits[low >> 6] |= std::uint64_t{1} << (low & 63);
+    bits[low >> 6] |= std::uint64_t{1} << (low & 63);
   }
   chunk.lows.clear();
 }
@@ -57,31 +210,48 @@ void ChunkedPeerSet::promote(Chunk& chunk) {
 void ChunkedPeerSet::demote(Chunk& chunk) {
   chunk.lows.clear();
   chunk.lows.reserve(chunk.cardinality);
+  const std::uint64_t* bits = chunk.bitmap.data();
   for (std::size_t w = 0; w < kBitmapWords; ++w) {
-    std::uint64_t word = chunk.bits[w];
+    std::uint64_t word = bits[w];
     while (word != 0) {
       chunk.lows.push_back(static_cast<std::uint16_t>(
           w * 64 + static_cast<std::size_t>(std::countr_zero(word))));
       word &= word - 1;
     }
   }
-  chunk.bits.clear();
+  release_bitmap(chunk);
 }
 
 void ChunkedPeerSet::drop_empty_chunks() {
   std::size_t keep = 0;
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
     if (chunks_[i].cardinality == 0) {
-      Chunk& dead = chunks_[i];
-      dead.lows.clear();
-      dead.bits.clear();
-      spare_.push_back(std::move(dead));
+      park(chunks_[i]);
     } else {
       if (keep != i) chunks_[keep] = std::move(chunks_[i]);
       ++keep;
     }
   }
   chunks_.resize(keep);
+}
+
+void ChunkedPeerSet::refresh_max_id() noexcept {
+  if (size_ == 0) {
+    max_id_ = 0;
+    return;
+  }
+  if (contains(PeerId(max_id_))) return;
+  const Chunk& chunk = chunks_.back();
+  const std::uint32_t base = std::uint32_t{chunk.key} << kChunkBits;
+  if (!chunk.is_bitmap()) {
+    max_id_ = base | chunk.lows.back();
+    return;
+  }
+  const std::uint64_t* bits = chunk.bitmap.data();
+  std::size_t w = kBitmapWords - 1;
+  while (bits[w] == 0) --w;  // a bitmap chunk holds > kArrayChunkMax ids
+  max_id_ = base | static_cast<std::uint32_t>(
+                       w * 64 + (63 - std::countl_zero(bits[w])));
 }
 
 PeerId ChunkedPeerSet::select_rank(std::size_t rank) const {
@@ -93,14 +263,14 @@ PeerId ChunkedPeerSet::select_rank(std::size_t rank) const {
     }
     const std::uint32_t base = std::uint32_t{chunk.key} << kChunkBits;
     if (!chunk.is_bitmap()) return PeerId(base | chunk.lows[rank]);
+    const std::uint64_t* bits = chunk.bitmap.data();
     for (std::size_t w = 0; w < kBitmapWords; ++w) {
-      const auto here =
-          static_cast<std::size_t>(std::popcount(chunk.bits[w]));
+      const auto here = static_cast<std::size_t>(std::popcount(bits[w]));
       if (rank >= here) {
         rank -= here;
         continue;
       }
-      std::uint64_t word = chunk.bits[w];
+      std::uint64_t word = bits[w];
       while (rank-- > 0) word &= word - 1;  // clear the lowest `rank` bits
       return PeerId(base + static_cast<std::uint32_t>(w * 64) +
                     static_cast<std::uint32_t>(std::countr_zero(word)));
@@ -122,12 +292,12 @@ std::size_t ChunkedPeerSet::rank_of(PeerId peer) const noexcept {
       continue;
     }
     if (chunk.is_bitmap()) {
+      const std::uint64_t* bits = chunk.bitmap.data();
       for (std::size_t w = 0; w < static_cast<std::size_t>(low >> 6); ++w) {
-        rank += static_cast<std::size_t>(std::popcount(chunk.bits[w]));
+        rank += static_cast<std::size_t>(std::popcount(bits[w]));
       }
       const std::uint64_t below = (std::uint64_t{1} << (low & 63)) - 1;
-      rank += static_cast<std::size_t>(
-          std::popcount(chunk.bits[low >> 6] & below));
+      rank += static_cast<std::size_t>(std::popcount(bits[low >> 6] & below));
     } else {
       rank += static_cast<std::size_t>(
           std::lower_bound(chunk.lows.begin(), chunk.lows.end(), low) -
@@ -153,15 +323,18 @@ void ChunkedPeerSet::subtract(const ChunkedPeerSet& other) {
     const std::uint32_t before = ours.cardinality;
     if (ours.is_bitmap() && theirs.is_bitmap()) {
       // Word-parallel AND-NOT: 64 ids per instruction.
+      const std::uint64_t* bits = theirs.bitmap.data();
+      std::uint64_t* dst = writable_words(ours);
       std::uint32_t remaining = 0;
       for (std::size_t w = 0; w < kBitmapWords; ++w) {
-        ours.bits[w] &= ~theirs.bits[w];
-        remaining += static_cast<std::uint32_t>(std::popcount(ours.bits[w]));
+        dst[w] &= ~bits[w];
+        remaining += static_cast<std::uint32_t>(std::popcount(dst[w]));
       }
       ours.cardinality = remaining;
     } else if (ours.is_bitmap()) {
+      std::uint64_t* dst = writable_words(ours);
       for (const std::uint16_t low : theirs.lows) {
-        std::uint64_t& word = ours.bits[low >> 6];
+        std::uint64_t& word = dst[low >> 6];
         const std::uint64_t mask = std::uint64_t{1} << (low & 63);
         if ((word & mask) != 0) {
           word &= ~mask;
@@ -170,9 +343,10 @@ void ChunkedPeerSet::subtract(const ChunkedPeerSet& other) {
       }
     } else if (theirs.is_bitmap()) {
       // Gallop-free: each of our (few) lows probes their bitmap in O(1).
+      const std::uint64_t* bits = theirs.bitmap.data();
       std::size_t keep = 0;
       for (const std::uint16_t low : ours.lows) {
-        if (((theirs.bits[low >> 6] >> (low & 63)) & 1) == 0) {
+        if (((bits[low >> 6] >> (low & 63)) & 1) == 0) {
           ours.lows[keep++] = low;
         }
       }
@@ -207,6 +381,7 @@ void ChunkedPeerSet::subtract(const ChunkedPeerSet& other) {
     canonicalize(ours);
   }
   drop_empty_chunks();
+  refresh_max_id();
 }
 
 void ChunkedPeerSet::keep_lowest(std::size_t cap) {
@@ -230,21 +405,21 @@ void ChunkedPeerSet::keep_lowest(std::size_t cap) {
     // Partial chunk: keep the first (cap - kept) ids.
     const auto take = static_cast<std::uint32_t>(cap - kept);
     if (chunk.is_bitmap()) {
+      std::uint64_t* bits = writable_words(chunk);
       std::uint32_t seen = 0;
       for (std::size_t w = 0; w < kBitmapWords; ++w) {
         const auto bits_here =
-            static_cast<std::uint32_t>(std::popcount(chunk.bits[w]));
+            static_cast<std::uint32_t>(std::popcount(bits[w]));
         if (seen + bits_here <= take) {
           seen += bits_here;
           continue;
         }
         // Clear all but the lowest (take - seen) bits of this word...
-        std::uint64_t word = chunk.bits[w];
+        std::uint64_t word = bits[w];
         for (std::uint32_t b = take - seen; b > 0; --b) word &= word - 1;
-        chunk.bits[w] ^= word;
+        bits[w] ^= word;
         // ...and every later word entirely.
-        std::fill(chunk.bits.begin() + static_cast<std::ptrdiff_t>(w) + 1,
-                  chunk.bits.end(), 0);
+        std::fill(bits + w + 1, bits + kBitmapWords, 0);
         break;
       }
     } else {
@@ -255,14 +430,10 @@ void ChunkedPeerSet::keep_lowest(std::size_t cap) {
     boundary = i + 1;
     break;
   }
-  for (std::size_t i = boundary; i < chunks_.size(); ++i) {
-    chunks_[i].lows.clear();
-    chunks_[i].bits.clear();
-    chunks_[i].cardinality = 0;
-    spare_.push_back(std::move(chunks_[i]));
-  }
+  for (std::size_t i = boundary; i < chunks_.size(); ++i) park(chunks_[i]);
   chunks_.resize(boundary);
   size_ = cap;
+  refresh_max_id();
 }
 
 void ChunkedPeerSet::keep_highest(std::size_t cap) {
@@ -288,18 +459,19 @@ void ChunkedPeerSet::keep_highest(std::size_t cap) {
     const auto take = static_cast<std::uint32_t>(cap - kept);
     const std::uint32_t drop = chunk.cardinality - take;
     if (chunk.is_bitmap()) {
+      std::uint64_t* bits = writable_words(chunk);
       std::uint32_t dropped = 0;
       for (std::size_t w = 0; w < kBitmapWords; ++w) {
         const auto bits_here =
-            static_cast<std::uint32_t>(std::popcount(chunk.bits[w]));
+            static_cast<std::uint32_t>(std::popcount(bits[w]));
         if (dropped + bits_here <= drop) {
           dropped += bits_here;
-          chunk.bits[w] = 0;
+          bits[w] = 0;
           continue;
         }
-        std::uint64_t word = chunk.bits[w];
+        std::uint64_t word = bits[w];
         for (std::uint32_t b = drop - dropped; b > 0; --b) word &= word - 1;
-        chunk.bits[w] = word;
+        bits[w] = word;
         break;
       }
     } else {
@@ -311,12 +483,8 @@ void ChunkedPeerSet::keep_highest(std::size_t cap) {
     first = i;
     break;
   }
-  for (std::size_t i = 0; i < first; ++i) {
-    chunks_[i].lows.clear();
-    chunks_[i].bits.clear();
-    chunks_[i].cardinality = 0;
-    spare_.push_back(std::move(chunks_[i]));
-  }
+  // The maximum survives, so max_id_ stands.
+  for (std::size_t i = 0; i < first; ++i) park(chunks_[i]);
   chunks_.erase(chunks_.begin(),
                 chunks_.begin() + static_cast<std::ptrdiff_t>(first));
   size_ = cap;
@@ -332,11 +500,9 @@ void ChunkedPeerSet::keep_ranks(const std::vector<std::uint32_t>& ranks) {
   for (Chunk& chunk : chunks_) {
     if (next == ranks.size() ||
         ranks[next] >= rank + chunk.cardinality) {
-      // No survivor in this chunk.
+      // No survivor in this chunk; drop_empty_chunks parks it.
       rank += chunk.cardinality;
       chunk.cardinality = 0;
-      chunk.lows.clear();
-      chunk.bits.clear();
       continue;
     }
     const std::uint32_t chunk_base_rank = rank;
@@ -349,8 +515,9 @@ void ChunkedPeerSet::keep_ranks(const std::vector<std::uint32_t>& ranks) {
       ++rank;
     };
     if (chunk.is_bitmap()) {
+      const std::uint64_t* bits = chunk.bitmap.data();
       for (std::size_t w = 0; w < kBitmapWords; ++w) {
-        std::uint64_t word = chunk.bits[w];
+        std::uint64_t word = bits[w];
         while (word != 0) {
           visit(static_cast<std::uint16_t>(
               w * 64 + static_cast<std::size_t>(std::countr_zero(word))));
@@ -362,12 +529,13 @@ void ChunkedPeerSet::keep_ranks(const std::vector<std::uint32_t>& ranks) {
     }
     rank = chunk_base_rank + chunk.cardinality;
     chunk.cardinality = static_cast<std::uint32_t>(merge_scratch_.size());
-    chunk.bits.clear();
+    release_bitmap(chunk);
     chunk.lows.swap(merge_scratch_);
     canonicalize(chunk);
   }
   drop_empty_chunks();
   size_ = ranks.size();
+  refresh_max_id();
 }
 
 std::size_t ChunkedPeerSet::wire_encoded_bytes() const noexcept {
@@ -403,6 +571,7 @@ bool ChunkedPeerSet::append_array_chunk(std::uint16_t key,
   chunk.lows.assign(lows.begin(), lows.end());
   chunk.cardinality = static_cast<std::uint32_t>(lows.size());
   size_ += chunk.cardinality;
+  max_id_ = (std::uint32_t{key} << kChunkBits) | lows.back();
   chunks_.push_back(std::move(chunk));
   return true;
 }
@@ -412,15 +581,21 @@ bool ChunkedPeerSet::append_bitmap_chunk(std::uint16_t key,
   if (words.size() != kBitmapWords) return false;
   if (!chunks_.empty() && chunks_.back().key >= key) return false;
   std::uint32_t cardinality = 0;
-  for (const std::uint64_t word : words) {
-    cardinality += static_cast<std::uint32_t>(std::popcount(word));
+  std::size_t top = 0;  // last nonzero word
+  for (std::size_t w = 0; w < kBitmapWords; ++w) {
+    cardinality += static_cast<std::uint32_t>(std::popcount(words[w]));
+    if (words[w] != 0) top = w;
   }
   // Canonical form: a bitmap chunk must be denser than any array chunk.
   if (cardinality <= kArrayChunkMax) return false;
   Chunk chunk = take_chunk(key);
-  chunk.bits.assign(words.begin(), words.end());
+  chunk.bitmap = take_bitmap();
+  std::copy(words.begin(), words.end(), writable_words(chunk));
   chunk.cardinality = cardinality;
   size_ += cardinality;
+  max_id_ = (std::uint32_t{key} << kChunkBits) |
+            static_cast<std::uint32_t>(top * 64 +
+                                       (63 - std::countl_zero(words[top])));
   chunks_.push_back(std::move(chunk));
   return true;
 }

@@ -19,22 +19,42 @@
 // Set algebra runs chunk-at-a-time: union and difference over bitmap
 // chunks are 64-bit OR / AND-NOT sweeps (word-parallel — 64 ids per
 // instruction), array chunks use linear merges or galloping probes when
-// one side is much smaller. `absorb` fuses "which of these are new?" with
-// the union itself, which is exactly the shape of a view merging a
-// received flooding list.
+// one side is much smaller.
 //
-// Iteration (for_each, absorb callbacks) is always in ascending id order;
-// deterministic simulation depends on that, so it is part of the contract.
+// Bitmap buffers are shared copy-on-write (CRoaring's copy-on-write
+// containers are the reference design). Copying a set, or taking a union
+// with a chunk this set lacks, bumps the buffer's reference count instead
+// of copying 8 KiB; a union whose chunk gains nothing leaves it shared,
+// and a chunk whose ids all lie in an incoming bitmap adopts that bitmap.
+// So every view bootstrapped from one full-membership set holds the same
+// buffers. The unshare rule: every write to a bitmap goes through
+// writable_words(), which copies the buffer first unless this chunk is its
+// only holder. Array chunks (at most 8 KiB, usually far less) are always
+// private.
 //
-// clear() parks chunk buffers on an internal free list instead of freeing
-// them, so a warm set rebuilt every round performs no heap allocation —
-// the same steady-state property DensePeerSet gives the stamp scratch.
+// Threads: a set is a plain value — concurrent const use is safe,
+// concurrent mutation of ONE set is not. Sets that share buffers may live
+// on different threads and be mutated independently: the counts are
+// atomic, and the only-holder check loads with acquire ordering, so every
+// read another holder made before dropping its reference happens-before
+// this holder's in-place write.
+//
+// Iteration (for_each) is always in ascending id order; deterministic
+// simulation depends on that, so it is part of the contract.
+//
+// clear() parks array buffers, and the bitmap buffers this set alone
+// holds, on internal free lists instead of freeing them, so a warm set
+// rebuilt every round performs no heap allocation — the same steady-state
+// property DensePeerSet gives the stamp scratch.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/ensure.hpp"
@@ -56,15 +76,79 @@ class ChunkedPeerSet {
   /// the 2-byte-per-entry array crosses the fixed 8 KiB bitmap.
   static constexpr std::uint32_t kArrayChunkMax = 4096;
 
+  /// Handle to a reference-counted 8 KiB bitmap buffer. The count is
+  /// intrusive and atomic; the last handle to let go frees the buffer.
+  /// Only ChunkedPeerSet can allocate or write one.
+  class SharedBitmap {
+   public:
+    SharedBitmap() = default;
+    SharedBitmap(const SharedBitmap& other) noexcept : block_(other.block_) {
+      if (block_ != nullptr) {
+        block_->refs.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    SharedBitmap(SharedBitmap&& other) noexcept
+        : block_(std::exchange(other.block_, nullptr)) {}
+    SharedBitmap& operator=(SharedBitmap other) noexcept {
+      std::swap(block_, other.block_);
+      return *this;
+    }
+    ~SharedBitmap() { reset(); }
+
+    explicit operator bool() const noexcept { return block_ != nullptr; }
+    [[nodiscard]] const std::uint64_t* data() const noexcept {
+      return block_->words.data();
+    }
+
+   private:
+    friend class ChunkedPeerSet;
+    struct Block {
+      std::atomic<std::uint32_t> refs{1};
+      std::array<std::uint64_t, kBitmapWords> words{};
+    };
+
+    /// A new zeroed buffer held only by the returned handle.
+    [[nodiscard]] static SharedBitmap allocate() {
+      SharedBitmap bitmap;
+      bitmap.block_ = new Block;
+      return bitmap;
+    }
+    void reset() noexcept {
+      if (block_ != nullptr &&
+          block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        delete block_;
+      }
+      block_ = nullptr;
+    }
+    /// Whether no other handle shares the buffer (acquire: see the header).
+    [[nodiscard]] bool unique() const noexcept {
+      return block_->refs.load(std::memory_order_acquire) == 1;
+    }
+    /// Writable words; only for the sole holder.
+    [[nodiscard]] std::uint64_t* mutable_data() noexcept {
+      return block_->words.data();
+    }
+
+    Block* block_ = nullptr;
+  };
+
   /// One 2^16-id range. Exposed read-only for the wire codec; everything
   /// else should go through the set-level operations.
   struct Chunk {
     std::uint16_t key = 0;           ///< id >> 16
     std::uint32_t cardinality = 0;   ///< ids present in this chunk
     std::vector<std::uint16_t> lows; ///< sorted low halves (array form)
-    std::vector<std::uint64_t> bits; ///< kBitmapWords words (bitmap form)
+    SharedBitmap bitmap;             ///< bitmap form, possibly shared
 
-    [[nodiscard]] bool is_bitmap() const noexcept { return !bits.empty(); }
+    [[nodiscard]] bool is_bitmap() const noexcept {
+      return static_cast<bool>(bitmap);
+    }
+    /// The bitmap's kBitmapWords words, empty for an array chunk. Chunks
+    /// sharing one buffer return the same data() — sharing is observable.
+    [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
+      if (!is_bitmap()) return {};
+      return {bitmap.data(), kBitmapWords};
+    }
   };
 
   ChunkedPeerSet() = default;
@@ -72,13 +156,15 @@ class ChunkedPeerSet {
     for (const PeerId peer : peers) insert(peer);
   }
 
-  // Copies drop the scratch free list; only live chunks transfer.
+  // Copies share every bitmap buffer and drop the scratch free lists; only
+  // live chunks transfer.
   ChunkedPeerSet(const ChunkedPeerSet& other)
-      : chunks_(other.chunks_), size_(other.size_) {}
+      : chunks_(other.chunks_), size_(other.size_), max_id_(other.max_id_) {}
   ChunkedPeerSet& operator=(const ChunkedPeerSet& other) {
     if (this != &other) {
       chunks_ = other.chunks_;
       size_ = other.size_;
+      max_id_ = other.max_id_;
     }
     return *this;
   }
@@ -94,14 +180,10 @@ class ChunkedPeerSet {
   /// Empties the set; chunk buffers are parked for reuse, so a warm set
   /// refilled to a similar shape allocates nothing.
   void clear() noexcept {
-    for (Chunk& chunk : chunks_) {
-      chunk.cardinality = 0;
-      chunk.lows.clear();
-      chunk.bits.clear();
-      spare_.push_back(std::move(chunk));
-    }
+    for (Chunk& chunk : chunks_) park(chunk);
     chunks_.clear();
     size_ = 0;
+    max_id_ = 0;
   }
 
   /// Inserts `peer`; returns true when it was not already present.
@@ -112,10 +194,9 @@ class ChunkedPeerSet {
     const auto low = static_cast<std::uint16_t>(peer.value());
     Chunk& chunk = chunk_for(key);
     if (chunk.is_bitmap()) {
-      std::uint64_t& word = chunk.bits[low >> 6];
       const std::uint64_t mask = std::uint64_t{1} << (low & 63);
-      if ((word & mask) != 0) return false;
-      word |= mask;
+      if ((chunk.bitmap.data()[low >> 6] & mask) != 0) return false;
+      writable_words(chunk)[low >> 6] |= mask;
     } else {
       const auto it =
           std::lower_bound(chunk.lows.begin(), chunk.lows.end(), low);
@@ -125,6 +206,7 @@ class ChunkedPeerSet {
     }
     ++chunk.cardinality;
     ++size_;
+    max_id_ = std::max(max_id_, peer.value());
     return true;
   }
 
@@ -135,7 +217,7 @@ class ChunkedPeerSet {
     if (chunk == nullptr) return false;
     const auto low = static_cast<std::uint16_t>(peer.value());
     if (chunk->is_bitmap()) {
-      return (chunk->bits[low >> 6] >> (low & 63)) & 1;
+      return (chunk->bitmap.data()[low >> 6] >> (low & 63)) & 1;
     }
     return std::binary_search(chunk->lows.begin(), chunk->lows.end(), low);
   }
@@ -149,21 +231,12 @@ class ChunkedPeerSet {
   /// Number of members strictly below `peer` (which need not be present).
   [[nodiscard]] std::size_t rank_of(PeerId peer) const noexcept;
 
-  /// Largest id in the set; the set must be non-empty.
+  /// Largest id in the set; the set must be non-empty. O(1): every
+  /// mutator keeps it exact as it goes (no lazily filled cache, so
+  /// concurrent readers of one set never write).
   [[nodiscard]] std::uint32_t max_id() const {
     UPDP2P_ENSURE(size_ > 0, "max_id() on an empty ChunkedPeerSet");
-    const Chunk& chunk = chunks_.back();
-    const std::uint32_t base = std::uint32_t{chunk.key} << kChunkBits;
-    if (!chunk.is_bitmap()) return base | chunk.lows.back();
-    for (std::size_t w = kBitmapWords; w-- > 0;) {
-      if (chunk.bits[w] != 0) {
-        return base |
-               static_cast<std::uint32_t>(
-                   w * 64 + (63 - std::countl_zero(chunk.bits[w])));
-      }
-    }
-    UPDP2P_ENSURE(false, "bitmap chunk with nonzero cardinality has no bits");
-    return 0;
+    return max_id_;
   }
 
   /// Visits every id in ascending order (part of the contract: callers use
@@ -173,38 +246,11 @@ class ChunkedPeerSet {
     for (const Chunk& chunk : chunks_) for_each_in_chunk(chunk, fn);
   }
 
-  /// Union: adds every id of `other` to this set. Bitmap/bitmap pairs run
-  /// word-parallel (64-bit OR).
-  void insert_all(const ChunkedPeerSet& other) {
-    absorb(other, [](PeerId) {});
-  }
-
-  /// Union fused with novelty detection: every id of `other` that was NOT
-  /// already present is reported to `on_new` (ascending order) and then
-  /// inserted. This is the shape of a view merge — one pass computes both
-  /// the difference (word-parallel AND-NOT over bitmap chunks) and the
-  /// union.
-  template <typename Fn>
-  void absorb(const ChunkedPeerSet& other, Fn&& on_new) {
-    if (other.empty() || &other == this) return;
-    // Iterate by index: inserting chunks invalidates iterators. Both chunk
-    // lists are key-sorted, so a single merge walk pairs them up.
-    std::size_t mine = 0;
-    for (const Chunk& theirs : other.chunks_) {
-      while (mine < chunks_.size() && chunks_[mine].key < theirs.key) ++mine;
-      if (mine == chunks_.size() || chunks_[mine].key > theirs.key) {
-        // No local chunk for this range: everything in it is new.
-        for_each_in_chunk(theirs, on_new);
-        chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(mine),
-                       copy_chunk(theirs));
-        size_ += theirs.cardinality;
-        ++mine;
-        continue;
-      }
-      absorb_chunk(chunks_[mine], theirs, on_new);
-      ++mine;
-    }
-  }
+  /// Union: adds every id of `other` to this set. Chunks this set lacks
+  /// are shared, not copied; bitmap/bitmap pairs test for novelty before
+  /// they write and then run word-parallel (64-bit OR). Callers that need
+  /// the count of new ids read the size delta.
+  void insert_all(const ChunkedPeerSet& other);
 
   /// Difference: removes every id of `other` from this set (R \ other).
   /// Bitmap/bitmap pairs run word-parallel (64-bit AND-NOT); when an array
@@ -265,16 +311,6 @@ class ChunkedPeerSet {
     for_each([&out](PeerId peer) { out.push_back(peer); });
   }
 
-  /// Heap bytes held by live chunks (excludes parked spare buffers).
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    std::size_t total = chunks_.capacity() * sizeof(Chunk);
-    for (const Chunk& chunk : chunks_) {
-      total += chunk.lows.capacity() * sizeof(std::uint16_t);
-      total += chunk.bits.capacity() * sizeof(std::uint64_t);
-    }
-    return total;
-  }
-
   /// Exact byte count of this set's canonical wire encoding (the chunked
   /// delta-varint layout produced by gossip::put_peer_set): varint chunk
   /// count, then per chunk varint key + form byte + varint cardinality +
@@ -296,6 +332,8 @@ class ChunkedPeerSet {
   [[nodiscard]] bool append_bitmap_chunk(std::uint16_t key,
                                          std::span<const std::uint64_t> words);
 
+  /// Content equality (canonical form: equal contents imply equal chunk
+  /// forms); a shared buffer compares equal without a scan.
   friend bool operator==(const ChunkedPeerSet& a, const ChunkedPeerSet& b) {
     if (a.size_ != b.size_ || a.chunks_.size() != b.chunks_.size()) {
       return false;
@@ -303,9 +341,12 @@ class ChunkedPeerSet {
     for (std::size_t i = 0; i < a.chunks_.size(); ++i) {
       const Chunk& ca = a.chunks_[i];
       const Chunk& cb = b.chunks_[i];
-      // Canonical form: equal contents imply equal representation.
       if (ca.key != cb.key || ca.cardinality != cb.cardinality ||
-          ca.lows != cb.lows || ca.bits != cb.bits) {
+          ca.is_bitmap() != cb.is_bitmap() || ca.lows != cb.lows) {
+        return false;
+      }
+      if (ca.is_bitmap() && ca.bitmap.data() != cb.bitmap.data() &&
+          !std::ranges::equal(ca.words(), cb.words())) {
         return false;
       }
     }
@@ -317,8 +358,9 @@ class ChunkedPeerSet {
   static void for_each_in_chunk(const Chunk& chunk, Fn& fn) {
     const std::uint32_t base = std::uint32_t{chunk.key} << kChunkBits;
     if (chunk.is_bitmap()) {
+      const std::uint64_t* bits = chunk.bitmap.data();
       for (std::size_t w = 0; w < kBitmapWords; ++w) {
-        std::uint64_t word = chunk.bits[w];
+        std::uint64_t word = bits[w];
         while (word != 0) {
           const auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
           fn(PeerId(base + static_cast<std::uint32_t>(w * 64) + bit));
@@ -340,16 +382,25 @@ class ChunkedPeerSet {
     return it != chunks_.end() && it->key == key ? &*it : nullptr;
   }
 
+  /// The unshare step every bitmap write goes through: copies the buffer
+  /// into a private one unless this chunk is its only holder.
+  std::uint64_t* writable_words(Chunk& chunk);
+  /// A parked bitmap buffer (or a fresh one), held only by the result.
+  SharedBitmap take_bitmap();
+  /// Drops the chunk's bitmap, parking the buffer if this set held it alone.
+  void release_bitmap(Chunk& chunk) noexcept;
+  /// Empties a chunk and moves it onto the free list.
+  void park(Chunk& chunk) noexcept;
   /// Takes a parked chunk buffer (or a fresh one) with the given key.
   Chunk take_chunk(std::uint16_t key);
-  /// Deep copy reusing a parked buffer.
-  Chunk copy_chunk(const Chunk& source);
+  /// Unions one incoming chunk into the local chunk with the same key.
+  void union_chunk(Chunk& ours, const Chunk& theirs);
   /// Array -> bitmap (contents unchanged).
-  static void promote(Chunk& chunk);
+  void promote(Chunk& chunk);
   /// Bitmap -> array; requires cardinality <= kArrayChunkMax.
-  static void demote(Chunk& chunk);
+  void demote(Chunk& chunk);
   /// Re-establishes canonical form after a cardinality change.
-  static void canonicalize(Chunk& chunk) {
+  void canonicalize(Chunk& chunk) {
     if (chunk.is_bitmap() && chunk.cardinality <= kArrayChunkMax) {
       demote(chunk);
     } else if (!chunk.is_bitmap() && chunk.lows.size() > kArrayChunkMax) {
@@ -360,93 +411,15 @@ class ChunkedPeerSet {
   void drop_empty_chunks();
   /// Keeps exactly the ids at the given sorted, distinct ranks.
   void keep_ranks(const std::vector<std::uint32_t>& ranks);
-
-  template <typename Fn>
-  void absorb_chunk(Chunk& ours, const Chunk& theirs, Fn& on_new) {
-    const std::uint32_t base = std::uint32_t{ours.key} << kChunkBits;
-    const std::uint32_t before = ours.cardinality;
-    if (ours.is_bitmap() && theirs.is_bitmap()) {
-      // Word-parallel difference + union: 64 ids per AND-NOT/OR pair. The
-      // store is gated on novelty so a duplicate list (the common case on
-      // re-delivery) touches the 8 KiB bitmap read-only.
-      for (std::size_t w = 0; w < kBitmapWords; ++w) {
-        std::uint64_t fresh = theirs.bits[w] & ~ours.bits[w];
-        if (fresh == 0) continue;
-        ours.bits[w] |= theirs.bits[w];
-        ours.cardinality += static_cast<std::uint32_t>(std::popcount(fresh));
-        do {
-          const auto bit = static_cast<std::uint32_t>(std::countr_zero(fresh));
-          on_new(PeerId(base + static_cast<std::uint32_t>(w * 64) + bit));
-          fresh &= fresh - 1;
-        } while (fresh != 0);
-      }
-    } else if (ours.is_bitmap()) {
-      for (const std::uint16_t low : theirs.lows) {
-        std::uint64_t& word = ours.bits[low >> 6];
-        const std::uint64_t mask = std::uint64_t{1} << (low & 63);
-        if ((word & mask) == 0) {
-          word |= mask;
-          ++ours.cardinality;
-          on_new(PeerId(base | low));
-        }
-      }
-    } else if (theirs.is_bitmap()) {
-      // Result exceeds kArrayChunkMax (theirs alone does); promote first,
-      // then flag our pre-existing ids and walk theirs word-parallel.
-      promote(ours);
-      absorb_chunk(ours, theirs, on_new);
-      return;
-    } else {
-      // Sorted-array union, difference first: pass 1 collects theirs \ ours
-      // into scratch (ascending) without writing a single element of ours,
-      // so the dominant duplicate-delivery case — the incoming list is a
-      // subset of what we already hold — costs one read-only scan. The
-      // probe walk gallops (restartable lower_bound) when ours dwarfs
-      // theirs, and runs a dual-pointer sweep otherwise.
-      merge_scratch_.clear();
-      const std::vector<std::uint16_t>& a = ours.lows;
-      const std::vector<std::uint16_t>& b = theirs.lows;
-      if (a.size() >= 8 * b.size()) {
-        auto it = a.begin();
-        for (const std::uint16_t low : b) {
-          it = std::lower_bound(it, a.end(), low);
-          if (it == a.end() || *it != low) merge_scratch_.push_back(low);
-        }
-      } else {
-        std::size_t i = 0;
-        for (const std::uint16_t low : b) {
-          while (i < a.size() && a[i] < low) ++i;
-          if (i == a.size() || a[i] != low) merge_scratch_.push_back(low);
-        }
-      }
-      if (!merge_scratch_.empty()) {
-        for (const std::uint16_t low : merge_scratch_) {
-          on_new(PeerId(base | low));
-        }
-        // Pass 2: in-place backward merge of the fresh lows; writes stop at
-        // the first position where the remaining prefix is already placed.
-        const std::size_t n = ours.lows.size();
-        std::size_t j = merge_scratch_.size();
-        ours.cardinality += static_cast<std::uint32_t>(j);
-        ours.lows.resize(n + j);
-        std::size_t i = n;
-        std::size_t w = n + j;
-        while (j > 0) {
-          if (i > 0 && ours.lows[i - 1] > merge_scratch_[j - 1]) {
-            ours.lows[--w] = ours.lows[--i];
-          } else {
-            ours.lows[--w] = merge_scratch_[--j];
-          }
-        }
-        if (ours.lows.size() > kArrayChunkMax) promote(ours);
-      }
-    }
-    size_ += ours.cardinality - before;
-  }
+  /// Re-derives max_id_ after a removal: unchanged while the old maximum
+  /// survives, otherwise read off the top chunk.
+  void refresh_max_id() noexcept;
 
   std::vector<Chunk> chunks_;  ///< key-sorted, canonical form
   std::size_t size_ = 0;
-  std::vector<Chunk> spare_;   ///< parked buffers for allocation-free reuse
+  std::uint32_t max_id_ = 0;   ///< largest member; 0 while empty
+  std::vector<Chunk> spare_;   ///< parked array buffers (no bitmap)
+  std::vector<SharedBitmap> spare_bitmaps_;  ///< parked, held by no one else
   std::vector<std::uint16_t> merge_scratch_;
   std::vector<std::uint32_t> rank_scratch_;
   std::vector<std::uint64_t> rank_bits_;  ///< keep_random taken-rank bitset

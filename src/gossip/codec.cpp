@@ -153,7 +153,7 @@ void put_peer_set(WireBytes& out, const ChunkedPeerSet& set) {
     put_u8(out, chunk.is_bitmap() ? 1 : 0);
     put_varint(out, chunk.cardinality);
     if (chunk.is_bitmap()) {
-      for (const std::uint64_t word : chunk.bits) put_u64(out, word);
+      for (const std::uint64_t word : chunk.words()) put_u64(out, word);
     } else {
       // First low verbatim, then gap-1 deltas (lows strictly increase, so
       // every gap is >= 1 and the common consecutive-id case costs one

@@ -90,11 +90,10 @@ class ReplicaNode {
   /// fraction of the complete set of replicas", §2).
   void bootstrap(std::span<const common::PeerId> initial_view);
 
-  /// Compressed-form bootstrap: absorbs the whole set in one word-parallel
-  /// merge instead of one insert per id. Lets a simulator build the
-  /// full-membership set once and share it across every node — at 100k
-  /// replicas this is the difference between O(population) and
-  /// O(population/64) words touched per node.
+  /// Compressed-form bootstrap: one set union instead of one insert per
+  /// id. Lets a simulator build the full-membership set once and share it
+  /// across every node — the view adopts the set's bitmap chunks
+  /// copy-on-write, so no node copies them.
   void bootstrap(const common::ChunkedPeerSet& initial_view);
 
   /// Durable-store recovery (src/store/): seeds the node from a snapshot.

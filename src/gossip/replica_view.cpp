@@ -55,12 +55,13 @@ std::size_t ReplicaView::merge(const common::ChunkedPeerSet& peers) {
   if (static_cast<std::size_t>(peers_max) + 1 > id_bound_) {
     id_bound_ = static_cast<std::size_t>(peers_max) + 1;
   }
-  // One insertion per new id, nothing else: self_ is pre-inserted so it is
-  // never "new", and with a no-op novelty callback the absorb's per-id
-  // reporting loops compile away — bitmap chunks merge as pure OR/popcount
-  // sweeps. The count is the set's size delta.
+  // One union, nothing else: self_ is pre-inserted so it is never "new",
+  // and the count is the set's size delta. An incoming bitmap chunk is
+  // shared rather than copied when this view lacks its range or holds no id
+  // in it that the chunk lacks, so views bootstrapped from one set hold one
+  // buffer per chunk between them.
   const std::size_t before = known_.size();
-  known_.absorb(peers, [](common::PeerId) {});
+  known_.insert_all(peers);
   return known_.size() - before;
 }
 
@@ -93,8 +94,18 @@ std::size_t ReplicaView::presumed_offline_count(common::Round now) const {
 void ReplicaView::purge_presumed_offline(common::Round now) const {
   if (now <= offline_purged_at_ || presumed_offline_until_.empty()) return;
   offline_purged_at_ = now;
-  std::erase_if(presumed_offline_until_,
-                [now](const auto& entry) { return entry.second <= now; });
+  // Every mark has a heap entry holding its expiry, so popping the entries
+  // with until <= now visits every expired mark.
+  while (!offline_expiry_.empty() && offline_expiry_.front().until <= now) {
+    const Expiry top = offline_expiry_.front();
+    std::pop_heap(offline_expiry_.begin(), offline_expiry_.end());
+    offline_expiry_.pop_back();
+    const auto it = presumed_offline_until_.find(top.peer);
+    if (it != presumed_offline_until_.end() && it->second == top.until) {
+      presumed_offline_until_.erase(it);
+    }
+  }
+  if (presumed_offline_until_.empty()) offline_expiry_.clear();
 }
 
 void ReplicaView::mark_preferred(common::PeerId peer) {
@@ -103,12 +114,19 @@ void ReplicaView::mark_preferred(common::PeerId peer) {
 
 void ReplicaView::mark_presumed_offline(common::PeerId peer,
                                         common::Round until_round) {
-  auto& slot = presumed_offline_until_[peer];
-  slot = std::max(slot, until_round);
+  const auto [it, created] =
+      presumed_offline_until_.try_emplace(peer, until_round);
+  if (!created && until_round <= it->second) return;  // never shortens
+  it->second = until_round;
+  offline_expiry_.push_back(Expiry{until_round, peer});
+  std::push_heap(offline_expiry_.begin(), offline_expiry_.end());
 }
 
 void ReplicaView::clear_presumed_offline(common::PeerId peer) {
-  presumed_offline_until_.erase(peer);
+  if (presumed_offline_until_.erase(peer) != 0 &&
+      presumed_offline_until_.empty()) {
+    offline_expiry_.clear();
+  }
 }
 
 void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,

@@ -10,13 +10,16 @@
 // Membership is held ONLY in a compressed ChunkedPeerSet (2 bytes per
 // member in sparse chunks, 1 bit in dense ones — no parallel member
 // vector), and a received flooding list — itself a ChunkedPeerSet —
-// merges by word-parallel set difference: one AND-NOT pass discovers the
-// new ids and the union absorbs them, instead of a hash probe per entry.
+// merges by set union: bitmap chunks test for novelty word-parallel and
+// write only when something is new, instead of a hash probe per entry.
 // Uniform sampling rank-selects straight off the compressed form
 // (select_rank: array chunks answer by index, bitmap chunks by popcount
-// scan), so membership costs no duplicate storage and a merge performs
-// exactly one insertion per new id. Per-view state is O(|view|), not
-// O(population) — the property that lets 100k+ populations fit in memory.
+// scan), so membership costs no duplicate storage. Bitmap chunks are
+// shared copy-on-write: views bootstrapped from one full-membership set
+// all hold that set's buffers (one 8 KiB bitmap per 64Ki ids between
+// them, however many views), and a view pays for a private copy only when
+// it learns an id the shared chunk lacks. Partial views stay
+// O(|view|) per view.
 // Sampling uses arena scratch: after warm-up a call to sample_into
 // performs no heap allocation. The scratch state makes a view
 // non-reentrant but each node owns its view exclusively (and
@@ -138,7 +141,8 @@ class ReplicaView {
   /// Lazily drops marks that expired at or before `now`; after the purge
   /// every remaining entry satisfies `now < until`, so the map size IS the
   /// live count. Rounds advance monotonically in every driver, so a purge
-  /// at round t never erases a mark still live at a later query.
+  /// at round t never erases a mark still live at a later query. Pops only
+  /// expired heap entries: O(expired log marks), not a whole-map sweep.
   void purge_presumed_offline(common::Round now) const;
 
   /// Whether the view holds EVERY valid non-self id below id_bound_.
@@ -173,6 +177,19 @@ class ReplicaView {
   common::SmallPeerSet preferred_;
   mutable std::unordered_map<common::PeerId, common::Round>
       presumed_offline_until_;
+  struct Expiry {
+    common::Round until = 0;
+    common::PeerId peer;
+    /// Orders std::*_heap as a min-heap on `until`.
+    bool operator<(const Expiry& other) const noexcept {
+      return until > other.until;
+    }
+  };
+  /// Min-heap with an entry for every mark in the map, plus stale ones (a
+  /// mark since raised or cleared) that a purge skips: it erases a mark
+  /// only if the map still holds that expiry. Cleared whenever the map
+  /// empties, so stale entries stay bounded.
+  mutable std::vector<Expiry> offline_expiry_;
   mutable common::Round offline_purged_at_ = 0;
 
   WorkArena* arena_ = nullptr;

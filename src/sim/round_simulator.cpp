@@ -80,9 +80,9 @@ RoundSimulator::RoundSimulator(RoundSimConfig config,
 
   // Bootstrap membership: either the full replica set (analysis
   // assumption) or a random sample of the configured size. The full set is
-  // built as ONE compressed ChunkedPeerSet and absorbed per node by
-  // word-parallel merge — one insert per id per node would dominate
-  // construction at 100k+ populations.
+  // built as ONE compressed ChunkedPeerSet; each node's view, holding only
+  // its owner, adopts that set's bitmap chunks copy-on-write, so a node's
+  // bootstrap is a reference-count bump per chunk, not a copy.
   if (config_.initial_view_size == 0 ||
       config_.initial_view_size >= config_.population) {
     common::ChunkedPeerSet everyone;

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/chunked_peer_set.hpp"
@@ -32,6 +34,13 @@ void expect_matches(const ChunkedPeerSet& set,
   EXPECT_EQ(seen, expected);
   for (const std::uint32_t id : expected) {
     EXPECT_TRUE(set.contains(PeerId(id))) << id;
+  }
+  if (!reference.empty()) {
+    EXPECT_EQ(set.max_id(), *reference.rbegin());
+  }
+  for (const ChunkedPeerSet::Chunk& chunk : set.chunks()) {
+    EXPECT_EQ(chunk.is_bitmap(),
+              chunk.cardinality > ChunkedPeerSet::kArrayChunkMax);
   }
 }
 
@@ -89,6 +98,8 @@ TEST(ChunkedPeerSet, EqualityIsContentBased) {
 }
 
 TEST(ChunkedPeerSet, AbsorbReportsExactlyTheDifference) {
+  // The union's size delta is exactly |theirs \ mine| — how
+  // ReplicaView::merge counts new members — and the result is the union.
   StreamRng rng(42);
   for (int trial = 0; trial < 20; ++trial) {
     ChunkedPeerSet mine;
@@ -104,16 +115,13 @@ TEST(ChunkedPeerSet, AbsorbReportsExactlyTheDifference) {
       theirs.insert(PeerId(b));
       ref_theirs.insert(b);
     }
-    std::vector<std::uint32_t> reported;
-    mine.absorb(theirs, [&reported](PeerId peer) {
-      reported.push_back(peer.value());
-    });
-    // Reported = theirs \ mine, ascending.
-    std::vector<std::uint32_t> expected;
+    const std::size_t before = mine.size();
+    mine.insert_all(theirs);
+    std::size_t novel = 0;
     for (const std::uint32_t id : ref_theirs) {
-      if (!ref_mine.contains(id)) expected.push_back(id);
+      if (!ref_mine.contains(id)) ++novel;
     }
-    EXPECT_EQ(reported, expected);
+    EXPECT_EQ(mine.size() - before, novel);
     ref_mine.insert(ref_theirs.begin(), ref_theirs.end());
     expect_matches(mine, ref_mine);
   }
@@ -330,6 +338,188 @@ TEST(ChunkedPeerSet, RandomisedModelCheck) {
     }
   }
   expect_matches(set, ref);
+}
+
+TEST(ChunkedPeerSet, CopyOnWriteModelCheck) {
+  // A family of sets derived from one another by copy, assignment and
+  // insert_all shares bitmap buffers. Random writes to any member must
+  // leave every other member — the never-written root included — equal
+  // to its own model: no write may leak into another holder.
+  StreamRng rng(2718);
+  ChunkedPeerSet root;
+  std::set<std::uint32_t> root_ref;
+  // Two bitmap chunks and a sparse array chunk.
+  for (std::uint32_t id = 0; id < 2 * ChunkedPeerSet::kChunkSpan + 300;
+       ++id) {
+    if (rng.bernoulli(id < 2 * ChunkedPeerSet::kChunkSpan ? 0.08 : 0.3)) {
+      root.insert(PeerId(id));
+      root_ref.insert(id);
+    }
+  }
+  ASSERT_TRUE(root.chunks()[0].is_bitmap());
+  ASSERT_TRUE(root.chunks()[1].is_bitmap());
+  ASSERT_FALSE(root.chunks()[2].is_bitmap());
+
+  constexpr std::size_t kFamily = 5;
+  std::vector<ChunkedPeerSet> sets(kFamily, root);
+  std::vector<std::set<std::uint32_t>> refs(kFamily, root_ref);
+  for (const ChunkedPeerSet& set : sets) {
+    EXPECT_EQ(set.chunks()[0].words().data(), root.chunks()[0].words().data());
+  }
+  const auto random_id = [&rng] {
+    return static_cast<std::uint32_t>(
+        rng.uniform_below(3 * ChunkedPeerSet::kChunkSpan));
+  };
+  std::vector<std::uint16_t> lows;
+  for (int step = 0; step < 400; ++step) {
+    const auto i = static_cast<std::size_t>(rng.uniform_below(kFamily));
+    const auto j = static_cast<std::size_t>(rng.uniform_below(kFamily));
+    ChunkedPeerSet& set = sets[i];
+    std::set<std::uint32_t>& ref = refs[i];
+    switch (rng.uniform_below(11)) {
+      case 0: {  // copy construction shares every bitmap
+        ChunkedPeerSet copy(sets[j]);
+        for (std::size_t c = 0; c < copy.chunks().size(); ++c) {
+          EXPECT_EQ(copy.chunks()[c].words().data(),
+                    sets[j].chunks()[c].words().data());
+        }
+        set = std::move(copy);
+        ref = refs[j];
+        break;
+      }
+      case 1:
+        set = sets[j];
+        ref = refs[j];
+        break;
+      case 2: {
+        const bool from_root = rng.bernoulli(0.5);
+        set.insert_all(from_root ? root : sets[j]);
+        const auto& other = from_root ? root_ref : refs[j];
+        ref.insert(other.begin(), other.end());
+        break;
+      }
+      case 3:
+        for (int k = 0; k < 20; ++k) {
+          const std::uint32_t id = random_id();
+          ASSERT_EQ(set.insert(PeerId(id)), ref.insert(id).second);
+        }
+        break;
+      case 4: {
+        ChunkedPeerSet drop;
+        if (rng.bernoulli(0.5)) {
+          drop = sets[j];
+        } else {
+          for (int k = 0; k < 200; ++k) drop.insert(PeerId(random_id()));
+        }
+        std::vector<std::uint32_t> dropped;
+        drop.for_each([&dropped](PeerId p) { dropped.push_back(p.value()); });
+        set.subtract(drop);
+        for (const std::uint32_t id : dropped) ref.erase(id);
+        break;
+      }
+      case 5:
+      case 6: {
+        if (ref.empty()) break;
+        // Caps near the size keep bitmaps bitmaps; small ones demote.
+        const std::size_t cap =
+            rng.bernoulli(0.7) ? ref.size() - rng.uniform_below(ref.size())
+                               : rng.uniform_below(ref.size() + 1);
+        std::vector<std::uint32_t> sorted(ref.begin(), ref.end());
+        if (rng.bernoulli(0.5)) {
+          set.keep_lowest(cap);
+          sorted.resize(std::min(cap, sorted.size()));
+        } else {
+          set.keep_highest(cap);
+          sorted.erase(sorted.begin(),
+                       sorted.end() - static_cast<std::ptrdiff_t>(
+                                          std::min(cap, sorted.size())));
+        }
+        ref = std::set<std::uint32_t>(sorted.begin(), sorted.end());
+        break;
+      }
+      case 7: {
+        const std::size_t cap = ref.size() - ref.size() / 8;
+        set.keep_random(rng, cap);
+        // The sample is random: the model checks it is a cap-subset, then
+        // adopts it.
+        std::set<std::uint32_t> kept;
+        set.for_each([&kept](PeerId p) { kept.insert(p.value()); });
+        ASSERT_EQ(kept.size(), std::min(cap, ref.size()));
+        for (const std::uint32_t id : kept) ASSERT_TRUE(ref.contains(id));
+        ref = std::move(kept);
+        break;
+      }
+      case 8:
+        if (rng.bernoulli(0.2)) {
+          set.clear();
+          ref.clear();
+        }
+        break;
+      default: {
+        // The wire decoder's path: rebuild from another member's chunks.
+        const ChunkedPeerSet source = sets[j];
+        set.clear();
+        for (const ChunkedPeerSet::Chunk& chunk : source.chunks()) {
+          if (chunk.is_bitmap()) {
+            ASSERT_TRUE(set.append_bitmap_chunk(chunk.key, chunk.words()));
+          } else {
+            lows.assign(chunk.lows.begin(), chunk.lows.end());
+            ASSERT_TRUE(set.append_array_chunk(chunk.key, lows));
+          }
+        }
+        ref = refs[j];
+        break;
+      }
+    }
+    for (std::size_t k = 0; k < kFamily; ++k) {
+      SCOPED_TRACE(testing::Message() << "step " << step << " set " << k);
+      ASSERT_NO_FATAL_FAILURE(expect_matches(sets[k], refs[k]));
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_matches(root, root_ref));
+  }
+}
+
+TEST(ChunkedPeerSet, SharedBuffersAcrossThreads) {
+  // Threads copy one shared set, write their copies (each write unshares)
+  // and drop them while reading the original. The counts are atomic and
+  // the only-holder check acquires, so this is race-free under TSan, the
+  // original never changes, and once every copy is gone the original is
+  // the sole holder again and writes in place.
+  ChunkedPeerSet original;
+  for (std::uint32_t id = 0; id < 3 * ChunkedPeerSet::kChunkSpan; id += 4) {
+    original.insert(PeerId(id));
+  }
+  const std::vector<PeerId> expected = contents(original);
+  const std::uint64_t* first_buffer = original.chunks()[0].words().data();
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&original, &mismatches, t] {
+      for (std::uint32_t round = 0; round < 40; ++round) {
+        ChunkedPeerSet copy = original;
+        copy.insert(PeerId(1 + 4 * (t * 40 + round)));  // unshares chunk 0
+        ChunkedPeerSet narrower = copy;
+        narrower.keep_highest(narrower.size() - 10 - round);
+        copy.insert_all(narrower);
+        ChunkedPeerSet decoded;
+        for (const ChunkedPeerSet::Chunk& chunk : original.chunks()) {
+          if (!decoded.append_bitmap_chunk(chunk.key, chunk.words())) {
+            mismatches.fetch_add(1);
+          }
+        }
+        if (!(decoded == original) || original.contains(PeerId(1)) ||
+            original.max_id() != 3 * ChunkedPeerSet::kChunkSpan - 4 ||
+            copy.size() != original.size() + 1) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(contents(original), expected);
+  EXPECT_TRUE(original.insert(PeerId(1)));
+  EXPECT_EQ(original.chunks()[0].words().data(), first_buffer);
 }
 
 }  // namespace

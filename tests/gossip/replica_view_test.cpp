@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <map>
 #include <unordered_set>
+#include <vector>
 
 namespace updp2p::gossip {
 namespace {
@@ -167,6 +170,124 @@ TEST(ReplicaView, PreferredDoesNotDuplicateInOneSample) {
     const auto sample = view.sample(rng, 2, {});
     std::unordered_set<PeerId> unique(sample.begin(), sample.end());
     EXPECT_EQ(unique.size(), sample.size());
+  }
+}
+
+TEST(ReplicaView, BootstrapFromOneSetSharesItsBitmap) {
+  // Views bootstrapped from one full-membership set hold its bitmap buffer
+  // instead of private copies; a write unshares the writer only.
+  common::ChunkedPeerSet everyone;
+  for (std::uint32_t i = 0; i < 5'000; ++i) everyone.insert(PeerId(i));
+  ASSERT_TRUE(everyone.chunks().front().is_bitmap());
+  const std::uint64_t* shared = everyone.chunks().front().words().data();
+  ReplicaView a{PeerId(3)};
+  ReplicaView b{PeerId(4'000)};
+  EXPECT_EQ(a.merge(everyone), 4'999u);
+  EXPECT_EQ(b.merge(everyone), 4'999u);
+  EXPECT_EQ(a.membership().chunks().front().words().data(), shared);
+  EXPECT_EQ(b.membership().chunks().front().words().data(), shared);
+
+  EXPECT_TRUE(a.add(PeerId(7'000)));
+  EXPECT_NE(a.membership().chunks().front().words().data(), shared);
+  EXPECT_EQ(b.membership().chunks().front().words().data(), shared);
+  EXPECT_TRUE(a.contains(PeerId(7'000)));
+  EXPECT_FALSE(b.contains(PeerId(7'000)));
+  EXPECT_FALSE(everyone.contains(PeerId(7'000)));
+  EXPECT_EQ(b.size(), 4'999u);
+}
+
+/// The presumed-offline bookkeeping as a whole-map erase_if purge — the
+/// reference the view's expiry heap must reproduce answer for answer.
+struct EraseIfOfflineModel {
+  std::map<std::uint32_t, common::Round> until;
+  common::Round purged_at = 0;
+
+  void mark(std::uint32_t peer, common::Round round) {
+    common::Round& slot = until[peer];
+    slot = std::max(slot, round);
+  }
+  void purge(common::Round now) {
+    if (now <= purged_at || until.empty()) return;
+    purged_at = now;
+    std::erase_if(until, [now](const auto& entry) {
+      return entry.second <= now;
+    });
+  }
+  [[nodiscard]] bool is_offline(std::uint32_t peer, common::Round now) const {
+    const auto it = until.find(peer);
+    return it != until.end() && now < it->second;
+  }
+  std::size_t count(common::Round now) {
+    purge(now);
+    if (purged_at >= now) return until.size();
+    return static_cast<std::size_t>(std::count_if(
+        until.begin(), until.end(),
+        [now](const auto& entry) { return now < entry.second; }));
+  }
+};
+
+TEST(ReplicaView, ExpiryHeapMatchesWholeMapPurge) {
+  // Random mark/raise/clear/query/purge sequences, rewound queries
+  // included: after every step each peer's mark reads the same at the
+  // current round and at an earlier one, counts agree, and a sample asked
+  // for every member returns exactly the members the model reads online.
+  constexpr std::uint32_t kPeers = 24;
+  ReplicaView view{PeerId(0)};
+  for (std::uint32_t i = 1; i <= kPeers; ++i) view.add(PeerId(i));
+  EraseIfOfflineModel model;
+  StreamRng rng(4242);
+  StreamRng sampler(4243);
+  common::Round now = 8;
+  std::vector<PeerId> sample;
+  for (int step = 0; step < 20'000; ++step) {
+    const auto peer =
+        static_cast<std::uint32_t>(1 + rng.uniform_below(kPeers));
+    // Mostly the current round, sometimes a rewound one.
+    const common::Round at =
+        now - (rng.bernoulli(0.2)
+                   ? static_cast<common::Round>(rng.uniform_below(6))
+                   : 0);
+    switch (rng.uniform_below(6)) {
+      case 0:
+      case 1: {  // create, raise, or fail to shorten a mark
+        const auto until =
+            now - 4 + static_cast<common::Round>(rng.uniform_below(16));
+        view.mark_presumed_offline(PeerId(peer), until);
+        model.mark(peer, until);
+        break;
+      }
+      case 2:
+        view.clear_presumed_offline(PeerId(peer));
+        model.until.erase(peer);
+        break;
+      case 3:
+        ASSERT_EQ(view.presumed_offline_count(at), model.count(at));
+        break;
+      case 4: {
+        view.sample_into(sampler, kPeers, sample, nullptr, at);
+        model.purge(at);
+        std::vector<std::uint32_t> got;
+        for (const PeerId p : sample) got.push_back(p.value());
+        std::sort(got.begin(), got.end());
+        std::vector<std::uint32_t> online;
+        for (std::uint32_t p = 1; p <= kPeers; ++p) {
+          if (!model.is_offline(p, at)) online.push_back(p);
+        }
+        ASSERT_EQ(got, online);
+        break;
+      }
+      default:
+        now += static_cast<common::Round>(rng.uniform_below(3));
+        break;
+    }
+    for (std::uint32_t p = 1; p <= kPeers; ++p) {
+      ASSERT_EQ(view.is_presumed_offline(PeerId(p), now),
+                model.is_offline(p, now))
+          << "step " << step << " peer " << p;
+      ASSERT_EQ(view.is_presumed_offline(PeerId(p), now - 3),
+                model.is_offline(p, now - 3))
+          << "step " << step << " peer " << p;
+    }
   }
 }
 

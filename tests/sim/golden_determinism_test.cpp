@@ -246,6 +246,47 @@ TEST(GoldenDeterminism, ShardInvariance) {
   EXPECT_EQ(run(8), sequential);
 }
 
+TEST(GoldenDeterminism, SharedFullViews) {
+  // Full bootstrap views above one chunk's array limit: at 5 000 replicas
+  // every view is a bitmap, and every view adopts the bootstrap set's one
+  // buffer instead of copying it. No other golden runs full views above
+  // kArrayChunkMax. The push phase runs with §6 acks and suppression,
+  // capped drop-random flooding lists, the wire codec, loss and churn with
+  // rejoins, and must give the same results at 1, 2 and 8 shard threads.
+  // The constants were captured while every view still held a private
+  // copy of the bitmap: sharing it may not move a single draw.
+  const auto run = [](unsigned shard_threads) {
+    sim::RoundSimConfig config;
+    config.population = 5'000;
+    config.gossip.estimated_total_replicas = 5'000;
+    config.gossip.fanout_fraction = 0.004;
+    config.gossip.acks.enabled = true;
+    config.gossip.acks.suppression_rounds = 4;
+    config.gossip.partial_list.mode = gossip::PartialListMode::kDropRandom;
+    config.gossip.partial_list.max_entries = 200;
+    config.serialize_messages = true;
+    config.reconnect_pull = false;
+    config.round_timers = false;
+    config.message_loss = 0.02;
+    config.max_rounds = 16;
+    config.seed = 31;
+    config.shard_threads = shard_threads;
+    auto churn =
+        std::make_unique<churn::BernoulliChurn>(5'000, 0.2, 0.95, 0.1);
+    sim::RoundSimulator simulator(config, std::move(churn));
+    const auto metrics = simulator.propagate_update();
+    EXPECT_EQ(metrics.rounds.size(), 17u);
+    EXPECT_EQ(metrics.total_messages(), 80063u);
+    EXPECT_DOUBLE_EQ(metrics.final_aware_fraction(), 0.94598913390859696);
+    EXPECT_EQ(simulator.bus_stats().messages_sent, 80063u);
+    EXPECT_EQ(simulator.bus_stats().bytes_sent, 14947096u);
+    EXPECT_EQ(fingerprint(metrics), 5093847278969579222ULL);
+  };
+  run(1);
+  run(2);
+  run(8);
+}
+
 TEST(GoldenDeterminism, SeedSweepAggregate) {
   // The sweep pool hands indices out in scheduling-dependent order; the
   // deterministic by-seed merge must make the aggregate independent of it.
