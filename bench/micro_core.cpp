@@ -369,15 +369,14 @@ BENCHMARK(BM_TimerWheelNextDeadline)->Arg(16)->Arg(1024);
 void BM_SimulatorBuild10k(benchmark::State& state) {
   // What every BM_SimulatedUpdate* row pauses timing around: building and
   // destroying the sim_push_10k-shaped simulator (10k replicas, full
-  // bootstrap views, wire codec on, one shard). The views share the
-  // bootstrap set's bitmap chunks, so the row prices per-node state.
+  // bootstrap views, one shard). The views share the bootstrap set's
+  // bitmap chunks, so the row prices per-node state.
   sim::RoundSimConfig config;
   config.population = 10'000;
   config.gossip.estimated_total_replicas = 10'000;
   config.gossip.fanout_fraction = 0.01;
   config.reconnect_pull = false;
   config.round_timers = false;
-  config.serialize_messages = true;
   config.shard_threads = 1;
   config.seed = 5;
   for (auto _ : state) {
@@ -414,7 +413,8 @@ void BM_SimulatedUpdate10k(benchmark::State& state) {
   // The acceptance-scale run: 10k replicas, 20% online, fanout 100. One
   // iteration is a full propagate_update (roughly 175k protocol messages
   // over 8 rounds), so this measures the whole step_round pipeline —
-  // delivery, handling, forward-list building, dispatch — at scale.
+  // encoding, frame delivery (probe-classified duplicates, streamed
+  // first-receipt decodes), forward-list building, dispatch — at scale.
   // Runs the sharded engine at 8 shard threads (results are bit-identical
   // to sequential; see GoldenDeterminism.ShardInvariance).
   std::uint64_t messages = 0;
@@ -439,39 +439,6 @@ void BM_SimulatedUpdate10k(benchmark::State& state) {
   set_traffic_counters(state, messages, bytes, 8);
 }
 BENCHMARK(BM_SimulatedUpdate10k)->Unit(benchmark::kMillisecond);
-
-void BM_SimulatedUpdate10kWire(benchmark::State& state) {
-  // The same acceptance-scale run with serialize_messages on: every
-  // dispatched payload travels as real codec bytes and every delivery goes
-  // through the frame path. The gap between this row and
-  // BM_SimulatedUpdate10k is the whole cost of running the actual wire
-  // protocol instead of the in-memory approximation; the zero-copy
-  // pipeline (interned push frames + probe-classified duplicates) is what
-  // keeps it small. Results are bit-identical to the in-memory row
-  // (WireEquivalence suite).
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    sim::RoundSimConfig config;
-    config.population = 10'000;
-    config.gossip.estimated_total_replicas = 10'000;
-    config.gossip.fanout_fraction = 0.01;
-    config.reconnect_pull = false;
-    config.round_timers = false;
-    config.seed = 5;
-    config.shard_threads = 8;
-    config.serialize_messages = true;
-    auto simulator = sim::make_push_phase_simulator(config, 0.2, 0.95);
-    state.ResumeTiming();
-    const sim::RunMetrics metrics = simulator->propagate_update();
-    messages += metrics.total_messages();
-    bytes += metrics.total_bytes();
-    benchmark::DoNotOptimize(&metrics);
-  }
-  set_traffic_counters(state, messages, bytes, 8);
-}
-BENCHMARK(BM_SimulatedUpdate10kWire)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatedUpdateScaling(benchmark::State& state) {
   // Thread-count scaling sweep over the same 10k-replica run: Arg is the

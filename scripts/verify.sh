@@ -9,15 +9,18 @@
 # golden determinism — including ShardInvariance at 8 threads) plus the
 # event-loop/timer-wheel runtime suites.
 #
-# After the Release ctest leg a bench-regression guard re-runs the guarded
-# hot-path benchmarks (BM_SimulatedUpdate10k, BM_SimulatedUpdate10kWire,
-# BM_BuildForwardListInto, BM_StoreAppend, BM_StoreReplay10k) and compares
-# ns/op against the checked-in BENCH_core.json; a >15% regression fails the
-# verify. The Wire row guards the zero-copy serialized path specifically —
-# it is the one a codec or frame-path change degrades first; the Store rows
-# guard the durable append (paid per receipt before the ack) and the
-# crash-recovery replay pipeline. Opt out with --skip-bench-guard on busy
-# or differently-provisioned machines.
+# After the Release ctest leg, `python3 livebench/run.py --check` builds the
+# live benchmark (livebench/, its own CMake package over src/) and runs its
+# tests, so a src/ change that breaks the benchmark's build fails here.
+# Then a bench-regression guard re-runs the guarded hot-path benchmarks
+# (BM_SimulatedUpdate10k, BM_BuildForwardListInto, BM_StoreAppend,
+# BM_StoreReplay10k) and compares ns/op against the checked-in
+# BENCH_core.json; a >15% regression fails the verify. The simulator row
+# runs the frame path (one encode per fan-out, probe-classified duplicates,
+# streamed first-receipt decodes), the one a codec or frame-path change
+# degrades first; the Store rows guard the durable append (paid per
+# receipt before the ack) and the crash-recovery replay pipeline. Opt out
+# with --skip-bench-guard on busy or differently-provisioned machines.
 #
 # The deterministic chaos harness (docs/testing.md) runs its test suite as
 # part of tier-1 (ctest label `chaos`). --chaos-seeds N adds a deeper leg:
@@ -88,6 +91,9 @@ fi
 echo "==> tier-1: Release ctest"
 ctest --preset release -j "${JOBS}"
 
+echo "==> livebench: build the live benchmark and run its tests"
+python3 livebench/run.py --check
+
 if [[ "${CHAOS_SEEDS}" -gt 0 ]]; then
   echo "==> chaos: ${CHAOS_SEEDS}-seed sweep over every builtin scenario"
   while read -r scenario _; do
@@ -102,11 +108,10 @@ if [[ "${SKIP_BENCH_GUARD}" == "1" ]]; then
 else
   echo "==> bench guard: guarded hot-path benches vs checked-in BENCH_core.json"
   ./build/bench/micro_core --json=build/BENCH_guard.json \
-    "--benchmark_filter=^BM_SimulatedUpdate10k\$|^BM_SimulatedUpdate10kWire\$|^BM_BuildForwardListInto\$|^BM_StoreAppend\$|^BM_StoreReplay10k\$" \
+    "--benchmark_filter=^BM_SimulatedUpdate10k\$|^BM_BuildForwardListInto\$|^BM_StoreAppend\$|^BM_StoreReplay10k\$" \
     >/dev/null
   python3 scripts/check_bench_regression.py BENCH_core.json \
     build/BENCH_guard.json --bench BM_SimulatedUpdate10k \
-    --bench BM_SimulatedUpdate10kWire \
     --bench BM_BuildForwardListInto \
     --bench BM_StoreAppend --bench BM_StoreReplay10k --max-regression 0.15
 fi

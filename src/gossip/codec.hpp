@@ -1,8 +1,9 @@
 // Binary wire codec for the gossip protocol messages.
 //
-// The simulators exchange in-memory payloads, but a deployment sends bytes.
-// This codec defines a compact, versioned, self-describing encoding for
-// every GossipPayload alternative:
+// Nodes exchange these bytes wherever they run: the round engines store
+// encoded frames on their buses, and a deployment sends them as
+// datagrams. This codec defines a compact, versioned, self-describing
+// encoding for every GossipPayload alternative:
 //
 //   frame   := magic(2) version(1) kind(1) body
 //   varint  := LEB128 unsigned

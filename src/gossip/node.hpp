@@ -9,7 +9,8 @@
 // employ any point-to-point/multicast/ad-hoc communication mechanism".
 //
 // Timebase: handlers take the current push-round number. The live runtime
-// (and with it runtime::LoopbackCluster) maps continuous time onto rounds; PF(t) itself depends only on the hop counter carried inside push
+// (and with it runtime::LoopbackCluster) maps continuous time onto rounds;
+// PF(t) itself depends only on the hop counter carried inside push
 // messages, exactly as analysed.
 #pragma once
 
@@ -54,6 +55,8 @@ struct NodeStats {
   std::uint64_t query_requests_received = 0;
   std::uint64_t query_replies_received = 0;
   std::uint64_t bytes_sent = 0;           ///< wire-model bytes of all sends
+
+  bool operator==(const NodeStats&) const = default;
 };
 
 /// A multi-replica query in flight (§4.4).
@@ -169,7 +172,8 @@ class ReplicaNode {
   /// fully and dispatch through handle_message. Returns false (with NO
   /// protocol-state change) when the frame is malformed. Behaviour and RNG
   /// draw order are bit-identical to decoding the frame and calling
-  /// handle_message — the wire-equivalence suite pins this.
+  /// handle_message — NodeFuzz.FrameDeliveryMatchesPayloadDelivery pins
+  /// this. Both round engines deliver every message through here.
   [[nodiscard]] bool handle_frame(common::PeerId from,
                                   std::span<const std::byte> frame,
                                   common::Round now,

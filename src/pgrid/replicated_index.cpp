@@ -42,12 +42,13 @@ std::size_t ReplicatedIndex::online_count() const {
 }
 
 void ReplicatedIndex::dispatch(common::PeerId from,
-                               std::vector<gossip::OutboundMessage> out) {
+                               std::vector<gossip::OutboundMessage>& out) {
   std::uint32_t& seq = send_seq_[from.value()];
-  for (auto& message : out) {
-    bus_.send(from, message.to, std::move(message.payload),
+  for (const auto& message : out) {
+    bus_.send(from, message.to, gossip::encode(message.payload),
               message.size_bytes, seq++);
   }
+  out.clear();
 }
 
 void ReplicatedIndex::set_online(common::PeerId peer, bool online) {
@@ -55,7 +56,8 @@ void ReplicatedIndex::set_online(common::PeerId peer, bool online) {
   if (online_[idx] == online) return;
   online_[idx] = online;
   if (online) {
-    dispatch(peer, nodes_[idx]->on_reconnect(round_));
+    nodes_[idx]->on_reconnect(round_, reactions_);
+    dispatch(peer, reactions_);
   } else {
     nodes_[idx]->on_disconnect(round_);
   }
@@ -69,13 +71,16 @@ void ReplicatedIndex::step_round() {
       0, batch_, [this](common::PeerId to) { return online_[to.value()]; });
   for (const net::Envelope& envelope : batch_) {
     ++stats.messages_delivered;
-    dispatch(envelope.to,
-             nodes_[envelope.to.value()]->handle_message(
-                 envelope.from, bus_.payload(envelope), round_));
+    UPDP2P_ENSURE(nodes_[envelope.to.value()]->handle_frame(
+                      envelope.from, bus_.payload(envelope), round_,
+                      reactions_),
+                  "own encoder output must always decode");
+    dispatch(envelope.to, reactions_);
   }
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     if (!online_[i]) continue;
-    dispatch(common::PeerId(i), nodes_[i]->on_round_start(round_));
+    nodes_[i]->on_round_start(round_, reactions_);
+    dispatch(common::PeerId(i), reactions_);
   }
 }
 
@@ -117,8 +122,8 @@ RouteOutcome ReplicatedIndex::put(common::PeerId origin, std::string_view key,
   RouteOutcome outcome = route(origin, key_path, route_retries);
   if (!outcome.ok) return outcome;
   auto& responsible = *nodes_[outcome.responsible.value()];
-  dispatch(outcome.responsible,
-           responsible.publish(key, std::move(payload), round_));
+  auto out = responsible.publish(key, std::move(payload), round_);
+  dispatch(outcome.responsible, out);
   return outcome;
 }
 
@@ -129,7 +134,8 @@ RouteOutcome ReplicatedIndex::remove(common::PeerId origin,
   RouteOutcome outcome = route(origin, key_path, route_retries);
   if (!outcome.ok) return outcome;
   auto& responsible = *nodes_[outcome.responsible.value()];
-  dispatch(outcome.responsible, responsible.remove(key, round_));
+  auto out = responsible.remove(key, round_);
+  dispatch(outcome.responsible, out);
   return outcome;
 }
 

@@ -25,6 +25,7 @@
 
 #include "churn/churn_model.hpp"
 #include "common/rng.hpp"
+#include "gossip/codec.hpp"
 #include "gossip/node.hpp"
 #include "gossip/query.hpp"
 #include "net/message_bus.hpp"
@@ -118,7 +119,9 @@ class ReplicatedIndex {
  private:
   RouteOutcome route(common::PeerId origin, const BitPath& key_path,
                      unsigned retries);
-  void dispatch(common::PeerId from, std::vector<gossip::OutboundMessage> out);
+  /// Encodes each of `out`'s messages and queues the frames on the bus;
+  /// `out` is left cleared with capacity retained.
+  void dispatch(common::PeerId from, std::vector<gossip::OutboundMessage>& out);
 
   ReplicatedIndexConfig config_;
   common::StreamRng rng_;
@@ -127,11 +130,14 @@ class ReplicatedIndex {
   PGridNetwork grid_;
   std::vector<std::unique_ptr<gossip::ReplicaNode>> nodes_;
   std::vector<bool> online_;
-  /// One shard: the single-threaded index delivers in the bus's canonical
-  /// (to, from, seq) order and records outcomes in shard_stats(0).
-  net::ShardedMessageBus<gossip::GossipPayload> bus_;
+  /// One shard of encoded frames: the single-threaded index delivers in
+  /// the bus's canonical (to, from, seq) order through
+  /// ReplicaNode::handle_frame and records outcomes in shard_stats(0).
+  net::ShardedMessageBus<gossip::WireBytes> bus_;
   std::vector<std::uint32_t> send_seq_;  ///< per-sender envelope sequence
   std::vector<net::Envelope> batch_;
+  /// Reusable reaction buffer for every delivery and hook.
+  std::vector<gossip::OutboundMessage> reactions_;
   common::Round round_ = 0;
 };
 

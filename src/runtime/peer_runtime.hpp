@@ -1,7 +1,7 @@
 // PeerRuntime — one deployed peer: a gossip node behind a live transport.
 //
-// The simulators drive ReplicaNode by delivering in-memory payloads round
-// by round; PeerRuntime drives the *same node type* from a byte-oriented
+// The round simulators deliver encoded frames to ReplicaNode round by
+// round; PeerRuntime drives the *same node type* from a byte-oriented
 // datagram transport and a continuous clock:
 //
 //   * outbound protocol messages are encoded with gossip::codec and handed

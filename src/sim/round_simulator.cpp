@@ -66,6 +66,8 @@ RoundSimulator::RoundSimulator(RoundSimConfig config,
                 "churn population must match simulator population");
   UPDP2P_ENSURE(config_.message_loss >= 0.0 && config_.message_loss <= 1.0,
                 "loss probability must be in [0,1]");
+  UPDP2P_ENSURE(config_.serialize_messages,
+                "encoded frames are the simulator's only message path");
 
   nodes_.reserve(config_.population);
   for (std::uint32_t i = 0; i < config_.population; ++i) {
@@ -118,10 +120,10 @@ void RoundSimulator::dispatch_from(std::size_t shard, common::PeerId from,
                                    std::vector<gossip::OutboundMessage>& out) {
   Shard& sh = shards_[shard];
   std::uint32_t& seq = send_seq_[from.value()];
-  // The open fan-out run, stored (and in wire mode encoded) once: its key,
-  // its payload index and, in wire mode, its frame length.
+  // The open fan-out run, encoded once: its key, its frame's index on the
+  // bus and the frame's length.
   FanOutKey run;
-  std::uint32_t run_payload = 0;
+  std::uint32_t run_frame = 0;
   std::size_t frame_bytes = 0;
   for (auto& message : out) {
     switch (message.payload.index()) {
@@ -135,21 +137,16 @@ void RoundSimulator::dispatch_from(std::size_t shard, common::PeerId from,
     const FanOutKey key = fan_out_key(message.payload);
     if (key.value == nullptr || key != run) {
       run = key;
-      SimPayload stored;
-      if (config_.serialize_messages) {
-        stored.frame = gossip::encode(message.payload);
-        frame_bytes = stored.frame.size();
-      } else {
-        stored.payload = std::move(message.payload);
-      }
-      run_payload = bus_.add_payload(shard, std::move(stored));
+      gossip::WireBytes frame = gossip::encode(message.payload);
+      frame_bytes = frame.size();
+      run_frame = bus_.add_payload(shard, std::move(frame));
     }
     // encoded_size() priced every message exactly, which its run's frame
     // must confirm byte for byte.
-    UPDP2P_ENSURE(!config_.serialize_messages || frame_bytes == size,
+    UPDP2P_ENSURE(frame_bytes == size,
                   "encoded_size must equal the encoded frame length");
     sh.bytes += size;
-    bus_.send_from_shard(shard, from, message.to, run_payload, size, seq++);
+    bus_.send_from_shard(shard, from, message.to, run_frame, size, seq++);
   }
   out.clear();
 }
@@ -237,18 +234,11 @@ void RoundSimulator::step_shard(unsigned shard) {
     ++bstats.messages_delivered;
     gossip::ReplicaNode& node = nodes_[to];
     const std::uint64_t duplicates_before = node.stats().duplicate_pushes;
-    const SimPayload& stored = bus_.payload(envelope);
-    if (config_.serialize_messages) {
-      // Wire mode: deliver the stored encoded bytes; the node probes the
-      // header, counts duplicates without decoding, and stream-decodes
-      // first receipts.
-      UPDP2P_ENSURE(node.handle_frame(envelope.from, stored.frame, round_,
-                                      sh.reactions),
-                    "own encoder output must always decode");
-    } else {
-      node.handle_message(envelope.from, stored.payload, round_,
-                          sh.reactions);
-    }
+    // The node probes the header, counts duplicates without decoding, and
+    // stream-decodes first receipts, as a deployed peer does.
+    UPDP2P_ENSURE(node.handle_frame(envelope.from, bus_.payload(envelope),
+                                    round_, sh.reactions),
+                  "own encoder output must always decode");
     sh.duplicates += node.stats().duplicate_pushes - duplicates_before;
     note_awareness(to, sh);
     dispatch_from(shard, envelope.to, sh.reactions);

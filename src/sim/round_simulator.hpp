@@ -5,7 +5,9 @@
 //
 // This simulator is an *independent* implementation of the protocol (it
 // executes ReplicaNode state machines, not the recurrences), so agreement
-// with analysis::evaluate_push is a genuine cross-validation.
+// with analysis::evaluate_push is a genuine cross-validation. Messages
+// travel as encoded frames and every delivery goes through
+// ReplicaNode::handle_frame, the receive path a deployed peer runs.
 //
 // Intra-run parallelism: the population is cut into `shard_threads`
 // contiguous shards. Each round, every shard task delivers the messages
@@ -51,29 +53,14 @@ struct RoundSimConfig {
   /// Run per-round timer processing (no-update-timeout pulls, ack expiry).
   bool round_timers = true;
   double message_loss = 0.0;
-  /// Serialise every payload through the binary wire codec on send (one
-  /// encode per fan-out run, stored once on the bus) and deliver
-  /// via ReplicaNode::handle_frame (probe + lazy decode) — integration-
-  /// proves gossip/codec end to end. Byte counters charge exact encoded
-  /// sizes in BOTH modes (OutboundMessage::size_bytes == encoded frame
-  /// length), so metrics are bit-identical with this flag on or off.
-  bool serialize_messages = false;
+  /// Deprecated and must stay true: every message travels as encoded
+  /// frames. Kept only so configurations that still assign it compile.
+  bool serialize_messages = true;
   std::uint64_t seed = 0x5eed;
   /// Shards (= maximum worker threads) one round is stepped across.
   /// 1 = sequential; 0 = one per hardware thread. Metrics and node state
   /// are bit-identical at every value.
   unsigned shard_threads = 1;
-};
-
-/// What the simulator's bus stores once per fan-out run: consecutive
-/// pushes of one dispatch sharing a value, a flooding list and a round
-/// (any other message is a run of its own); every recipient's envelope
-/// names the one stored object. serialize_messages runs store only the
-/// encoded frame and deliver through ReplicaNode::handle_frame (probe +
-/// lazy decode), exercising exactly what a deployment would receive.
-struct SimPayload {
-  gossip::GossipPayload payload;  ///< in-memory runs only
-  gossip::WireBytes frame;        ///< serialize_messages runs only
 };
 
 class RoundSimulator {
@@ -106,10 +93,7 @@ class RoundSimulator {
   [[nodiscard]] const churn::ChurnModel& churn() const noexcept {
     return *churn_;
   }
-  [[nodiscard]] const net::BusStats& bus_stats() const {
-    merged_bus_stats_ = bus_.stats();
-    return merged_bus_stats_;
-  }
+  [[nodiscard]] net::BusStats bus_stats() const { return bus_.stats(); }
   /// Shards one round is stepped across (resolved from shard_threads).
   [[nodiscard]] unsigned shard_count() const noexcept { return shard_count_; }
   /// Installs a connectivity predicate (network partitions); nullptr heals.
@@ -151,8 +135,10 @@ class RoundSimulator {
 
   /// Moves `out`'s messages onto the bus from the task owning `shard`
   /// (which must be the sender's shard), classifying them for the shard's
-  /// counters; each fan-out run's payload is stored (and in wire mode
-  /// encoded) once. `out` is left cleared with capacity retained.
+  /// counters. Each fan-out run (consecutive pushes sharing a value, a
+  /// flooding list and a round; any other message is a run of its own) is
+  /// encoded once, and every recipient's envelope names that one frame.
+  /// `out` is left cleared with capacity retained.
   void dispatch_from(std::size_t shard, common::PeerId from,
                      std::vector<gossip::OutboundMessage>& out);
   /// Sequential-context dispatch (publish, reconnect hooks).
@@ -174,7 +160,7 @@ class RoundSimulator {
   /// (seed, 0, kDriverPurpose), apart from every node and loss stream.
   common::StreamRng rng_;
   std::vector<gossip::ReplicaNode> nodes_;
-  net::ShardedMessageBus<SimPayload> bus_;
+  net::ShardedMessageBus<gossip::WireBytes> bus_;
   std::function<bool(common::PeerId, common::PeerId)> link_filter_;
   unsigned shard_count_ = 1;
   std::vector<Shard> shards_;
@@ -197,8 +183,6 @@ class RoundSimulator {
 
   /// Reusable buffer for sequential-phase reactions (reconnect hooks).
   std::vector<gossip::OutboundMessage> reactions_scratch_;
-
-  mutable net::BusStats merged_bus_stats_;
 };
 
 /// Convenience: builds the simulator matching the analysis-model population

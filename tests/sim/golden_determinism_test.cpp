@@ -29,7 +29,10 @@
 // `deleted` count (the cluster already drew from StreamRng, but version
 // ids now come from a Philox stream: the remover's tombstone is concurrent
 // with v1 and ties it on event count, so pick_winner's id tie-break decides
-// which peers read the key as deleted).
+// which peers read the key as deleted). Since the simulator's in-memory
+// mode was deleted, every round-simulator golden runs encoded frames; the
+// configurations that used to run in memory (PlainPushPhase, the sweep
+// aggregate) give the same constants on frames.
 //
 // On top of the pinned single-thread goldens, ShardInvariance asserts the
 // core promise of the sharded engine: the SAME fingerprint at 1, 2 and 8
@@ -129,7 +132,6 @@ TEST(GoldenDeterminism, FullFeatureRun) {
   config.gossip.pull.contacts_per_attempt = 2;
   config.gossip.pull.no_update_timeout = 8;
   config.initial_view_size = 25;
-  config.serialize_messages = true;
   config.message_loss = 0.05;
   config.max_rounds = 60;
   config.seed = 99;
@@ -218,7 +220,6 @@ TEST(GoldenDeterminism, ShardInvariance) {
     config.gossip.pull.contacts_per_attempt = 2;
     config.gossip.pull.no_update_timeout = 8;
     config.initial_view_size = 25;
-    config.serialize_messages = true;
     config.message_loss = 0.05;
     config.max_rounds = 60;
     config.seed = 99;
@@ -264,7 +265,6 @@ TEST(GoldenDeterminism, SharedFullViews) {
     config.gossip.acks.suppression_rounds = 4;
     config.gossip.partial_list.mode = gossip::PartialListMode::kDropRandom;
     config.gossip.partial_list.max_entries = 200;
-    config.serialize_messages = true;
     config.reconnect_pull = false;
     config.round_timers = false;
     config.message_loss = 0.02;

@@ -195,26 +195,6 @@ TEST(RoundSimulator, NodeBytesMatchBusBytes) {
   EXPECT_EQ(node_bytes, simulator->bus_stats().bytes_sent);
 }
 
-TEST(RoundSimulator, WireSerializationPreservesBehaviour) {
-  // Same seed, with and without full codec round-trips: identical protocol
-  // outcome, byte counters now reflect actual encoded frames.
-  auto plain_config = base_config();
-  plain_config.reconnect_pull = false;
-  plain_config.round_timers = false;
-  auto wire_config = plain_config;
-  wire_config.serialize_messages = true;
-
-  auto plain = make_push_phase_simulator(plain_config, 0.4, 0.95);
-  auto wire = make_push_phase_simulator(wire_config, 0.4, 0.95);
-  const auto plain_metrics = plain->propagate_update();
-  const auto wire_metrics = wire->propagate_update();
-  EXPECT_EQ(plain_metrics.total_push_messages(),
-            wire_metrics.total_push_messages());
-  EXPECT_EQ(plain_metrics.final_aware_fraction(),
-            wire_metrics.final_aware_fraction());
-  EXPECT_GT(wire_metrics.total_bytes(), 0u);
-}
-
 TEST(RoundSimulator, RejectsMismatchedChurnPopulation) {
   auto config = base_config(100);
   EXPECT_DEATH(
