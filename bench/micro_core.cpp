@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the library's hot paths: version
 // vector comparison/merge, store apply/delta, replica-view sampling,
-// partial-list construction, the runtime's timer-wheel deadline query,
-// full simulated push phases, and the analytical-model evaluation itself.
+// partial-list construction, the runtime's timer-wheel deadline query and
+// fan-out send path, full simulated push phases, and the analytical-model
+// evaluation itself.
 //
 // Usage:
 //   micro_core                  full run; writes BENCH_core.json (ns/op,
@@ -28,6 +29,8 @@
 #include "gossip/node.hpp"
 #include "gossip/partial_list.hpp"
 #include "gossip/replica_view.hpp"
+#include "net/transport.hpp"
+#include "runtime/peer_runtime.hpp"
 #include "runtime/timer_wheel.hpp"
 #include "sim/round_simulator.hpp"
 #include "store/wal.hpp"
@@ -365,6 +368,57 @@ void BM_TimerWheelNextDeadline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TimerWheelNextDeadline)->Arg(16)->Arg(1024);
+
+/// A transport that only counts what it is handed: no socket, no queue.
+class CountingNullTransport final : public net::Transport {
+ public:
+  [[nodiscard]] common::PeerId self() const noexcept override {
+    return common::PeerId(0);
+  }
+  bool send(common::PeerId /*to*/,
+            std::span<const std::byte> payload) override {
+    ++stats_.datagrams_sent;
+    stats_.bytes_sent += payload.size();
+    return true;
+  }
+  std::size_t drain(std::vector<net::InboundDatagram>& /*out*/) override {
+    return 0;
+  }
+  void set_listening(bool listening) override { listening_ = listening; }
+  [[nodiscard]] bool listening() const noexcept override { return listening_; }
+  [[nodiscard]] const net::TransportStats& stats() const noexcept override {
+    return stats_;
+  }
+
+ private:
+  bool listening_ = false;
+  net::TransportStats stats_;
+};
+
+void BM_RuntimeForwardFanOut(benchmark::State& state) {
+  // PeerRuntime's send path for one forward: a publish's round-0 push to N
+  // targets (f_r = 1 over an N-peer view), each fan-out run encoded once
+  // and copied into N pooled buffers, handed to a transport that only
+  // counts. max_attempts = 1 arms no retry, so every iteration's buffers
+  // return to the pool; the node's write and target pick are included.
+  const auto targets = static_cast<std::uint32_t>(state.range(0));
+  runtime::RuntimeConfig config;
+  config.gossip.fanout_fraction = 1.0;
+  config.gossip.estimated_total_replicas = targets + 1;
+  config.retry.max_attempts = 1;
+  CountingNullTransport transport;
+  runtime::PeerRuntime peer(config, transport);
+  std::vector<common::PeerId> view;
+  for (std::uint32_t i = 1; i <= targets; ++i) view.emplace_back(i);
+  peer.bootstrap(view);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        peer.publish("calendar/fri-10am", "standup moved to 10:30"));
+  }
+  set_traffic_counters(state, transport.stats().datagrams_sent,
+                       transport.stats().bytes_sent, 1);
+}
+BENCHMARK(BM_RuntimeForwardFanOut)->Arg(4)->Arg(16);
 
 void BM_SimulatorBuild10k(benchmark::State& state) {
   // What every BM_SimulatedUpdate* row pauses timing around: building and

@@ -132,7 +132,10 @@ int main(int argc, char** argv) {
         << "  [--population N] [--acks 0|1] [--retry-initial-ms T]\n"
         << "  [--retry-max-attempts N] [--pull-contacts N]\n"
         << "  [--data-dir DIR] [--snapshot-every N]\n"
-        << "  [--snapshot-interval-ms T] [--fsync-appends 0|1]\n";
+        << "  [--snapshot-interval-ms T] [--fsync-appends 0|1]\n"
+        << "--retry-max-attempts N: transmissions of a pull or query request\n"
+        << "  (default 5); it also caps a push, which is sent at most\n"
+        << "  min(N, 2) times\n";
     return 2;
   }
 
@@ -168,6 +171,7 @@ int main(int argc, char** argv) {
       static_cast<common::Round>(args.get_int("pull-timeout-rounds", 8));
   config.retry.initial_timeout =
       args.get_double("retry-initial-ms", 100.0) / 1000.0;
+  // The request budget; pushes stop at PeerRuntime::kMaxPushTransmissions.
   config.retry.max_attempts =
       static_cast<unsigned>(args.get_int("retry-max-attempts", 5));
   config.retry.max_timeout = args.get_double("retry-max-ms", 2000.0) / 1000.0;

@@ -196,6 +196,33 @@ struct OutboundMessage {
   std::uint64_t size_bytes = 0;
 };
 
+/// What the pushes of one fan-out run share: one value object, one
+/// flooding-list object and the round. Equal identities imply equal
+/// contents, hence one encoded frame for the whole run, as long as the
+/// run's first payload lives (no address is reused meanwhile). A null
+/// value, as every non-push message has, never continues a run. Both
+/// frame senders — RoundSimulator::dispatch_from and PeerRuntime::transmit
+/// — encode a run once by this definition.
+struct FanOutKey {
+  const void* value = nullptr;
+  const void* list = nullptr;
+  common::Round round = 0;
+  bool operator==(const FanOutKey&) const = default;
+
+  /// True when a message with this key shares the frame of the run `open`.
+  [[nodiscard]] bool continues(const FanOutKey& open) const noexcept {
+    return value != nullptr && *this == open;
+  }
+};
+
+/// Inline because both senders call it once per outbound message.
+[[nodiscard]] inline FanOutKey fan_out_key(
+    const GossipPayload& payload) noexcept {
+  const auto* push = std::get_if<PushMessage>(&payload);
+  if (push == nullptr) return {};
+  return {push->value.identity(), push->flooding_list.identity(), push->round};
+}
+
 /// Human-readable payload kind (diagnostics and tests).
 [[nodiscard]] const char* payload_kind(const GossipPayload& payload) noexcept;
 

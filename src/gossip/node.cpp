@@ -443,13 +443,6 @@ void ReplicaNode::handle_message(common::PeerId from,
       payload);
 }
 
-std::vector<OutboundMessage> ReplicaNode::handle_message(
-    common::PeerId from, const GossipPayload& payload, common::Round now) {
-  std::vector<OutboundMessage> out;
-  handle_message(from, payload, now, out);
-  return out;
-}
-
 void ReplicaNode::on_reconnect(common::Round now,
                                std::vector<OutboundMessage>& out) {
   needs_sync_ = true;
@@ -459,12 +452,6 @@ void ReplicaNode::on_reconnect(common::Round now,
     return;
   }
   make_pull(now, out);
-}
-
-std::vector<OutboundMessage> ReplicaNode::on_reconnect(common::Round now) {
-  std::vector<OutboundMessage> out;
-  on_reconnect(now, out);
-  return out;
 }
 
 void ReplicaNode::on_round_start(common::Round now,
@@ -492,12 +479,6 @@ void ReplicaNode::on_round_start(common::Round now,
   if (stale && pull_cooled_down && !view_.empty()) {
     make_pull(now, out);
   }
-}
-
-std::vector<OutboundMessage> ReplicaNode::on_round_start(common::Round now) {
-  std::vector<OutboundMessage> out;
-  on_round_start(now, out);
-  return out;
 }
 
 void ReplicaNode::on_disconnect(common::Round /*now*/) {

@@ -152,14 +152,11 @@ class ReplicaNode {
 
   // --- environment-driven events --------------------------------------------
 
-  /// Delivers one protocol message; returns the node's reactions.
-  [[nodiscard]] std::vector<OutboundMessage> handle_message(
-      common::PeerId from, const GossipPayload& payload, common::Round now);
-
-  /// Hot-path variant: appends the node's reactions to `out` instead of
-  /// returning a fresh vector, so a driver can reuse one buffer across the
-  /// whole round. With warm scratch buffers a push round performs no
-  /// per-call container allocation beyond the outbound payloads themselves.
+  /// Delivers one protocol message, appending the node's reactions to
+  /// `out` so a round engine can reuse one buffer across the whole round.
+  /// With warm scratch buffers a push round performs no per-call container
+  /// allocation beyond the outbound payloads themselves. (Every event
+  /// handler below appends to `out` the same way.)
   void handle_message(common::PeerId from, const GossipPayload& payload,
                       common::Round now, std::vector<OutboundMessage>& out);
 
@@ -181,14 +178,10 @@ class ReplicaNode {
 
   /// The peer just came back online: enter the pull phase (§3), or arm the
   /// lazy-pull trigger (§6).
-  [[nodiscard]] std::vector<OutboundMessage> on_reconnect(common::Round now);
-  /// Appending hot-path variant of on_reconnect.
   void on_reconnect(common::Round now, std::vector<OutboundMessage>& out);
 
   /// Per-round timer processing: ack timeouts (§6 suppression) and the
   /// no-update-for-too-long pull trigger (§3).
-  [[nodiscard]] std::vector<OutboundMessage> on_round_start(common::Round now);
-  /// Appending hot-path variant of on_round_start.
   void on_round_start(common::Round now, std::vector<OutboundMessage>& out);
 
   /// The peer went offline; in-flight expectations are abandoned.
@@ -213,8 +206,8 @@ class ReplicaNode {
   }
 
  private:
-  // All internal handlers append to `out`; the returning public methods are
-  // thin wrappers. This keeps the per-message path free of vector churn.
+  // All internal handlers append to `out`; only publish and remove return
+  // a fresh vector. This keeps the per-message path free of vector churn.
   void start_push(version::VersionedValue value, common::Round now,
                   std::vector<OutboundMessage>& out);
   void handle_push(common::PeerId from, const PushMessage& push,

@@ -1,5 +1,6 @@
 #include "runtime/peer_runtime.hpp"
 
+#include <algorithm>
 #include <variant>
 
 #include "common/ensure.hpp"
@@ -299,9 +300,15 @@ void PeerRuntime::recycle_buffer(net::DatagramBytes&& bytes) {
 }
 
 void PeerRuntime::transmit(std::vector<gossip::OutboundMessage>& messages) {
+  gossip::FanOutKey run;
   for (gossip::OutboundMessage& message : messages) {
+    const gossip::FanOutKey key = gossip::fan_out_key(message.payload);
+    if (!key.continues(run)) {
+      run = key;
+      gossip::encode_into(message.payload, run_frame_);
+    }
     net::DatagramBytes bytes = take_buffer();
-    gossip::encode_into(message.payload, bytes);
+    bytes.assign(run_frame_.begin(), run_frame_.end());
     ++stats_.datagrams_out;
     transport_.send(message.to, bytes);
     if (config_.retry.max_attempts <= 1) {
@@ -394,8 +401,11 @@ void PeerRuntime::on_retry_timer(std::uint64_t token) {
   const auto it = pending_.find(token);
   if (it == pending_.end()) return;  // raced with a cancel; nothing to do
   PendingSend& pending = it->second;
-  const unsigned transmissions = 1 + pending.attempt;
-  if (transmissions >= config_.retry.max_attempts) {
+  const unsigned budget =
+      pending.expect == Expect::kAck
+          ? std::min(config_.retry.max_attempts, kMaxPushTransmissions)
+          : config_.retry.max_attempts;
+  if (1 + pending.attempt >= budget) {
     ++stats_.retries_exhausted;
     pending.timer = TimerWheel::kInvalidTimer;
     cancel_pending(token);

@@ -5,7 +5,8 @@
 // datagram transport and a continuous clock:
 //
 //   * outbound protocol messages are encoded with gossip::codec and handed
-//     to the Transport as datagrams;
+//     to the Transport as datagrams, each fan-out run (gossip::FanOutKey)
+//     encoded once;
 //   * inbound datagrams are probed (gossip::probe_frame) and routed:
 //     pushes go down the zero-copy frame path (duplicates classified from
 //     the header, first receipts stream-decoded), other kinds decode fully;
@@ -15,7 +16,10 @@
 //   * datagrams whose arrival the protocol can confirm — pushes (via §6
 //     acks), pull requests (via pull responses), query requests (via query
 //     replies) — are retransmitted with capped exponential backoff + jitter
-//     until the confirming message cancels the retry (runtime/retry.hpp);
+//     until the confirming message cancels the retry (runtime/retry.hpp):
+//     requests within RetryPolicy::max_attempts transmissions, pushes
+//     within kMaxPushTransmissions, because §6 never confirms a push to a
+//     peer that already holds the version;
 //   * online/offline session control is external (go_online/go_offline),
 //     so churn can be driven by an orchestrator, a test harness, or a real
 //     process lifecycle.
@@ -103,6 +107,14 @@ struct RuntimeStats {
 
 class PeerRuntime {
  public:
+  /// Transmissions of one push, the original included, whatever
+  /// RetryPolicy::max_attempts allows beyond it. One retransmission masks
+  /// an isolated loss of a first receipt or of its ack; a second loss in a
+  /// row is left to the push phase's redundancy and to the pull phase.
+  /// Pull and query requests, which every live recipient answers, keep the
+  /// full max_attempts budget.
+  static constexpr unsigned kMaxPushTransmissions = 2;
+
   /// The transport must outlive the runtime; its self() becomes the node
   /// id. Not thread-safe — runtime, transport and wheel share one loop.
   PeerRuntime(RuntimeConfig config, net::Transport& transport);
@@ -217,8 +229,9 @@ class PeerRuntime {
 
   /// Encodes, transmits and (where a confirming signal exists) arms a
   /// retry for every message the node emitted. Consumes `messages`.
-  /// Encoding fills a pooled buffer (take_buffer / recycle_buffer): frames
-  /// that arm a retry keep their buffer in the PendingSend for exact-bytes
+  /// Each fan-out run is encoded once into run_frame_ and copied into a
+  /// pooled buffer per message (take_buffer / recycle_buffer): frames that
+  /// arm a retry keep their buffer in the PendingSend for exact-bytes
   /// retransmission; all others return it to the pool immediately.
   void transmit(std::vector<gossip::OutboundMessage>& messages);
   [[nodiscard]] net::DatagramBytes take_buffer();
@@ -274,6 +287,8 @@ class PeerRuntime {
   /// Free list of outbound frame buffers; capacity-warm after the first
   /// few sends, so steady-state encodes allocate nothing.
   std::vector<net::DatagramBytes> frame_pool_;
+  /// The open fan-out run's encoded frame (transmit scratch).
+  net::DatagramBytes run_frame_;
   RuntimeStats stats_;
 };
 

@@ -5,9 +5,10 @@
 // are protocol-level — an ack (§6) for a push, a pull response for a pull
 // request, a query reply for a query request. PeerRuntime retransmits the
 // exact datagram bytes until such a signal cancels the retry or the attempt
-// budget runs out. The schedule is classic capped exponential backoff with
-// symmetric multiplicative jitter so a burst of peers that timed out
-// together does not retransmit in lockstep.
+// budget runs out (a push's budget is capped at two transmissions). The
+// schedule is classic capped exponential backoff with symmetric
+// multiplicative jitter so a burst of peers that timed out together does
+// not retransmit in lockstep.
 #pragma once
 
 #include <algorithm>
@@ -29,7 +30,10 @@ struct RetryPolicy {
   /// Symmetric jitter fraction: the sampled wait is uniform in
   /// [base·(1-jitter), base·(1+jitter)].
   double jitter = 0.2;
-  /// Total transmissions of one datagram, including the original send.
+  /// Total transmissions of one pull or query request, including the
+  /// original send. Pushes are capped lower, at
+  /// min(max_attempts, PeerRuntime::kMaxPushTransmissions): §6 never
+  /// confirms a push that reaches a peer already holding its version.
   /// 1 disables retransmission entirely; 0 disables retry tracking.
   unsigned max_attempts = 5;
 

@@ -23,23 +23,6 @@ constexpr std::uint64_t kLossPurpose = 0x6c6f7373;  // "loss"
 /// can take its key, and nonzero, so it is never a node stream.
 constexpr std::uint64_t kDriverPurpose = 0x64726976;  // "driv"
 
-/// What a fan-out run's pushes share: one value object, one flooding-list
-/// object and the round. Equal identities imply equal contents (the run's
-/// first payload lives through the dispatch, so no address is reused); a
-/// null value, as every non-push message has, never continues a run.
-struct FanOutKey {
-  const void* value = nullptr;
-  const void* list = nullptr;
-  common::Round round = 0;
-  bool operator==(const FanOutKey&) const = default;
-};
-
-FanOutKey fan_out_key(const gossip::GossipPayload& payload) {
-  const auto* push = std::get_if<gossip::PushMessage>(&payload);
-  if (push == nullptr) return {};
-  return {push->value.identity(), push->flooding_list.identity(), push->round};
-}
-
 unsigned resolve_shard_count(unsigned shard_threads, std::size_t population) {
   unsigned count = shard_threads != 0
                        ? shard_threads
@@ -122,7 +105,7 @@ void RoundSimulator::dispatch_from(std::size_t shard, common::PeerId from,
   std::uint32_t& seq = send_seq_[from.value()];
   // The open fan-out run, encoded once: its key, its frame's index on the
   // bus and the frame's length.
-  FanOutKey run;
+  gossip::FanOutKey run;
   std::uint32_t run_frame = 0;
   std::size_t frame_bytes = 0;
   for (auto& message : out) {
@@ -134,8 +117,8 @@ void RoundSimulator::dispatch_from(std::size_t shard, common::PeerId from,
       default: ++sh.query_messages; break;
     }
     const std::uint64_t size = message.size_bytes;
-    const FanOutKey key = fan_out_key(message.payload);
-    if (key.value == nullptr || key != run) {
+    const gossip::FanOutKey key = gossip::fan_out_key(message.payload);
+    if (!key.continues(run)) {
       run = key;
       gossip::WireBytes frame = gossip::encode(message.payload);
       frame_bytes = frame.size();

@@ -6,12 +6,16 @@
 
 #include "gossip/codec.hpp"
 #include "gossip/node.hpp"
+#include "support/node_reactions.hpp"
 
 namespace updp2p::gossip {
 namespace {
 
 using common::PeerId;
 using common::StreamRng;
+using testsupport::deliver;
+using testsupport::reconnect;
+using testsupport::round_start;
 
 GossipConfig fuzz_config(StreamRng& rng) {
   GossipConfig config;
@@ -114,18 +118,18 @@ TEST_P(NodeFuzz, SurvivesRandomMessageStorm) {
     if (action < 70) {
       const PeerId from(
           static_cast<std::uint32_t>(rng.uniform_below(64)) + 1);
-      (void)node.handle_message(from, random_payload(rng), now);
+      (void)deliver(node, from, random_payload(rng), now);
     } else if (action < 78) {
       (void)node.publish("k" + std::to_string(rng.uniform_below(4)),
                          "local", now);
     } else if (action < 82) {
       (void)node.remove("k" + std::to_string(rng.uniform_below(4)), now);
     } else if (action < 88) {
-      (void)node.on_reconnect(now);
+      (void)reconnect(node, now);
     } else if (action < 92) {
       node.on_disconnect(now);
     } else if (action < 96) {
-      (void)node.on_round_start(now);
+      (void)round_start(node, now);
     } else {
       const auto started = node.begin_query(
           "k" + std::to_string(rng.uniform_below(4)),
@@ -269,7 +273,7 @@ TEST_P(TwoNodeFuzz, PairwiseGossipConverges) {
       queue.pop_back();
       if (rng.bernoulli(0.3)) continue;  // lost
       ReplicaNode& receiver = message.to == PeerId(0) ? a : b;
-      auto reactions = receiver.handle_message(sender, message.payload, now);
+      auto reactions = deliver(receiver, sender, message.payload, now);
       for (auto& reaction : reactions) {
         queue.emplace_back(receiver.id(), std::move(reaction));
       }
@@ -280,12 +284,12 @@ TEST_P(TwoNodeFuzz, PairwiseGossipConverges) {
   for (int round = 0; round < 2; ++round) {
     for (auto* puller : {&a, &b}) {
       ReplicaNode& pulled = puller == &a ? b : a;
-      auto requests = puller->on_reconnect(now);
+      auto requests = reconnect(*puller, now);
       for (const auto& request : requests) {
         auto responses =
-            pulled.handle_message(puller->id(), request.payload, now);
+            deliver(pulled, puller->id(), request.payload, now);
         for (const auto& response : responses) {
-          (void)puller->handle_message(pulled.id(), response.payload, now);
+          (void)deliver(*puller, pulled.id(), response.payload, now);
         }
       }
       ++now;

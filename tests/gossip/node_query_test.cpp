@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include "gossip/node.hpp"
+#include "support/node_reactions.hpp"
 
 namespace updp2p::gossip {
 namespace {
 
 using common::PeerId;
 using common::StreamRng;
+using testsupport::deliver;
 
 GossipConfig query_config() {
   GossipConfig config;
@@ -52,7 +54,7 @@ TEST(NodeQuery, RequestAnsweredWithVersionsAndConfidence) {
   auto holder = make_node(1);
   (void)holder.publish("key", "value", 1);
   const auto out =
-      holder.handle_message(PeerId(0), GossipPayload{QueryRequest{"key", 7}}, 2);
+      deliver(holder, PeerId(0), GossipPayload{QueryRequest{"key", 7}}, 2);
   ASSERT_EQ(out.size(), 1u);
   const auto* reply = std::get_if<QueryReply>(&out.front().payload);
   ASSERT_NE(reply, nullptr);
@@ -67,7 +69,7 @@ TEST(NodeQuery, RequestAnsweredWithVersionsAndConfidence) {
 TEST(NodeQuery, UnknownKeyAnsweredEmpty) {
   auto node = make_node(1);
   const auto out =
-      node.handle_message(PeerId(0), GossipPayload{QueryRequest{"nope", 9}}, 1);
+      deliver(node, PeerId(0), GossipPayload{QueryRequest{"nope", 9}}, 1);
   ASSERT_FALSE(out.empty());
   EXPECT_TRUE(std::get<QueryReply>(out.front().payload).versions.empty());
 }
@@ -80,7 +82,7 @@ TEST(NodeQuery, UnconfidentResponderAlsoPulls) {
   node.bootstrap(view);
   // Round 50: long since any activity -> unconfident.
   const auto out =
-      node.handle_message(PeerId(0), GossipPayload{QueryRequest{"k", 1}}, 50);
+      deliver(node, PeerId(0), GossipPayload{QueryRequest{"k", 1}}, 50);
   std::size_t replies = 0, pulls = 0;
   for (const auto& message : out) {
     replies += std::holds_alternative<QueryReply>(message.payload);
@@ -119,10 +121,10 @@ TEST(NodeQuery, EndToEndResolution) {
     if (request.to == PeerId(2)) target = &holder2;
     if (target == nullptr) continue;  // peer 3 does not exist here
     const auto replies =
-        target->handle_message(PeerId(0), request.payload, 4);
+        deliver(*target, PeerId(0), request.payload, 4);
     for (const auto& reply : replies) {
       if (std::holds_alternative<QueryReply>(reply.payload)) {
-        (void)issuer.handle_message(request.to, reply.payload, 4);
+        (void)deliver(issuer, request.to, reply.payload, 4);
         ++answered;
       }
     }
@@ -151,9 +153,9 @@ TEST(NodeQuery, TimesOutWithPartialAnswers) {
   (void)holder.publish("key", "value", 1);
   const auto started = issuer.begin_query("key", QueryRule::kHybrid, 3, 5);
   // Only one target answers.
-  const auto replies = holder.handle_message(
-      PeerId(0), GossipPayload{QueryRequest{"key", started.nonce}}, 6);
-  (void)issuer.handle_message(PeerId(1), replies.front().payload, 6);
+  const auto replies = deliver(
+      holder, PeerId(0), GossipPayload{QueryRequest{"key", started.nonce}}, 6);
+  (void)deliver(issuer, PeerId(1), replies.front().payload, 6);
   // Before the timeout: incomplete. After: resolved with what arrived.
   EXPECT_FALSE(issuer.poll_query(started.nonce, 7).complete);
   const auto outcome = issuer.poll_query(started.nonce, 9);
@@ -177,7 +179,7 @@ TEST(NodeQuery, LateAndForeignRepliesIgnored) {
   QueryReply bogus;
   bogus.key = "key";
   bogus.nonce = 424242;  // no such query
-  (void)node.handle_message(PeerId(1), GossipPayload{bogus}, 1);
+  (void)deliver(node, PeerId(1), GossipPayload{bogus}, 1);
   EXPECT_EQ(node.stats().query_replies_received, 1u);  // counted, ignored
 
   // Mismatched key for a real nonce is ignored too.
@@ -185,7 +187,7 @@ TEST(NodeQuery, LateAndForeignRepliesIgnored) {
   QueryReply wrong_key;
   wrong_key.key = "other";
   wrong_key.nonce = started.nonce;
-  (void)node.handle_message(PeerId(1), GossipPayload{wrong_key}, 1);
+  (void)deliver(node, PeerId(1), GossipPayload{wrong_key}, 1);
   EXPECT_EQ(node.poll_query(started.nonce, 1).replies, 0u);
 }
 

@@ -5,11 +5,16 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "support/node_reactions.hpp"
+
 namespace updp2p::gossip {
 namespace {
 
 using common::PeerId;
 using common::StreamRng;
+using testsupport::deliver;
+using testsupport::reconnect;
+using testsupport::round_start;
 
 GossipConfig test_config() {
   GossipConfig config;
@@ -74,7 +79,7 @@ TEST(ReplicaNode, HandlePushForwardsWithIncrementedRound) {
   auto bob = make_node(1);
   const auto from_alice = alice.publish("key", "v1", 0);
   const auto reactions =
-      bob.handle_message(PeerId(0), from_alice.front().payload, 1);
+      deliver(bob, PeerId(0), from_alice.front().payload, 1);
   ASSERT_FALSE(reactions.empty());
   for (const auto& message : reactions) {
     ASSERT_TRUE(std::holds_alternative<PushMessage>(message.payload));
@@ -90,7 +95,7 @@ TEST(ReplicaNode, ForwardTargetsExcludeFloodingListAndSender) {
   const auto from_alice = alice.publish("key", "v1", 0);
   const auto& received = as_push(from_alice.front());
   const auto reactions =
-      bob.handle_message(PeerId(0), from_alice.front().payload, 1);
+      deliver(bob, PeerId(0), from_alice.front().payload, 1);
   for (const auto& message : reactions) {
     EXPECT_FALSE(received.flooding_list.contains(message.to))
         << "pushed to already-covered peer " << message.to.value();
@@ -104,7 +109,7 @@ TEST(ReplicaNode, ForwardedListIsUnionOfReceivedAndNewTargets) {
   const auto from_alice = alice.publish("key", "v1", 0);
   const auto& received = as_push(from_alice.front());
   const auto reactions =
-      bob.handle_message(PeerId(0), from_alice.front().payload, 1);
+      deliver(bob, PeerId(0), from_alice.front().payload, 1);
   ASSERT_FALSE(reactions.empty());
   const auto& forwarded_list = as_push(reactions.front()).flooding_list;
   // Everything alice advertised is still there...
@@ -123,10 +128,10 @@ TEST(ReplicaNode, DuplicatePushIsNotForwardedTwice) {
   auto bob = make_node(1);
   const auto from_alice = alice.publish("key", "v1", 0);
   const auto first =
-      bob.handle_message(PeerId(0), from_alice.front().payload, 1);
+      deliver(bob, PeerId(0), from_alice.front().payload, 1);
   EXPECT_FALSE(first.empty());
   const auto second =
-      bob.handle_message(PeerId(2), from_alice.front().payload, 1);
+      deliver(bob, PeerId(2), from_alice.front().payload, 1);
   EXPECT_TRUE(second.empty());  // push at most once (§3 pseudocode)
   EXPECT_EQ(bob.stats().duplicate_pushes, 1u);
   EXPECT_EQ(bob.stats().pushes_received, 2u);
@@ -139,7 +144,7 @@ TEST(ReplicaNode, PfZeroSuppressesForwarding) {
   auto bob = make_node(1, config);
   const auto from_alice = alice.publish("key", "v1", 0);
   const auto reactions =
-      bob.handle_message(PeerId(0), from_alice.front().payload, 1);
+      deliver(bob, PeerId(0), from_alice.front().payload, 1);
   EXPECT_TRUE(reactions.empty());
   EXPECT_EQ(bob.stats().forwards_suppressed, 1u);
   EXPECT_EQ(bob.read("key")->payload, "v1");  // still applied locally
@@ -153,7 +158,7 @@ TEST(ReplicaNode, MembershipGrowsFromFloodingList) {
   bob.bootstrap(tiny);
   EXPECT_EQ(bob.view().size(), 1u);
   const auto from_alice = alice.publish("key", "v1", 0);
-  (void)bob.handle_message(PeerId(0), from_alice.front().payload, 1);
+  (void)deliver(bob, PeerId(0), from_alice.front().payload, 1);
   // Flooding list contained alice's 5 targets (+alice, already known).
   EXPECT_GT(bob.view().size(), 1u);
   EXPECT_GT(bob.stats().members_discovered, 0u);
@@ -166,7 +171,7 @@ TEST(ReplicaNode, AckSentToFirstPusherOnly) {
   auto bob = make_node(1, config);
   const auto from_alice = alice.publish("key", "v1", 0);
   const auto first =
-      bob.handle_message(PeerId(0), from_alice.front().payload, 1);
+      deliver(bob, PeerId(0), from_alice.front().payload, 1);
   const auto acks = std::count_if(
       first.begin(), first.end(), [](const OutboundMessage& message) {
         return std::holds_alternative<AckMessage>(message.payload) &&
@@ -176,7 +181,7 @@ TEST(ReplicaNode, AckSentToFirstPusherOnly) {
   EXPECT_EQ(bob.stats().acks_sent, 1u);
   // A duplicate from another peer gets no ack (k = 1).
   const auto second =
-      bob.handle_message(PeerId(2), from_alice.front().payload, 1);
+      deliver(bob, PeerId(2), from_alice.front().payload, 1);
   EXPECT_TRUE(second.empty());
   EXPECT_EQ(bob.stats().acks_sent, 1u);
 }
@@ -186,7 +191,7 @@ TEST(ReplicaNode, AckMarksSenderPreferred) {
   config.acks.enabled = true;
   auto alice = make_node(0, config);
   (void)alice.publish("key", "v1", 0);
-  (void)alice.handle_message(PeerId(5), GossipPayload{AckMessage{}}, 1);
+  (void)deliver(alice, PeerId(5), GossipPayload{AckMessage{}}, 1);
   EXPECT_TRUE(alice.view().is_preferred(PeerId(5)));
   EXPECT_EQ(alice.stats().acks_received, 1u);
 }
@@ -200,16 +205,16 @@ TEST(ReplicaNode, MissingAckPresumesTargetOffline) {
   ASSERT_FALSE(out.empty());
   const PeerId target = out.front().to;
   // No acks arrive; after the ack wait the target is presumed offline.
-  (void)alice.on_round_start(1);
+  (void)round_start(alice, 1);
   EXPECT_FALSE(alice.view().is_presumed_offline(target, 1));
-  (void)alice.on_round_start(3);
+  (void)round_start(alice, 3);
   EXPECT_TRUE(alice.view().is_presumed_offline(target, 3));
   EXPECT_FALSE(alice.view().is_presumed_offline(target, 14));
 }
 
 TEST(ReplicaNode, EagerReconnectPulls) {
   auto node = make_node(0);
-  const auto out = node.on_reconnect(5);
+  const auto out = reconnect(node, 5);
   EXPECT_EQ(out.size(), 3u);  // contacts_per_attempt
   for (const auto& message : out) {
     EXPECT_TRUE(std::holds_alternative<PullRequest>(message.payload));
@@ -222,14 +227,14 @@ TEST(ReplicaNode, LazyReconnectWaitsForPush) {
   auto config = test_config();
   config.pull.lazy = true;
   auto node = make_node(1, config);
-  EXPECT_TRUE(node.on_reconnect(5).empty());
+  EXPECT_TRUE(reconnect(node, 5).empty());
   EXPECT_TRUE(node.lazy_pull_armed());
 
   // First push arms a targeted pull to the pusher.
   auto alice = make_node(0);
   const auto from_alice = alice.publish("key", "v1", 5);
   const auto reactions =
-      node.handle_message(PeerId(0), from_alice.front().payload, 6);
+      deliver(node, PeerId(0), from_alice.front().payload, 6);
   const auto pulls_to_alice = std::count_if(
       reactions.begin(), reactions.end(), [](const OutboundMessage& message) {
         return std::holds_alternative<PullRequest>(message.payload) &&
@@ -246,10 +251,10 @@ TEST(ReplicaNode, PullRequestAnsweredWithDelta) {
   auto poor = make_node(1);
 
   // poor pulls from rich.
-  const auto requests = poor.on_reconnect(1);
+  const auto requests = reconnect(poor, 1);
   ASSERT_FALSE(requests.empty());
   const auto responses =
-      rich.handle_message(PeerId(1), requests.front().payload, 1);
+      deliver(rich, PeerId(1), requests.front().payload, 1);
   ASSERT_EQ(responses.size(), 1u);
   ASSERT_TRUE(std::holds_alternative<PullResponse>(responses.front().payload));
   const auto& response = std::get<PullResponse>(responses.front().payload);
@@ -258,7 +263,7 @@ TEST(ReplicaNode, PullRequestAnsweredWithDelta) {
   EXPECT_EQ(rich.stats().pull_requests_received, 1u);
 
   // poor applies the response and is now in sync and confident.
-  (void)poor.handle_message(PeerId(0), responses.front().payload, 2);
+  (void)deliver(poor, PeerId(0), responses.front().payload, 2);
   EXPECT_EQ(poor.read("a")->payload, "1");
   EXPECT_EQ(poor.read("b")->payload, "2");
   EXPECT_EQ(poor.stats().updates_learned_pull, 2u);
@@ -270,19 +275,19 @@ TEST(ReplicaNode, InSyncPullShortCircuitsViaDigest) {
   (void)rich.publish("a", "1", 0);
   auto peer = make_node(1);
   // First pull: full delta ships.
-  auto requests = peer.on_reconnect(1);
-  auto responses = rich.handle_message(PeerId(1), requests.front().payload, 1);
+  auto requests = reconnect(peer, 1);
+  auto responses = deliver(rich, PeerId(1), requests.front().payload, 1);
   EXPECT_FALSE(
       std::get<PullResponse>(responses.front().payload).missing.empty());
-  (void)peer.handle_message(PeerId(0), responses.front().payload, 1);
+  (void)deliver(peer, PeerId(0), responses.front().payload, 1);
 
   // Stores now identical: the next request's digest matches and the
   // response is empty without a delta computation.
   EXPECT_EQ(peer.store().content_digest(), rich.store().content_digest());
-  requests = peer.on_reconnect(2);
+  requests = reconnect(peer, 2);
   const auto& request = std::get<PullRequest>(requests.front().payload);
   EXPECT_EQ(request.store_digest, peer.store().content_digest());
-  responses = rich.handle_message(PeerId(1), requests.front().payload, 2);
+  responses = deliver(rich, PeerId(1), requests.front().payload, 2);
   EXPECT_TRUE(
       std::get<PullResponse>(responses.front().payload).missing.empty());
 }
@@ -294,12 +299,12 @@ TEST(ReplicaNode, PullResponseOnlyShipsMissingVersions) {
   // peer already has "a" via push.
   const auto push = rich.publish("b", "2", 0);
   // give peer everything first
-  const auto requests = peer.on_reconnect(1);
-  auto responses = rich.handle_message(PeerId(1), requests.front().payload, 1);
-  (void)peer.handle_message(PeerId(0), responses.front().payload, 1);
+  const auto requests = reconnect(peer, 1);
+  auto responses = deliver(rich, PeerId(1), requests.front().payload, 1);
+  (void)deliver(peer, PeerId(0), responses.front().payload, 1);
   // a second pull ships nothing new
-  const auto requests2 = peer.on_reconnect(2);
-  responses = rich.handle_message(PeerId(1), requests2.front().payload, 2);
+  const auto requests2 = reconnect(peer, 2);
+  responses = deliver(rich, PeerId(1), requests2.front().payload, 2);
   EXPECT_TRUE(std::get<PullResponse>(responses.front().payload).missing.empty());
 }
 
@@ -311,7 +316,7 @@ TEST(ReplicaNode, UnconfidentPulledPartyAlsoPulls) {
   EXPECT_FALSE(node.confident(50));
   PullRequest request;  // empty summary
   const auto reactions =
-      node.handle_message(PeerId(1), GossipPayload{request}, 50);
+      deliver(node, PeerId(1), GossipPayload{request}, 50);
   // One PullResponse to the requester + own pull requests (§3).
   std::size_t responses = 0;
   std::size_t pulls = 0;
@@ -333,14 +338,14 @@ TEST(ReplicaNode, StaleTimerTriggersPull) {
   auto config = test_config();
   config.pull.no_update_timeout = 5;
   auto node = make_node(0, config);
-  EXPECT_TRUE(node.on_round_start(3).empty());   // not stale yet
-  const auto out = node.on_round_start(7);       // stale
+  EXPECT_TRUE(round_start(node, 3).empty());   // not stale yet
+  const auto out = round_start(node, 7);       // stale
   EXPECT_EQ(out.size(), 3u);
   for (const auto& message : out) {
     EXPECT_TRUE(std::holds_alternative<PullRequest>(message.payload));
   }
   // Immediately after pulling, the cooldown prevents re-pulling.
-  EXPECT_TRUE(node.on_round_start(8).empty());
+  EXPECT_TRUE(round_start(node, 8).empty());
 }
 
 TEST(ReplicaNode, RemovePropagatesTombstone) {
@@ -350,7 +355,7 @@ TEST(ReplicaNode, RemovePropagatesTombstone) {
   const auto removal = alice.remove("key", 1);
   ASSERT_FALSE(removal.empty());
   EXPECT_TRUE(as_push(removal.front()).value->tombstone);
-  (void)bob.handle_message(PeerId(0), removal.front().payload, 2);
+  (void)deliver(bob, PeerId(0), removal.front().payload, 2);
   EXPECT_FALSE(bob.read("key").has_value());
   EXPECT_TRUE(bob.store().is_deleted("key"));
 }
@@ -371,12 +376,12 @@ TEST(ReplicaNode, DisconnectClearsPendingState) {
   config.pull.lazy = true;
   auto node = make_node(0, config);
   (void)node.publish("key", "v1", 0);
-  (void)node.on_reconnect(1);
+  (void)reconnect(node, 1);
   EXPECT_TRUE(node.lazy_pull_armed());
   node.on_disconnect(2);
   EXPECT_FALSE(node.lazy_pull_armed());
   // Pending acks were dropped: no suppression happens later.
-  (void)node.on_round_start(10);
+  (void)round_start(node, 10);
   EXPECT_EQ(node.view().presumed_offline_count(10), 0u);
 }
 

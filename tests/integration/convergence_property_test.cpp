@@ -7,6 +7,7 @@
 #include <deque>
 
 #include "gossip/node.hpp"
+#include "support/node_reactions.hpp"
 
 namespace updp2p {
 namespace {
@@ -15,6 +16,8 @@ using common::PeerId;
 using common::StreamRng;
 using gossip::OutboundMessage;
 using gossip::ReplicaNode;
+using testsupport::deliver;
+using testsupport::reconnect;
 
 constexpr std::uint32_t kNodes = 4;
 
@@ -70,7 +73,7 @@ TEST_P(ConvergenceProperty, AnyScheduleConvergesAfterCleanSweep) {
       enqueue(actor, nodes[actor.value()]->remove(
                          "k" + std::to_string(rng.uniform_below(3)), now));
     } else if (dice < 40) {
-      enqueue(actor, nodes[actor.value()]->on_reconnect(now));
+      enqueue(actor, reconnect(*nodes[actor.value()], now));
     } else if (!in_flight.empty()) {
       // Deliver a RANDOM in-flight message (arbitrary reordering).
       const std::size_t pick = rng.pick_index(in_flight.size());
@@ -79,8 +82,8 @@ TEST_P(ConvergenceProperty, AnyScheduleConvergesAfterCleanSweep) {
       in_flight.pop_back();
       if (rng.bernoulli(0.3)) continue;  // lost
       enqueue(delivery.message.to,
-              nodes[delivery.message.to.value()]->handle_message(
-                  delivery.from, delivery.message.payload, now));
+              deliver(*nodes[delivery.message.to.value()], delivery.from,
+                      delivery.message.payload, now));
     }
   }
   in_flight.clear();  // whatever is still flying is lost
@@ -95,11 +98,11 @@ TEST_P(ConvergenceProperty, AnyScheduleConvergesAfterCleanSweep) {
         const gossip::PullRequest request{
             nodes[a]->store().summary(), nodes[a]->store().stored_ids(),
             nodes[a]->store().content_digest()};
-        const auto responses = nodes[b]->handle_message(
-            PeerId(a), gossip::GossipPayload{request}, now);
+        const auto responses =
+            deliver(*nodes[b], PeerId(a), gossip::GossipPayload{request}, now);
         for (const auto& response : responses) {
           if (std::holds_alternative<gossip::PullResponse>(response.payload)) {
-            (void)nodes[a]->handle_message(PeerId(b), response.payload, now);
+            (void)deliver(*nodes[a], PeerId(b), response.payload, now);
           }
         }
       }

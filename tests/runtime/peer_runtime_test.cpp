@@ -1,13 +1,17 @@
 // PeerRuntime behaviour over the deterministic inproc network: retry arming
-// and cancellation, exponential backoff retransmission, attempt exhaustion,
-// round cadence, and offline/online session semantics. Every test runs in
-// virtual time — no sleeps, no clocks.
+// and cancellation, exponential backoff retransmission, attempt exhaustion
+// (the full budget for requests, two transmissions for a push), round
+// cadence, offline/online session semantics, and the bytes of a fan-out
+// encoded once. Every test runs in virtual time — no sleeps, no clocks.
 #include "runtime/peer_runtime.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <variant>
+#include <vector>
 
+#include "gossip/codec.hpp"
 #include "net/inproc_transport.hpp"
 
 namespace updp2p::runtime {
@@ -80,8 +84,11 @@ TEST(PeerRuntime, PublishPropagatesAndAckCancelsRetry) {
 }
 
 TEST(PeerRuntime, LostPushIsRetransmittedWithBackoff) {
-  // Loss probability 1 on every link: nothing ever arrives, so the push
-  // retransmits on the exact backoff schedule until the budget runs out.
+  // Loss probability 1 on every link: nothing ever arrives. A push goes out
+  // at most kMaxPushTransmissions times, however many max_attempts (4 here)
+  // would allow: one retransmission at 0.2, then the timer fire at 0.6
+  // (+0.4) finds the push budget spent and exhausts.
+  static_assert(PeerRuntime::kMaxPushTransmissions == 2);
   auto net_config = Pair::make_net_config();
   net_config.loss_probability = 1.0;
   Pair pair(net_config);
@@ -90,27 +97,78 @@ TEST(PeerRuntime, LostPushIsRetransmittedWithBackoff) {
   ASSERT_TRUE(id.has_value());
   const std::uint64_t initial_out = pair.a.stats().datagrams_out;
 
-  // Backoff (no jitter): retransmits at 0.2, 0.6 (+0.4), 1.4 (+0.8); the
-  // fourth timer fire at 3.0 (+1.6) finds the budget spent and exhausts.
   pair.step_to(0.15);
   EXPECT_EQ(pair.a.stats().retransmits, 0u);
   pair.step_to(0.3);
   EXPECT_EQ(pair.a.stats().retransmits, 1u);
-  pair.step_to(0.7);
-  EXPECT_EQ(pair.a.stats().retransmits, 2u);
-  pair.step_to(1.5);
-  EXPECT_EQ(pair.a.stats().retransmits, 3u);  // max_attempts=4 → 3 retries
+  EXPECT_EQ(pair.a.pending_retries(), 1u);  // the exhausting timer
+  pair.step_to(0.55);
   EXPECT_EQ(pair.a.stats().retries_exhausted, 0u);
-  EXPECT_EQ(pair.a.pending_retries(), 1u);  // final timer still pending
-  pair.step_to(3.1);
+  pair.step_to(0.7);
   EXPECT_EQ(pair.a.stats().retries_exhausted, 1u);
   EXPECT_EQ(pair.a.pending_retries(), 0u);
-  EXPECT_EQ(pair.a.stats().datagrams_out, initial_out + 3);
+  EXPECT_EQ(pair.a.stats().datagrams_out, initial_out + 1);
 
   // Budget is spent: no further retransmissions ever.
   pair.step_to(10.0);
-  EXPECT_EQ(pair.a.stats().retransmits, 3u);
+  EXPECT_EQ(pair.a.stats().retransmits, 1u);
   EXPECT_FALSE(pair.b.node().knows_version(*id));
+}
+
+TEST(PeerRuntime, LostPullRequestKeepsTheFullBackoffSchedule) {
+  // Requests, which every live recipient answers, keep max_attempts = 4.
+  // Under total loss b's §3 reconnect pull retransmits at 0.2, 0.6 (+0.4)
+  // and 1.4 (+0.8); the fourth timer fire at 3.0 (+1.6) finds the budget
+  // spent and exhausts.
+  auto net_config = Pair::make_net_config();
+  net_config.loss_probability = 1.0;
+  Pair pair(net_config);
+  pair.b.go_offline();
+  pair.b.go_online();  // one pull request to a, its only contact
+  EXPECT_EQ(pair.b.pending_retries(), 1u);
+  const std::uint64_t initial_out = pair.b.stats().datagrams_out;
+  EXPECT_EQ(initial_out, 1u);
+
+  pair.step_to(0.15);
+  EXPECT_EQ(pair.b.stats().retransmits, 0u);
+  pair.step_to(0.3);
+  EXPECT_EQ(pair.b.stats().retransmits, 1u);
+  pair.step_to(0.7);
+  EXPECT_EQ(pair.b.stats().retransmits, 2u);
+  pair.step_to(1.5);
+  EXPECT_EQ(pair.b.stats().retransmits, 3u);  // max_attempts=4 → 3 retries
+  EXPECT_EQ(pair.b.stats().retries_exhausted, 0u);
+  EXPECT_EQ(pair.b.pending_retries(), 1u);  // final timer still pending
+  pair.step_to(3.1);
+  EXPECT_EQ(pair.b.stats().retries_exhausted, 1u);
+  EXPECT_EQ(pair.b.pending_retries(), 0u);
+  EXPECT_EQ(pair.b.stats().datagrams_out, initial_out + 3);
+
+  pair.step_to(10.0);
+  EXPECT_EQ(pair.b.stats().retransmits, 3u);
+}
+
+TEST(PeerRuntime, DuplicatePushIsNeverAckedAndStopsAfterOneRetransmission) {
+  // §6 acks only a version's first receipt. b already holds the version a
+  // pushes, so neither transmission is confirmed: the push goes out twice
+  // (not the 4 times max_attempts allows) and its retry exhausts.
+  Pair pair;
+  const auto id = pair.a.publish("key", "value");
+  ASSERT_TRUE(id.has_value());
+  const auto value = pair.a.read("key");
+  ASSERT_TRUE(value.has_value());
+  // b holds the version before a's push lands (recovered durable state).
+  pair.b.node().import_durable_state(common::ChunkedPeerSet{}, {*value});
+
+  pair.step_to(5.0);
+  EXPECT_EQ(pair.a.stats().datagrams_out, 2u);
+  EXPECT_EQ(pair.a.stats().retransmits, 1u);
+  EXPECT_EQ(pair.a.stats().retries_cancelled, 0u);
+  EXPECT_EQ(pair.a.stats().retries_exhausted, 1u);
+  EXPECT_EQ(pair.a.pending_retries(), 0u);
+  EXPECT_EQ(pair.b.stats().datagrams_out, 0u);  // no ack
+  EXPECT_EQ(pair.b.node().stats().acks_sent, 0u);
+  EXPECT_EQ(pair.b.node().stats().duplicate_pushes, 2u);
 }
 
 TEST(PeerRuntime, RetryDeliversThroughTransientLoss) {
@@ -257,6 +315,99 @@ TEST(PeerRuntime, QueryReplyCancelsQueryRetry) {
   EXPECT_TRUE(outcome.complete);
   ASSERT_TRUE(outcome.value.has_value());
   EXPECT_EQ(outcome.value->id, *id);
+}
+
+/// Records every datagram a runtime sends and hands it whatever a test puts
+/// in `inbox`; nothing travels anywhere.
+class CaptureTransport final : public net::Transport {
+ public:
+  struct Sent {
+    common::PeerId to;
+    net::DatagramBytes bytes;
+  };
+
+  explicit CaptureTransport(common::PeerId self) : self_(self) {}
+
+  [[nodiscard]] common::PeerId self() const noexcept override { return self_; }
+  bool send(common::PeerId to, std::span<const std::byte> payload) override {
+    sent.push_back({to, net::DatagramBytes(payload.begin(), payload.end())});
+    return true;
+  }
+  std::size_t drain(std::vector<net::InboundDatagram>& out) override {
+    const std::size_t count = inbox.size();
+    for (net::InboundDatagram& datagram : inbox) {
+      out.push_back(std::move(datagram));
+    }
+    inbox.clear();
+    return count;
+  }
+  void set_listening(bool listening) override { listening_ = listening; }
+  [[nodiscard]] bool listening() const noexcept override { return listening_; }
+  [[nodiscard]] const net::TransportStats& stats() const noexcept override {
+    return stats_;
+  }
+
+  std::vector<Sent> sent;
+  std::vector<net::InboundDatagram> inbox;
+
+ private:
+  common::PeerId self_;
+  bool listening_ = false;
+  net::TransportStats stats_;
+};
+
+TEST(PeerRuntime, FanOutDatagramsEqualTheirPayloadEncoding) {
+  // transmit() encodes each fan-out run once and copies its frame into
+  // every target's buffer. A twin node (same id, config, seed and view)
+  // emits exactly the messages the runtime's node emits, so each captured
+  // datagram must equal encode() of its message: a publish's round-0 run,
+  // then a first receipt's ack followed by its forward run.
+  constexpr std::uint32_t kPeers = 9;
+  RuntimeConfig config = Pair::make_runtime_config();
+  config.gossip.estimated_total_replicas = kPeers;
+  std::vector<common::PeerId> view;
+  for (std::uint32_t i = 1; i < kPeers; ++i) view.emplace_back(i);
+
+  CaptureTransport transport(common::PeerId(0));
+  PeerRuntime runtime(config, transport);
+  runtime.bootstrap(view);
+  gossip::ReplicaNode twin(common::PeerId(0), config.gossip,
+                           common::StreamRng(config.seed, 0));
+  twin.bootstrap(view);
+
+  std::vector<gossip::OutboundMessage> expected =
+      twin.publish("key", "value", 0);
+  ASSERT_TRUE(runtime.publish("key", "value").has_value());
+
+  // Peer 1 pushes a fresh version whose flooding list names only itself,
+  // so the first receipt forwards to the seven other peers.
+  gossip::ReplicaNode origin(common::PeerId(1), config.gossip,
+                             common::StreamRng(config.seed, 1));
+  const common::PeerId origin_view[] = {common::PeerId(0)};
+  origin.bootstrap(origin_view);
+  const std::vector<gossip::OutboundMessage> originated =
+      origin.publish("other", "pushed", 0);
+  ASSERT_FALSE(originated.empty());
+  const gossip::WireBytes frame = gossip::encode(gossip::PushMessage{
+      std::get<gossip::PushMessage>(originated.front().payload).value,
+      gossip::SharedPeerList{common::PeerId(1)}, 0});
+  ASSERT_TRUE(twin.handle_frame(common::PeerId(1), frame, 0, expected));
+  transport.inbox.push_back({common::PeerId(1), frame});
+  runtime.poll(0.0);
+
+  std::size_t pushes = 0;
+  for (const auto& message : expected) {
+    if (std::holds_alternative<gossip::PushMessage>(message.payload)) {
+      ++pushes;
+    }
+  }
+  EXPECT_EQ(pushes, 8u + 7u);
+  ASSERT_EQ(transport.sent.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(transport.sent[i].to, expected[i].to) << "datagram " << i;
+    EXPECT_EQ(transport.sent[i].bytes, gossip::encode(expected[i].payload))
+        << "datagram " << i;
+  }
 }
 
 TEST(PeerRuntime, PollTimeMustBeMonotone) {
