@@ -70,9 +70,8 @@ void wire_section() {
                     metrics.total_push_messages(), 1)),
             1);
   table.print(std::cout);
-  std::cout << "  every message is charged gossip::encoded_size, which the\n"
-            << "  simulator checks against the length of each frame it\n"
-            << "  encodes.\n";
+  std::cout << "  every message is charged the length of the frame the\n"
+            << "  simulator encoded for it (one frame per fan-out run).\n";
 }
 
 // Wire cost of the flooding list alone, as a function of how much of the

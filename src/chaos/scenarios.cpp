@@ -6,7 +6,7 @@ namespace updp2p::chaos {
 
 namespace {
 
-/// Fault schedules over small clusters (8-12 peers; every script keeps
+/// Fault schedules over small clusters (2-12 peers; every script keeps
 /// rounds short so the whole corpus runs in well under a second of wall
 /// time per seed). Durations are in virtual seconds.
 constexpr std::string_view kScripts[] = {
@@ -220,6 +220,29 @@ phase 2
 phase 1
   online 6-9
 phase 15
+  heal
+)",
+
+    // A durable peer catches up by pull, and the log record of the pull
+    // response triggers a snapshot: the snapshot must already hold the
+    // pulled value, or the restart after the kill recovers nothing. One
+    // responder only, so no later record takes a second snapshot that
+    // would hide the loss.
+    R"(name snapshot-after-pull
+population 2
+durable 1
+round 0.25
+snapshot-every 1
+phase 1
+  offline 1
+  publish 0 alpha
+phase 4
+  online 1
+phase 2
+  kill 1
+phase 1
+  restart 1
+phase 10
   heal
 )",
 };

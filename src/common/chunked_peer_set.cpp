@@ -2,19 +2,6 @@
 
 namespace updp2p::common {
 
-namespace {
-
-std::size_t varint_len(std::uint64_t value) noexcept {
-  std::size_t len = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++len;
-  }
-  return len;
-}
-
-}  // namespace
-
 ChunkedPeerSet::Chunk& ChunkedPeerSet::chunk_for(std::uint16_t key) {
   const auto it = std::lower_bound(
       chunks_.begin(), chunks_.end(), key,
@@ -536,28 +523,6 @@ void ChunkedPeerSet::keep_ranks(const std::vector<std::uint32_t>& ranks) {
   drop_empty_chunks();
   size_ = ranks.size();
   refresh_max_id();
-}
-
-std::size_t ChunkedPeerSet::wire_encoded_bytes() const noexcept {
-  std::size_t total = varint_len(chunks_.size());
-  for (const Chunk& chunk : chunks_) {
-    total += varint_len(chunk.key) + 1 /*form byte*/ +
-             varint_len(chunk.cardinality);
-    if (chunk.is_bitmap()) {
-      total += kBitmapWords * sizeof(std::uint64_t);
-    } else {
-      std::uint16_t prev = 0;
-      bool first = true;
-      for (const std::uint16_t low : chunk.lows) {
-        // First low verbatim, then gap-1 deltas (lows strictly increase).
-        total += varint_len(first ? low
-                                  : static_cast<std::uint64_t>(low - prev - 1));
-        prev = low;
-        first = false;
-      }
-    }
-  }
-  return total;
 }
 
 bool ChunkedPeerSet::append_array_chunk(std::uint16_t key,

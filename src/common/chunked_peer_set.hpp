@@ -2,10 +2,10 @@
 //
 // A flooding list R_f names a subset of a dense id universe, and §4–5 of
 // the paper make its *size on the wire* a first-class cost. A flat vector
-// pays 4 bytes per entry in memory, ~10 modelled bytes on the wire, and
-// O(|R_f|) per membership probe. This container splits the 32-bit id space
-// into 2^16-id chunks keyed by the high 16 bits and stores each chunk in
-// whichever form is smaller:
+// pays 4 bytes per entry in memory, up to 4 bytes per entry as a flat
+// varint array on the wire, and O(|R_f|) per membership probe. This
+// container splits the 32-bit id space into 2^16-id chunks keyed by the
+// high 16 bits and stores each chunk in whichever form is smaller:
 //
 //   * a sorted array of 16-bit low halves while the chunk is sparse
 //     (<= kArrayChunkMax entries, 2 bytes per peer), or
@@ -310,14 +310,6 @@ class ChunkedPeerSet {
     out.reserve(size_);
     for_each([&out](PeerId peer) { out.push_back(peer); });
   }
-
-  /// Exact byte count of this set's canonical wire encoding (the chunked
-  /// delta-varint layout produced by gossip::put_peer_set): varint chunk
-  /// count, then per chunk varint key + form byte + varint cardinality +
-  /// (delta-varint lows | raw bitmap words). Kept in sync with the codec
-  /// by round-trip tests; the bandwidth model uses it so accounted bytes
-  /// match bytes a real transport would send.
-  [[nodiscard]] std::size_t wire_encoded_bytes() const noexcept;
 
   // --- wire-decode builders ---------------------------------------------------
   // Append one chunk; `key` must exceed every existing chunk's key. The

@@ -13,16 +13,6 @@ constexpr std::byte kMagic1{0x2B};
 
 using Kind = WireKind;
 
-/// Encoded length of put_varint(value).
-constexpr std::size_t varint_len(std::uint64_t value) noexcept {
-  std::size_t length = 1;
-  while (value >= 0x80) {
-    value >>= 7;
-    ++length;
-  }
-  return length;
-}
-
 void put_u8(WireBytes& out, std::uint8_t value) {
   out.push_back(static_cast<std::byte>(value));
 }
@@ -243,26 +233,6 @@ bool get_peer_set_into(std::span<const std::byte> bytes, std::size_t& offset,
   return true;
 }
 
-// --- size mirrors of the put_* helpers (encoded_size) -----------------------
-
-std::size_t string_size(std::string_view text) noexcept {
-  return varint_len(text.size()) + text.size();
-}
-
-std::size_t version_vector_size(const version::VersionVector& vv) noexcept {
-  std::size_t total = varint_len(vv.entry_count());
-  for (const auto& [peer, counter] : vv.entries()) {
-    total += varint_len(peer.value()) + varint_len(counter);
-  }
-  return total;
-}
-
-std::size_t value_size(const version::VersionedValue& value) noexcept {
-  return string_size(value.key) + string_size(value.payload) +
-         16 /*digest*/ + version_vector_size(value.history) +
-         1 /*flags*/ + 8 /*written_at*/;
-}
-
 /// Advances `offset` past one length-prefixed string without materialising
 /// it (probe path). False on truncation.
 bool skip_string(std::span<const std::byte> bytes, std::size_t& offset) {
@@ -379,46 +349,6 @@ WireBytes encode(const GossipPayload& payload) {
   WireBytes out;
   encode_into(payload, out);
   return out;
-}
-
-std::size_t encoded_size(const GossipPayload& payload) {
-  return 4 /*magic + version + kind*/ +
-         std::visit(
-             [](const auto& message) -> std::size_t {
-               using T = std::decay_t<decltype(message)>;
-               if constexpr (std::is_same_v<T, PushMessage>) {
-                 return value_size(*message.value) +
-                        varint_len(message.round) +
-                        message.flooding_list.set().wire_encoded_bytes();
-               } else if constexpr (std::is_same_v<T, PullRequest>) {
-                 return version_vector_size(message.summary) +
-                        varint_len(message.have.size()) +
-                        message.have.size() * 16 + 16 /*store digest*/;
-               } else if constexpr (std::is_same_v<T, PullResponse>) {
-                 std::size_t total = version_vector_size(message.summary) +
-                                     1 /*confident*/ +
-                                     varint_len(message.missing.size());
-                 for (const auto& value : message.missing) {
-                   total += value_size(value);
-                 }
-                 return total;
-               } else if constexpr (std::is_same_v<T, AckMessage>) {
-                 return 16;  // just the version id
-               } else if constexpr (std::is_same_v<T, QueryRequest>) {
-                 return string_size(message.key) + varint_len(message.nonce);
-               } else {
-                 static_assert(std::is_same_v<T, QueryReply>);
-                 std::size_t total = string_size(message.key) +
-                                     varint_len(message.nonce) +
-                                     1 /*confident*/ +
-                                     varint_len(message.versions.size());
-                 for (const auto& value : message.versions) {
-                   total += value_size(value);
-                 }
-                 return total;
-               }
-             },
-             payload);
 }
 
 std::optional<FrameProbe> probe_frame(std::span<const std::byte> bytes) {

@@ -13,9 +13,12 @@
 //              flags(1) || float64 written_at
 //   peerset := varint chunk_count || chunk*        (see below)
 //   push    := value || varint round || peerset
-//   pullreq := vv
+//   pullreq := vv || varint count || digest128* || digest128 store
 //   pullresp:= vv || flags(1) || varint count || value*
 //   ack     := digest128(16)
+//   queryreq:= string key || varint nonce
+//   queryrep:= string key || varint nonce || flags(1) || varint count ||
+//              value*
 //
 // The flooding list travels in the ChunkedPeerSet's canonical chunked
 // form (format v2): each chunk covers one 2^16-id range and is either a
@@ -35,6 +38,11 @@
 //
 // Decoding is fail-safe: malformed input yields std::nullopt, never UB —
 // a peer must survive garbage from the network.
+//
+// This grammar is implemented once, by the put_*/get_* helpers in
+// codec.cpp. Nothing prices a message without encoding it: every byte
+// count in the system (RoundMetrics::bytes, BusStats::bytes_sent,
+// TransportStats::bytes_sent) is the length of a frame that was built.
 //
 // Zero-copy pipeline (docs/protocol.md "Frame sharing & lazy decode"):
 // encoded frames are immutable once built, so a fan-out of N pushes is
@@ -69,8 +77,7 @@ inline constexpr std::uint8_t kCodecVersion = 2;
 inline constexpr std::uint64_t kMaxWirePeerId = std::uint64_t{1} << 28;
 
 /// Upper bound (exclusive) on chunk keys in the peerset encoding: a chunk
-/// keyed at or above this could express ids >= kMaxWirePeerId. Mirrored by
-/// net::kMaxFrameChunkKey for transports that inspect frames.
+/// keyed at or above this could express ids >= kMaxWirePeerId.
 inline constexpr std::uint64_t kMaxWireChunkKey =
     kMaxWirePeerId >> common::ChunkedPeerSet::kChunkBits;
 
@@ -93,12 +100,6 @@ enum class WireKind : std::uint8_t {
 /// but a warm buffer's capacity is reused instead of reallocated. This is
 /// what lets PeerRuntime recycle DatagramBytes through a free list.
 void encode_into(const GossipPayload& payload, WireBytes& out);
-
-/// Exact wire size of encode(payload), computed without allocating: pure
-/// varint-length arithmetic plus ChunkedPeerSet::wire_encoded_bytes() for
-/// flooding lists. Invariant (pinned by codec tests):
-///   encoded_size(p) == encode(p).size()  for every payload p.
-[[nodiscard]] std::size_t encoded_size(const GossipPayload& payload);
 
 /// Parses a framed byte string; nullopt on any malformation (bad magic,
 /// unknown version/kind, truncation, overlong varint).

@@ -186,14 +186,12 @@ inline constexpr std::size_t kAckIndex = 3;
 inline constexpr std::size_t kQueryRequestIndex = 4;
 inline constexpr std::size_t kQueryReplyIndex = 5;
 
-/// A message the protocol wants transmitted; the hosting simulator (or a
-/// real transport) decides how. `size_bytes` is the EXACT codec frame size
-/// (gossip::encoded_size == encode().size()), so byte metrics are
-/// wire-accurate whether or not the driver actually serialises.
+/// A message the protocol wants transmitted. Its host (a round engine or
+/// PeerRuntime) encodes it, once per fan-out run, and charges the frame's
+/// length.
 struct OutboundMessage {
   common::PeerId to;
   GossipPayload payload;
-  std::uint64_t size_bytes = 0;
 };
 
 /// What the pushes of one fan-out run share: one value object, one

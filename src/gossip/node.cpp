@@ -44,12 +44,6 @@ void ReplicaNode::seed_fixed_neighbors(
   view_.merge(neighbors);
 }
 
-OutboundMessage ReplicaNode::wrap(common::PeerId to, GossipPayload payload) {
-  const std::uint64_t size = encoded_size(payload);
-  stats_.bytes_sent += size;
-  return OutboundMessage{to, std::move(payload), size};
-}
-
 // --- push phase ---------------------------------------------------------------
 
 std::vector<common::PeerId>& ReplicaNode::select_targets(std::size_t count,
@@ -87,16 +81,13 @@ void ReplicaNode::start_push(version::VersionedValue value, common::Round now,
                           self_, rng_, arena().list);
 
   // One shared buffer serves the whole fan-out: each message copy is a
-  // refcount bump, not an O(|R_f|) vector (or version-vector) copy; the
-  // wire size is identical across the fan-out, so compute it once.
+  // refcount bump, not an O(|R_f|) vector (or version-vector) copy.
   const GossipPayload payload(
       PushMessage{SharedValue(std::move(value)), SharedPeerList(arena().list),
                   /*round=*/0});
-  const std::uint64_t size = encoded_size(payload);
   out.reserve(out.size() + targets.size());
   for (const common::PeerId target : targets) {
-    stats_.bytes_sent += size;
-    out.push_back(OutboundMessage{target, payload, size});
+    out.push_back({target, payload});
     ++stats_.pushes_forwarded;
     if (config_.acks.enabled) pending_acks_[target] = PendingAck{now};
   }
@@ -177,7 +168,7 @@ void ReplicaNode::handle_push_first(common::PeerId from,
   // §6 acknowledgement to the first pusher: this path runs only on the
   // version's first receipt, so its sender is that pusher.
   if (config_.acks.enabled) {
-    out.push_back(wrap(from, AckMessage{value->id}));
+    out.push_back({from, AckMessage{value->id}});
     ++stats_.acks_sent;
   }
 
@@ -209,15 +200,12 @@ void ReplicaNode::handle_push_first(common::PeerId from,
 
   build_forward_list_into(config_.partial_list, flooded, targets, self_,
                           rng_, arena().list);
-  // Forwarded value and list are shared across the fan-out; the wire size
-  // is identical for every target, so compute it once.
+  // Forwarded value and list are shared across the fan-out.
   const GossipPayload payload(
       PushMessage{value, SharedPeerList(arena().list), next_round});
-  const std::uint64_t size = encoded_size(payload);
   out.reserve(out.size() + targets.size());
   for (const common::PeerId target : targets) {
-    stats_.bytes_sent += size;
-    out.push_back(OutboundMessage{target, payload, size});
+    out.push_back({target, payload});
     ++stats_.pushes_forwarded;
     if (config_.acks.enabled) pending_acks_[target] = PendingAck{now};
   }
@@ -278,7 +266,7 @@ void ReplicaNode::make_pull(common::Round now,
                             store_.content_digest()};
   out.reserve(out.size() + contacts.size());
   for (const common::PeerId contact : contacts) {
-    out.push_back(wrap(contact, request));
+    out.push_back({contact, request});
     ++stats_.pull_requests_sent;
   }
   last_pull_round_ = now;
@@ -296,10 +284,10 @@ void ReplicaNode::handle_pull_request(common::PeerId from,
   // Matching content digests mean identical stores: answer with an empty
   // (16-byte) response instead of computing and shipping deltas.
   const bool in_sync = request.store_digest == store_.content_digest();
-  out.push_back(wrap(
-      from, PullResponse{in_sync ? std::vector<version::VersionedValue>{}
-                                 : store_.missing_for(request.have),
-                         store_.summary(), am_confident}));
+  out.push_back(
+      {from, PullResponse{in_sync ? std::vector<version::VersionedValue>{}
+                                  : store_.missing_for(request.have),
+                          store_.summary(), am_confident}});
 
   // §3: "receives a pull request, but [is] not sure to have the latest
   // update" — the pulled party itself enters the pull phase.
@@ -356,7 +344,7 @@ StartedQuery ReplicaNode::begin_query(std::string_view key, QueryRule rule,
   started.messages.reserve(targets.size());
   for (const common::PeerId target : targets) {
     started.messages.push_back(
-        wrap(target, QueryRequest{pending.key, started.nonce}));
+        {target, QueryRequest{pending.key, started.nonce}});
   }
   ++stats_.queries_issued;
   pending_queries_.emplace(started.nonce, std::move(pending));
@@ -395,7 +383,7 @@ void ReplicaNode::handle_query_request(common::PeerId from,
   reply.nonce = request.nonce;
   reply.versions = store_.versions(request.key);
   reply.confident = confident(now);
-  out.push_back(wrap(from, std::move(reply)));
+  out.push_back({from, std::move(reply)});
 
   // §6: a replica that cannot answer confidently "will itself have to
   // initiate a pull".

@@ -54,7 +54,6 @@ struct NodeStats {
   std::uint64_t queries_issued = 0;
   std::uint64_t query_requests_received = 0;
   std::uint64_t query_replies_received = 0;
-  std::uint64_t bytes_sent = 0;           ///< wire-model bytes of all sends
 
   bool operator==(const NodeStats&) const = default;
 };
@@ -242,7 +241,6 @@ class ReplicaNode {
   void note_activity(common::Round now) noexcept {
     last_activity_round_ = now;
   }
-  [[nodiscard]] OutboundMessage wrap(common::PeerId to, GossipPayload payload);
 
   common::PeerId self_;
   GossipConfig config_;

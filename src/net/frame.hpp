@@ -34,15 +34,6 @@ inline constexpr std::size_t kFrameHeaderBytes = 8;
 /// dense-array indexing paths and must not drift apart.
 inline constexpr std::uint64_t kMaxFramePeerId = std::uint64_t{1} << 28;
 
-/// Upper bound (exclusive) on the chunk keys the payload codec accepts in
-/// its chunked peer-set encoding (codec v2): a chunk keyed below this can
-/// only express ids below kMaxFramePeerId, since a chunk spans the 2^16
-/// ids sharing its key as their high bits. Kept equal to
-/// gossip::kMaxWireChunkKey for the same no-drift reason as above;
-/// transports that size per-peer state off datagram contents may rely on
-/// either bound.
-inline constexpr std::uint64_t kMaxFrameChunkKey = kMaxFramePeerId >> 16;
-
 namespace frame_detail {
 inline constexpr std::byte kMagic0{0x55};
 inline constexpr std::byte kMagic1{0x50};

@@ -120,27 +120,28 @@ class ShardedMessageBus {
 
   /// Enqueues a handle to payload `payload` (an index add_payload returned
   /// this round) from the parallel task that owns `src_shard`, which must
-  /// be shard_of(from): payload() looks the index up there. Thread-safe
-  /// across *distinct* source shards by disjointness, not by locking.
+  /// be shard_of(from): payload() looks the index up there. The send is
+  /// charged the payload's size() in bytes. Thread-safe across *distinct*
+  /// source shards by disjointness, not by locking.
   void send_from_shard(std::size_t src_shard, common::PeerId from,
                        common::PeerId to, std::uint32_t payload,
-                       std::uint64_t size_bytes, std::uint32_t seq) {
+                       std::uint32_t seq) {
     ShardSlot& slot = slots_[src_shard];
     UPDP2P_ENSURE(shard_of(from) == src_shard &&
                       payload < slot.payloads.size(),
                   "a send must name a payload its sender's shard stored");
     ++slot.stats.messages_sent;
-    slot.stats.bytes_sent += size_bytes;
+    slot.stats.bytes_sent += slot.payloads[payload].size();
     cells_[src_shard * shards_ + shard_of(to)].pending.push_back(
         Envelope{from, to, seq, payload});
   }
 
   /// Sequential-context convenience: add_payload, then send_from_shard.
   void send(common::PeerId from, common::PeerId to, Payload payload,
-            std::uint64_t size_bytes, std::uint32_t seq) {
+            std::uint32_t seq) {
     const std::size_t shard = shard_of(from);
     send_from_shard(shard, from, to, add_payload(shard, std::move(payload)),
-                    size_bytes, seq);
+                    seq);
   }
 
   /// Publishes the pending buffers: everything sent before this call

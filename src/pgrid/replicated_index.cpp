@@ -45,8 +45,7 @@ void ReplicatedIndex::dispatch(common::PeerId from,
                                std::vector<gossip::OutboundMessage>& out) {
   std::uint32_t& seq = send_seq_[from.value()];
   for (const auto& message : out) {
-    bus_.send(from, message.to, gossip::encode(message.payload),
-              message.size_bytes, seq++);
+    bus_.send(from, message.to, gossip::encode(message.payload), seq++);
   }
   out.clear();
 }

@@ -211,16 +211,20 @@ void PeerRuntime::deliver_datagram(net::InboundDatagram& datagram) {
     // Cancel first: this datagram may be the confirming signal a retry
     // timer is waiting for.
     note_confirmation(datagram.from, *payload);
+    node_.handle_message(datagram.from, *payload, current_round(),
+                         out_scratch_);
     if (const auto* pull = std::get_if<gossip::PullResponse>(&*payload)) {
       stats_.pull_response_bytes_in += datagram.bytes.size();
       // A pull response carrying values is new state exactly like a first
-      // push; one that carries none changes nothing worth logging.
+      // push; one that carries none changes nothing worth logging. It is
+      // logged after it applies, as a first push is: the append may
+      // trigger a snapshot, which must already hold the pulled values
+      // because it covers (and truncates) this record. Pull responses are
+      // never acked, so nothing waits on the append.
       if (!pull->missing.empty()) {
         append_durable(datagram.from, current_round(), datagram.bytes);
       }
     }
-    node_.handle_message(datagram.from, *payload, current_round(),
-                         out_scratch_);
   }
   transmit(out_scratch_);
 }

@@ -250,26 +250,6 @@ TEST(ChunkedPeerSet, ClearReusesBuffersAndResets) {
   expect_matches(set, ref);
 }
 
-TEST(ChunkedPeerSet, WireEncodedBytesTracksForm) {
-  ChunkedPeerSet sparse;
-  sparse.insert(PeerId(100));
-  sparse.insert(PeerId(101));
-  sparse.insert(PeerId(400));
-  // 1 (chunk count) + 1 (key) + 1 (form) + 1 (cardinality) +
-  // varint(100)=1 + delta-1 varints: (101-100-1)=0 -> 1 byte,
-  // (400-101-1)=298 -> 2 bytes.
-  EXPECT_EQ(sparse.wire_encoded_bytes(), 8u);
-
-  ChunkedPeerSet dense;
-  for (std::uint32_t i = 0; i <= ChunkedPeerSet::kArrayChunkMax; ++i) {
-    dense.insert(PeerId(i));
-  }
-  // Bitmap body is fixed 8 KiB + small header.
-  const std::size_t bytes = dense.wire_encoded_bytes();
-  EXPECT_GE(bytes, ChunkedPeerSet::kBitmapWords * 8);
-  EXPECT_LE(bytes, ChunkedPeerSet::kBitmapWords * 8 + 8);
-}
-
 TEST(ChunkedPeerSet, AppendChunkBuildersEnforceCanonicalForm) {
   ChunkedPeerSet set;
   const std::vector<std::uint16_t> lows{1, 5, 9};

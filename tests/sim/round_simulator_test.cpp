@@ -182,17 +182,29 @@ TEST(RoundSimulator, ConcurrentKeysPropagateIndependently) {
   EXPECT_TRUE(node.read("beta").has_value());
 }
 
-TEST(RoundSimulator, NodeBytesMatchBusBytes) {
-  auto config = base_config(150);
+TEST(RoundSimulator, RunMetricsCountTheBusSends) {
+  // Every message the run's metrics count is one bus send, charged the
+  // length of its run's frame: pushes under churn, acks, loss and the
+  // periodic pulls of round timers. Reconnect pulls are left out, because
+  // the metrics do not count the sends of the churn phase.
+  constexpr std::size_t kPeers = 200;
+  auto config = base_config(kPeers);
   config.reconnect_pull = false;
-  config.round_timers = false;
-  auto simulator = make_push_phase_simulator(config, 0.5, 1.0);
-  (void)simulator->propagate_update();
-  std::uint64_t node_bytes = 0;
-  for (std::uint32_t i = 0; i < 150; ++i) {
-    node_bytes += simulator->node(PeerId(i)).stats().bytes_sent;
-  }
-  EXPECT_EQ(node_bytes, simulator->bus_stats().bytes_sent);
+  config.gossip.acks.enabled = true;
+  config.gossip.pull.no_update_timeout = 3;
+  config.message_loss = 0.05;
+  config.max_rounds = 40;
+  RoundSimulator simulator(config, std::make_unique<churn::BernoulliChurn>(
+                                       kPeers, 0.30, 0.995, 0.02));
+  const RunMetrics metrics = simulator.propagate_update();
+  const net::BusStats bus = simulator.bus_stats();
+  std::uint64_t acks = 0;
+  for (const RoundMetrics& round : metrics.rounds) acks += round.ack_messages;
+  EXPECT_GT(acks, 0u);
+  EXPECT_GT(metrics.total_pull_messages(), 0u);
+  EXPECT_GT(bus.messages_dropped, 0u);
+  EXPECT_EQ(metrics.total_messages(), bus.messages_sent);
+  EXPECT_EQ(metrics.total_bytes(), bus.bytes_sent);
 }
 
 TEST(RoundSimulator, RejectsMismatchedChurnPopulation) {
