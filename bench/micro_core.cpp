@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the library's hot paths: version
 // vector comparison/merge, store apply/delta, replica-view sampling,
-// partial-list construction, the runtime's timer-wheel deadline query and
+// partial-list construction, the runtime's timer-queue deadline query and
 // fan-out send path, full simulated push phases, and the analytical-model
 // evaluation itself.
 //
@@ -31,7 +31,7 @@
 #include "gossip/replica_view.hpp"
 #include "net/transport.hpp"
 #include "runtime/peer_runtime.hpp"
-#include "runtime/timer_wheel.hpp"
+#include "runtime/timer_queue.hpp"
 #include "sim/round_simulator.hpp"
 #include "store/wal.hpp"
 #include "version/store.hpp"
@@ -99,20 +99,6 @@ void BM_StoreDelta(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StoreDelta);
-
-void BM_ViewSample(benchmark::State& state) {
-  const auto population = static_cast<std::uint32_t>(state.range(0));
-  gossip::ReplicaView view{common::PeerId(0)};
-  for (std::uint32_t i = 1; i < population; ++i) {
-    view.add(common::PeerId(i));
-  }
-  common::StreamRng rng(99);
-  const std::unordered_set<common::PeerId> exclude;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(view.sample(rng, 32, exclude));
-  }
-}
-BENCHMARK(BM_ViewSample)->Arg(256)->Arg(4096);
 
 void BM_ViewSampleInto(benchmark::State& state) {
   // The allocation-free path the simulators actually run: scratch output
@@ -344,30 +330,30 @@ void BM_StoreReplay10k(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreReplay10k)->Unit(benchmark::kMillisecond);
 
-void BM_TimerWheelNextDeadline(benchmark::State& state) {
+void BM_TimerQueueNextDeadline(benchmark::State& state) {
   // The event loop's per-poll sleep sizing under a PeerRuntime's retry
   // load: N pending timers spread over 3 s; each step the earliest one is
   // confirmed (cancelled), time moves on by one spacing, a fresh retry is
   // armed 3 s out, and the loop asks for the next deadline.
   const auto pending = static_cast<std::size_t>(state.range(0));
   const double spacing = 3.0 / static_cast<double>(pending);
-  runtime::TimerWheel wheel;
-  std::deque<runtime::TimerWheel::TimerId> in_flight;
+  runtime::TimerQueue timers;
+  std::deque<runtime::TimerQueue::TimerId> in_flight;
   double now = 0.0;
   for (std::size_t i = 1; i <= pending; ++i) {
-    in_flight.push_back(wheel.schedule_at(spacing * static_cast<double>(i),
-                                          [](common::SimTime) {}));
+    in_flight.push_back(timers.schedule_at(spacing * static_cast<double>(i),
+                                           [](common::SimTime) {}));
   }
   for (auto _ : state) {
-    wheel.cancel(in_flight.front());
+    timers.cancel(in_flight.front());
     in_flight.pop_front();
     now += spacing;
-    wheel.advance(now);
-    in_flight.push_back(wheel.schedule_at(now + 3.0, [](common::SimTime) {}));
-    benchmark::DoNotOptimize(wheel.next_deadline());
+    timers.advance(now);
+    in_flight.push_back(timers.schedule_at(now + 3.0, [](common::SimTime) {}));
+    benchmark::DoNotOptimize(timers.next_deadline());
   }
 }
-BENCHMARK(BM_TimerWheelNextDeadline)->Arg(16)->Arg(1024);
+BENCHMARK(BM_TimerQueueNextDeadline)->Arg(16)->Arg(1024);
 
 /// A transport that only counts what it is handed: no socket, no queue.
 class CountingNullTransport final : public net::Transport {

@@ -68,7 +68,7 @@ int main() {
   }
 
   // 5. Live mode: the same ReplicaNode type behind a real event loop.
-  //    Two PeerRuntimes (codec, timer wheel, retry/backoff) exchange
+  //    Two PeerRuntimes (codec, timer queue, retry/backoff) exchange
   //    datagrams through the deterministic in-process transport; swap
   //    InprocNetwork::attach for net::UdpTransport::open and the identical
   //    code runs over sockets (see examples/peerd.cpp).

@@ -7,7 +7,7 @@
 # every hot-path bench) under the sanitizers, then a TSan build that runs
 # the concurrency-bearing suites (sweep pool, sharded rounds, sharded bus,
 # golden determinism — including ShardInvariance at 8 threads) plus the
-# event-loop/timer-wheel runtime suites.
+# event-loop/timer-queue runtime suites.
 #
 # After the Release ctest leg, `python3 livebench/run.py --check` builds the
 # live benchmark (livebench/, its own CMake package over src/) and runs its
@@ -132,7 +132,7 @@ echo "==> sanitizers: TSan build + concurrency suites"
 # drive the live event loop: the work-stealing sweep pool, the sharded
 # round engine and bus, the golden-determinism suite (ShardInvariance
 # drives 8 shard threads; ChurnedCluster steps a LoopbackCluster), the
-# runtime layer (timer wheel, PeerRuntime, LoopbackCluster and its golden,
+# runtime layer (timer queue, PeerRuntime, LoopbackCluster and its golden,
 # inproc/UDP transports — the UDP suite exercises real kernel socket I/O
 # under TSan), the chaos engine (threaded seed sweeps over LoopbackCluster),
 # and the durable-store suites (PeerRuntime owns a

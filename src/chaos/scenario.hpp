@@ -101,7 +101,7 @@ struct Scenario {
   /// data root when non-empty).
   std::vector<common::PeerId> durable;
   common::SimTime round = 0.5;        ///< push-round duration
-  common::SimTime tick = 0.05;        ///< timer-wheel tick
+  common::SimTime tick = 0.05;        ///< timer-queue tick
   double base_loss = 0.0;             ///< uniform network loss under the faults
   common::SimTime latency_lo = 0.05;  ///< uniform one-way delay bounds;
   common::SimTime latency_hi = 0.05;  ///< equal bounds = constant latency

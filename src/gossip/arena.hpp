@@ -34,7 +34,6 @@ struct WorkArena {
   // ReplicaView::sample_into scratch.
   std::vector<common::PeerId> pool;      ///< weighted candidate pool
   common::DensePeerSet chosen;           ///< distinct-pick dedup
-  common::DensePeerSet exclude;          ///< sample() wrapper only
 };
 
 }  // namespace updp2p::gossip

@@ -32,7 +32,7 @@ void ReplicaNode::import_durable_state(
     std::vector<version::VersionedValue> values) {
   view_.merge(membership);
   for (version::VersionedValue& value : values) {
-    seen_versions_.emplace(value.id, 0u);
+    seen_versions_.insert(value.id);
     (void)store_.apply(std::move(value));
   }
 }
@@ -50,14 +50,13 @@ std::vector<common::PeerId>& ReplicaNode::select_targets(std::size_t count,
                                                          common::Round now) {
   std::vector<common::PeerId>& targets = arena().targets;
   if (config_.target_selection == TargetSelection::kRandomPerPush) {
-    view_.sample_into(rng_, count, targets, nullptr, now);
+    view_.sample_into(rng_, count, targets, now);
     return targets;
   }
   // Fixed-neighbor overlay: the target set is drawn once and reused for
   // every update (topology-dependent gossip à la [20]).
   if (fixed_neighbors_.empty()) {
-    view_.sample_into(rng_, config_.absolute_fanout(), fixed_neighbors_,
-                      nullptr, now);
+    view_.sample_into(rng_, config_.absolute_fanout(), fixed_neighbors_, now);
   }
   const std::size_t take = std::min(count, fixed_neighbors_.size());
   targets.assign(fixed_neighbors_.begin(),
@@ -69,7 +68,7 @@ std::vector<common::PeerId>& ReplicaNode::select_targets(std::size_t count,
 void ReplicaNode::start_push(version::VersionedValue value, common::Round now,
                              std::vector<OutboundMessage>& out) {
   ++stats_.updates_originated;
-  seen_versions_.emplace(value.id, 0);
+  seen_versions_.insert(value.id);
   note_activity(now);
 
   // Round 0: the initiator selects f_r·R replicas (§4.2).
@@ -118,9 +117,7 @@ bool ReplicaNode::note_push_received(common::PeerId from,
   view_.add(from);
   view_.clear_presumed_offline(from);  // it is evidently online
 
-  auto [seen_it, first_receipt] = seen_versions_.emplace(id, 0u);
-  if (!first_receipt) {
-    ++seen_it->second;
+  if (!seen_versions_.insert(id).second) {
     ++stats_.duplicate_pushes;
     forward_.observe_push(/*duplicate=*/true);
     return false;  // ProcessedUpdate(U,V) == TRUE: push at most once (§3)
@@ -259,8 +256,7 @@ void ReplicaNode::make_pull(common::Round now,
     contacts.clear();
     contacts.push_back(*target);
   } else {
-    view_.sample_into(rng_, config_.pull.contacts_per_attempt, contacts,
-                      nullptr, now);
+    view_.sample_into(rng_, config_.pull.contacts_per_attempt, contacts, now);
   }
   const PullRequest request{store_.summary(), store_.stored_ids(),
                             store_.content_digest()};
@@ -304,7 +300,7 @@ void ReplicaNode::handle_pull_response(common::PeerId from,
 
   for (const auto& value : response.missing) {
     const version::ApplyOutcome outcome = store_.apply(value);
-    seen_versions_.emplace(value.id, 0u);
+    seen_versions_.insert(value.id);
     if (outcome == version::ApplyOutcome::kApplied ||
         outcome == version::ApplyOutcome::kCoexisting) {
       ++stats_.updates_learned_pull;
@@ -338,7 +334,7 @@ StartedQuery ReplicaNode::begin_query(std::string_view key, QueryRule rule,
   pending.answers.push_back(
       QueryAnswer{self_, store_.read(key), confident(now)});
 
-  view_.sample_into(rng_, replicas_to_ask, arena().targets, nullptr, now);
+  view_.sample_into(rng_, replicas_to_ask, arena().targets, now);
   const std::vector<common::PeerId>& targets = arena().targets;
   pending.asked = targets.size();
   started.messages.reserve(targets.size());

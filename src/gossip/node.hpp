@@ -21,6 +21,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/chunked_peer_set.hpp"
@@ -258,7 +259,7 @@ class ReplicaNode {
                                                             common::Round now);
 
   /// Versions already processed — the pseudocode's ProcessedUpdate set.
-  std::unordered_map<version::VersionId, unsigned> seen_versions_;
+  std::unordered_set<version::VersionId> seen_versions_;
 
   /// kFixedNeighbors: the static target set, drawn once lazily.
   std::vector<common::PeerId> fixed_neighbors_;

@@ -6,8 +6,8 @@ namespace updp2p::gossip {
 
 bool ReplicaView::add(common::PeerId peer) {
   // Track the id bound for every peer *offered*, not just those stored:
-  // callers size DensePeerSet scratch off id_capacity() to cover flooding
-  // lists, and a list may legitimately contain this view's owner.
+  // sampling sizes its DensePeerSet scratch off id_bound_, and a flooding
+  // list may legitimately contain this view's owner.
   if (peer.is_valid()) {
     if (peer.value() + 1 > id_bound_) {
       id_bound_ = peer.value() + 1;
@@ -131,7 +131,6 @@ void ReplicaView::clear_presumed_offline(common::PeerId peer) {
 
 void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
                               std::vector<common::PeerId>& out,
-                              const common::DensePeerSet* exclude,
                               common::Round now) const {
   out.clear();
   const std::size_t member_count = size();
@@ -139,7 +138,6 @@ void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
 
   purge_presumed_offline(now);
   const bool check_offline = !presumed_offline_until_.empty();
-  const bool check_exclude = exclude != nullptr && !exclude->empty();
   const bool weighted = preferred_weight_ > 1 && !preferred_.empty();
 
   common::DensePeerSet& chosen = arena().chosen;
@@ -155,8 +153,8 @@ void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
     // O(1) membership probe per trial with acceptance >= 1/4. Sparse
     // views draw a uniform RANK and select it (array chunks answer by
     // index). Either way every rejected pick — non-member, duplicate,
-    // excluded, presumed-offline — leaves the remaining draw uniform
-    // over the eligible members. The attempt budget bounds the rare
+    // presumed-offline — leaves the remaining draw uniform over the
+    // eligible members. The attempt budget bounds the rare
     // pathological case; exhausting it falls through to the exact pool
     // walk below, which finishes the sample without replacement.
     const bool dense = member_count * 4 >= id_bound_;
@@ -171,7 +169,6 @@ void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
       } else {
         peer = member_at(rng.pick_index(member_count), self_rank);
       }
-      if (check_exclude && exclude->contains(peer)) continue;
       if (check_offline && is_presumed_offline(peer, now)) continue;
       if (chosen.insert(peer)) out.push_back(peer);
     }
@@ -181,12 +178,11 @@ void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
   // Candidate pool: the membership materialised once (ascending), plus
   // `preferred_weight_ - 1` extra copies of each eligible §6-preferred
   // member so acked peers are proportionally more likely to be picked.
-  // Excluded and presumed-offline peers stay IN the base pool and are
-  // rejected at pick time instead: an exclusion list is ~fanout long
-  // while the view holds thousands of peers, so rejecting the handful of
-  // picks that land on them is far cheaper than an O(|view|) filtering
-  // pass per call — and a rejected pick leaves the remaining sample
-  // exactly uniform over the eligible pool.
+  // Presumed-offline peers stay IN the base pool and are rejected at
+  // pick time instead: they are a handful while the view holds thousands
+  // of peers, so rejecting the picks that land on them is far cheaper
+  // than an O(|view|) filtering pass per call — and a rejected pick
+  // leaves the remaining sample exactly uniform over the eligible pool.
   std::vector<common::PeerId>& pool = arena().pool;
   pool.clear();
   pool.reserve(member_count);
@@ -196,7 +192,6 @@ void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
   if (weighted) {
     preferred_.for_each([&](common::PeerId peer) {
       if (!contains(peer)) return;  // preferred but not in the view
-      if (check_exclude && exclude->contains(peer)) return;
       if (check_offline && is_presumed_offline(peer, now)) return;
       for (unsigned w = 1; w < preferred_weight_; ++w) pool.push_back(peer);
     });
@@ -210,27 +205,9 @@ void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
     const common::PeerId peer = pool[pick];
     pool[pick] = pool[remaining - 1];
     --remaining;
-    if (check_exclude && exclude->contains(peer)) continue;
     if (check_offline && is_presumed_offline(peer, now)) continue;
     if (chosen.insert(peer)) out.push_back(peer);
   }
-}
-
-std::vector<common::PeerId> ReplicaView::sample(
-    common::StreamRng& rng, std::size_t count,
-    const std::unordered_set<common::PeerId>& exclude,
-    common::Round now) const {
-  std::vector<common::PeerId> out;
-  if (exclude.empty()) {
-    sample_into(rng, count, out, nullptr, now);
-    return out;
-  }
-  common::DensePeerSet& scratch = arena().exclude;
-  scratch.clear();
-  // lint-allow(iteration-order): set-to-set copy, membership is order-free
-  for (const common::PeerId peer : exclude) scratch.insert(peer);
-  sample_into(rng, count, out, &scratch, now);
-  return out;
 }
 
 }  // namespace updp2p::gossip

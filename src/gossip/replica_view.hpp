@@ -30,7 +30,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/chunked_peer_set.hpp"
@@ -77,10 +76,6 @@ class ReplicaView {
   }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   [[nodiscard]] common::PeerId self() const noexcept { return self_; }
-  /// Upper bound (exclusive) on peer ids this view has observed (including
-  /// ids offered to add()); useful for pre-sizing caller-owned DensePeerSet
-  /// scratch in one step instead of letting it grow geometrically.
-  [[nodiscard]] std::size_t id_capacity() const noexcept { return id_bound_; }
 
   /// The compressed membership index, read-only. Note the representation
   /// invariant: the owner id is IN the set (merges run pure set algebra);
@@ -92,21 +87,13 @@ class ReplicaView {
   }
 
   /// Samples up to `count` distinct peers into `out` (replacing its
-  /// contents), excluding peers in `exclude` (when non-null) and peers
-  /// currently presumed offline (§6 suppression). Preferred pushers are
-  /// `preferred_weight()` times as likely to be picked first. Produces
-  /// fewer than `count` when the view is small. Allocation-free once the
-  /// arena's scratch buffers are warm.
+  /// contents), skipping peers presumed offline at `now` (§6 suppression).
+  /// Preferred pushers are `preferred_weight()` times as likely to be
+  /// picked first. Produces fewer than `count` when the view is small.
+  /// Allocation-free once the arena's scratch buffers are warm.
   void sample_into(common::StreamRng& rng, std::size_t count,
                    std::vector<common::PeerId>& out,
-                   const common::DensePeerSet* exclude = nullptr,
                    common::Round now = 0) const;
-
-  /// Allocating convenience wrapper around sample_into.
-  [[nodiscard]] std::vector<common::PeerId> sample(
-      common::StreamRng& rng, std::size_t count,
-      const std::unordered_set<common::PeerId>& exclude = {},
-      common::Round now = 0) const;
 
   /// How strongly §6-preferred peers are oversampled (1 = no preference).
   void set_preferred_weight(unsigned weight) noexcept {

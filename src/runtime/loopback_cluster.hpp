@@ -1,7 +1,7 @@
 // LoopbackCluster — the repository's one continuous-time cluster: N
 // PeerRuntimes over one deterministic InprocNetwork.
 //
-// Every peer is a full PeerRuntime (codec, timer wheel, retry/backoff,
+// Every peer is a full PeerRuntime (codec, timer queue, retry/backoff,
 // optional durable store) and datagrams travel through the virtual-time
 // inproc switch, so a run exercises the real wire path and is a pure
 // function of (config, calls made on it). The continuous-time paper experiments

@@ -18,16 +18,12 @@ constexpr std::uint64_t kJitterPurpose = 0xBACC;
 }
 }  // namespace
 
-std::size_t PeerRuntime::PushKeyHash::operator()(
-    const PushKey& key) const noexcept {
-  return hash_mix(std::hash<common::PeerId>{}(key.to),
-                  std::hash<version::VersionId>{}(key.version));
-}
-
-std::size_t PeerRuntime::QueryKeyHash::operator()(
-    const QueryKey& key) const noexcept {
-  return hash_mix(std::hash<common::PeerId>{}(key.to),
-                  std::hash<std::uint64_t>{}(key.nonce));
+std::size_t PeerRuntime::RetryKeyHash::operator()(
+    const RetryKey& key) const noexcept {
+  std::size_t hash = hash_mix(std::hash<common::PeerId>{}(key.to),
+                              std::hash<version::VersionId>{}(key.version));
+  hash = hash_mix(hash, std::hash<std::uint64_t>{}(key.nonce));
+  return hash_mix(hash, static_cast<std::size_t>(key.expect));
 }
 
 PeerRuntime::PeerRuntime(RuntimeConfig config, net::Transport& transport)
@@ -35,7 +31,7 @@ PeerRuntime::PeerRuntime(RuntimeConfig config, net::Transport& transport)
       transport_(transport),
       node_(transport.self(), config_.gossip,
             common::StreamRng(config_.seed, transport.self().value())),
-      wheel_(config_.tick_duration),
+      timers_(config_.tick_duration),
       jitter_rng_(config_.seed, transport.self().value(), kJitterPurpose),
       online_(config_.start_online) {
   config_.gossip.validate();
@@ -44,12 +40,12 @@ PeerRuntime::PeerRuntime(RuntimeConfig config, net::Transport& transport)
                 "round duration must be positive");
   UPDP2P_ENSURE(config_.start_time >= 0.0, "start time must be non-negative");
   // A restarted peer rejoins at the cluster's current time: position the
-  // clock, the wheel and the round counter there before any timer is
+  // clock, the timers and the round counter there before any timer is
   // armed, so the first round tick fires for the *next* round rather than
   // replaying rounds 1..now in one poll.
   now_ = config_.start_time;
   last_ticked_round_ = round_of(now_);
-  wheel_.advance(now_);
+  timers_.advance(now_);
   // Recovery runs to completion before the transport can deliver a single
   // live datagram: the node first stands exactly where it died, then
   // rejoins the protocol.
@@ -142,10 +138,8 @@ void PeerRuntime::go_offline() {
   node_.on_disconnect(current_round());
   // §3: in-flight expectations do not survive a disconnect.
   drop_all_retries();
-  if (round_timer_ != TimerWheel::kInvalidTimer) {
-    wheel_.cancel(round_timer_);
-    round_timer_ = TimerWheel::kInvalidTimer;
-  }
+  timers_.cancel(round_timer_);
+  round_timer_ = TimerQueue::kInvalidTimer;
   transport_.set_listening(false);
 }
 
@@ -167,7 +161,7 @@ void PeerRuntime::poll(common::SimTime now) {
     transport_.recycle(std::move(datagram.bytes));
   }
 
-  wheel_.advance(now);
+  timers_.advance(now);
 }
 
 void PeerRuntime::deliver_datagram(net::InboundDatagram& datagram) {
@@ -282,9 +276,9 @@ bool PeerRuntime::snapshot_now() {
 
 void PeerRuntime::arm_snapshot_timer() {
   if (!store_ || config_.store.snapshot_interval <= 0.0) return;
-  snapshot_timer_ = wheel_.schedule_after(
+  snapshot_timer_ = timers_.schedule_after(
       config_.store.snapshot_interval, [this](common::SimTime /*at*/) {
-        snapshot_timer_ = TimerWheel::kInvalidTimer;
+        snapshot_timer_ = TimerQueue::kInvalidTimer;
         (void)maybe_snapshot(/*timer_fired=*/true);
         arm_snapshot_timer();
       });
@@ -315,104 +309,67 @@ void PeerRuntime::transmit(std::vector<gossip::OutboundMessage>& messages) {
     bytes.assign(run_frame_.begin(), run_frame_.end());
     ++stats_.datagrams_out;
     transport_.send(message.to, bytes);
-    if (config_.retry.max_attempts <= 1) {
+    const std::optional<RetryKey> retry = awaited_confirmation(message);
+    if (retry && config_.retry.max_attempts > 1) {
+      arm_retry(*retry, std::move(bytes));
+    } else {
       recycle_buffer(std::move(bytes));
-      continue;
     }
-
-    if (const auto* push = std::get_if<gossip::PushMessage>(&message.payload)) {
-      // A push is only retried when acks are on — without §6 acks no
-      // protocol message confirms receipt, and blind retransmission would
-      // just multiply duplicates.
-      if (config_.gossip.acks.enabled) {
-        PendingSend pending;
-        pending.expect = Expect::kAck;
-        pending.to = message.to;
-        pending.version = push->value->id;
-        pending.bytes = std::move(bytes);
-        arm_retry(std::move(pending));
-        continue;
-      }
-    } else if (std::holds_alternative<gossip::PullRequest>(message.payload)) {
-      PendingSend pending;
-      pending.expect = Expect::kPullResponse;
-      pending.to = message.to;
-      pending.bytes = std::move(bytes);
-      arm_retry(std::move(pending));
-      continue;
-    } else if (const auto* query =
-                   std::get_if<gossip::QueryRequest>(&message.payload)) {
-      PendingSend pending;
-      pending.expect = Expect::kQueryReply;
-      pending.to = message.to;
-      pending.nonce = query->nonce;
-      pending.bytes = std::move(bytes);
-      arm_retry(std::move(pending));
-      continue;
-    }
-    recycle_buffer(std::move(bytes));
   }
   messages.clear();
 }
 
-void PeerRuntime::arm_retry(PendingSend pending) {
-  // A fresh send to the same key supersedes any stale in-flight entry
-  // (e.g. the node re-pushed the same version to the same target).
-  switch (pending.expect) {
-    case Expect::kAck: {
-      const auto it = push_index_.find(PushKey{pending.to, pending.version});
-      if (it != push_index_.end()) cancel_pending(it->second);
-      break;
-    }
-    case Expect::kPullResponse: {
-      const auto it = pull_index_.find(pending.to);
-      if (it != pull_index_.end()) cancel_pending(it->second);
-      break;
-    }
-    case Expect::kQueryReply: {
-      const auto it = query_index_.find(QueryKey{pending.to, pending.nonce});
-      if (it != query_index_.end()) cancel_pending(it->second);
-      break;
-    }
+std::optional<PeerRuntime::RetryKey> PeerRuntime::awaited_confirmation(
+    const gossip::OutboundMessage& message) const {
+  if (const auto* push = std::get_if<gossip::PushMessage>(&message.payload)) {
+    // A push is only retried when acks are on — without §6 acks no
+    // protocol message confirms receipt, and blind retransmission would
+    // just multiply duplicates.
+    if (!config_.gossip.acks.enabled) return std::nullopt;
+    return RetryKey{
+        .expect = Expect::kAck, .to = message.to, .version = push->value->id};
   }
-
-  const std::uint64_t token = next_token_++;
-  switch (pending.expect) {
-    case Expect::kAck:
-      push_index_.emplace(PushKey{pending.to, pending.version}, token);
-      break;
-    case Expect::kPullResponse:
-      pull_index_.emplace(pending.to, token);
-      break;
-    case Expect::kQueryReply:
-      query_index_.emplace(QueryKey{pending.to, pending.nonce}, token);
-      break;
+  if (std::holds_alternative<gossip::PullRequest>(message.payload)) {
+    return RetryKey{.expect = Expect::kPullResponse, .to = message.to};
   }
-  pending_.emplace(token, std::move(pending));
-  ++stats_.retries_armed;
-  schedule_retry_timer(token);
+  if (const auto* query =
+          std::get_if<gossip::QueryRequest>(&message.payload)) {
+    return RetryKey{
+        .expect = Expect::kQueryReply, .to = message.to, .nonce = query->nonce};
+  }
+  return std::nullopt;
 }
 
-void PeerRuntime::schedule_retry_timer(std::uint64_t token) {
-  PendingSend& pending = pending_.at(token);
+void PeerRuntime::arm_retry(const RetryKey& key, net::DatagramBytes bytes) {
+  const auto [it, fresh] = retries_.try_emplace(key);
+  if (!fresh) release(it->second);
+  it->second = PendingSend{std::move(bytes)};
+  ++stats_.retries_armed;
+  schedule_retry_timer(key, it->second);
+}
+
+void PeerRuntime::schedule_retry_timer(const RetryKey& key,
+                                       PendingSend& pending) {
   const common::SimTime wait =
       config_.retry.delay(pending.attempt, jitter_rng_);
-  pending.timer = wheel_.schedule_after(
-      wait, [this, token](common::SimTime /*at*/) { on_retry_timer(token); });
+  pending.timer = timers_.schedule_after(
+      wait, [this, key](common::SimTime /*at*/) { on_retry_timer(key); });
 }
 
-void PeerRuntime::on_retry_timer(std::uint64_t token) {
-  const auto it = pending_.find(token);
-  if (it == pending_.end()) return;  // raced with a cancel; nothing to do
+void PeerRuntime::on_retry_timer(const RetryKey& key) {
+  // Every path that erases an entry cancels its timer first, so a timer
+  // that fires always finds its own entry.
+  const auto it = retries_.find(key);
+  UPDP2P_ENSURE(it != retries_.end(), "retry timer outlived its send");
   PendingSend& pending = it->second;
   const unsigned budget =
-      pending.expect == Expect::kAck
+      key.expect == Expect::kAck
           ? std::min(config_.retry.max_attempts, kMaxPushTransmissions)
           : config_.retry.max_attempts;
   if (1 + pending.attempt >= budget) {
     ++stats_.retries_exhausted;
-    pending.timer = TimerWheel::kInvalidTimer;
-    cancel_pending(token);
+    release(pending);
+    retries_.erase(it);
     return;
   }
   ++pending.attempt;
@@ -422,64 +379,46 @@ void PeerRuntime::on_retry_timer(std::uint64_t token) {
   // tripwire below (asserted 0 by the loopback golden test) would count
   // any path that lost them and had to re-encode.
   if (pending.bytes.empty()) ++stats_.retransmit_reencodes;
-  transport_.send(pending.to, pending.bytes);
-  schedule_retry_timer(token);
-}
-
-void PeerRuntime::cancel_pending(std::uint64_t token) {
-  const auto it = pending_.find(token);
-  if (it == pending_.end()) return;
-  PendingSend& pending = it->second;
-  switch (pending.expect) {
-    case Expect::kAck:
-      push_index_.erase(PushKey{pending.to, pending.version});
-      break;
-    case Expect::kPullResponse:
-      pull_index_.erase(pending.to);
-      break;
-    case Expect::kQueryReply:
-      query_index_.erase(QueryKey{pending.to, pending.nonce});
-      break;
-  }
-  if (pending.timer != TimerWheel::kInvalidTimer) {
-    wheel_.cancel(pending.timer);
-  }
-  recycle_buffer(std::move(pending.bytes));
-  pending_.erase(it);
+  transport_.send(key.to, pending.bytes);
+  schedule_retry_timer(key, pending);
 }
 
 void PeerRuntime::note_confirmation(common::PeerId from,
                                     const gossip::GossipPayload& payload) {
-  std::uint64_t token = 0;
+  RetryKey key{.to = from};
   if (const auto* ack = std::get_if<gossip::AckMessage>(&payload)) {
-    const auto it = push_index_.find(PushKey{from, ack->acked});
-    if (it == push_index_.end()) return;
-    token = it->second;
+    key.expect = Expect::kAck;
+    key.version = ack->acked;
   } else if (std::holds_alternative<gossip::PullResponse>(payload)) {
-    const auto it = pull_index_.find(from);
-    if (it == pull_index_.end()) return;
-    token = it->second;
+    key.expect = Expect::kPullResponse;
   } else if (const auto* reply = std::get_if<gossip::QueryReply>(&payload)) {
-    const auto it = query_index_.find(QueryKey{from, reply->nonce});
-    if (it == query_index_.end()) return;
-    token = it->second;
+    key.expect = Expect::kQueryReply;
+    key.nonce = reply->nonce;
   } else {
     return;
   }
+  const auto it = retries_.find(key);
+  if (it == retries_.end()) return;
   ++stats_.retries_cancelled;
-  cancel_pending(token);
+  release(it->second);
+  retries_.erase(it);
+}
+
+void PeerRuntime::release(PendingSend& pending) {
+  timers_.cancel(pending.timer);
+  recycle_buffer(std::move(pending.bytes));
 }
 
 void PeerRuntime::arm_round_timer() {
   const common::SimTime deadline =
       static_cast<common::SimTime>(last_ticked_round_ + 1) *
       config_.round_duration;
-  round_timer_ = wheel_.schedule_at(
+  round_timer_ = timers_.schedule_at(
       deadline, [this](common::SimTime at) { on_round_timer(at); });
 }
 
 void PeerRuntime::on_round_timer(common::SimTime at) {
-  round_timer_ = TimerWheel::kInvalidTimer;
+  round_timer_ = TimerQueue::kInvalidTimer;
   if (!online_) return;
   const common::Round target = round_of(at);
   while (last_ticked_round_ < target) {
@@ -493,16 +432,8 @@ void PeerRuntime::on_round_timer(common::SimTime at) {
 }
 
 void PeerRuntime::drop_all_retries() {
-  for (auto& [token, pending] : pending_) {
-    if (pending.timer != TimerWheel::kInvalidTimer) {
-      wheel_.cancel(pending.timer);
-    }
-    recycle_buffer(std::move(pending.bytes));
-  }
-  pending_.clear();
-  push_index_.clear();
-  pull_index_.clear();
-  query_index_.clear();
+  for (auto& [key, pending] : retries_) release(pending);
+  retries_.clear();
 }
 
 }  // namespace updp2p::runtime

@@ -11,7 +11,7 @@
 //     pushes go down the zero-copy frame path (duplicates classified from
 //     the header, first receipts stream-decoded), other kinds decode fully;
 //     garbage is counted and dropped — the codec is fail-safe;
-//   * a monotonic timer wheel supplies the push-round cadence
+//   * a monotonic timer queue supplies the push-round cadence
 //     (on_round_start) and per-message retry timers;
 //   * datagrams whose arrival the protocol can confirm — pushes (via §6
 //     acks), pull requests (via pull responses), query requests (via query
@@ -19,7 +19,8 @@
 //     until the confirming message cancels the retry (runtime/retry.hpp):
 //     requests within RetryPolicy::max_attempts transmissions, pushes
 //     within kMaxPushTransmissions, because §6 never confirms a push to a
-//     peer that already holds the version;
+//     peer that already holds the version. Each in-flight send has one
+//     entry in one retry table, keyed by the message that confirms it;
 //   * online/offline session control is external (go_online/go_offline),
 //     so churn can be driven by an orchestrator, a test harness, or a real
 //     process lifecycle.
@@ -43,7 +44,7 @@
 #include "gossip/node.hpp"
 #include "net/transport.hpp"
 #include "runtime/retry.hpp"
-#include "runtime/timer_wheel.hpp"
+#include "runtime/timer_queue.hpp"
 #include "store/replica_store.hpp"
 
 namespace updp2p::runtime {
@@ -53,7 +54,8 @@ struct RuntimeConfig {
   RetryPolicy retry;
   /// Wall/virtual seconds per push round (the cadence of on_round_start).
   common::SimTime round_duration = 1.0;
-  /// Timer wheel granularity; retry deadlines quantise to this.
+  /// Timer queue granularity: every timer deadline (round ticks, retries,
+  /// snapshots) rounds up to a whole number of ticks.
   common::SimTime tick_duration = 0.05;
   /// Root seed; the node's stream is keyed (seed, peer id) exactly like
   /// the simulators key theirs, the retry jitter stream by a distinct
@@ -116,7 +118,7 @@ class PeerRuntime {
   static constexpr unsigned kMaxPushTransmissions = 2;
 
   /// The transport must outlive the runtime; its self() becomes the node
-  /// id. Not thread-safe — runtime, transport and wheel share one loop.
+  /// id. Not thread-safe — runtime, transport and timers share one loop.
   PeerRuntime(RuntimeConfig config, net::Transport& transport);
 
   /// Seeds the initial membership view (§2).
@@ -160,7 +162,7 @@ class PeerRuntime {
   /// Earliest pending timer deadline — how long an event loop may sleep
   /// when the socket stays quiet. nullopt when no timer is armed.
   [[nodiscard]] std::optional<common::SimTime> next_deadline() const {
-    return wheel_.next_deadline();
+    return timers_.next_deadline();
   }
 
   // --- introspection --------------------------------------------------------
@@ -189,38 +191,32 @@ class PeerRuntime {
   }
   /// In-flight sends still awaiting their confirming message.
   [[nodiscard]] std::size_t pending_retries() const noexcept {
-    return pending_.size();
+    return retries_.size();
   }
 
  private:
-  /// What confirms an in-flight datagram (and keys its cancellation).
+  /// What confirms an in-flight datagram.
   enum class Expect : std::uint8_t { kAck, kPullResponse, kQueryReply };
 
-  struct PendingSend {
+  /// An in-flight send to `to`, named by the message that will confirm
+  /// it: an ack from `to` for `version`, any pull response from `to`, or a
+  /// query reply from `to` carrying `nonce`. Fields the kind does not use
+  /// stay default.
+  struct RetryKey {
     Expect expect = Expect::kAck;
-    common::PeerId to;
-    version::VersionId version;  ///< kAck: the pushed version
-    std::uint64_t nonce = 0;     ///< kQueryReply: the query nonce
-    net::DatagramBytes bytes;    ///< exact datagram for retransmission
-    unsigned attempt = 0;        ///< retransmissions performed so far
-    TimerWheel::TimerId timer = TimerWheel::kInvalidTimer;
+    common::PeerId to{};
+    version::VersionId version{};  ///< kAck: the pushed version
+    std::uint64_t nonce = 0;       ///< kQueryReply: the query nonce
+    friend bool operator==(const RetryKey&, const RetryKey&) = default;
+  };
+  struct RetryKeyHash {
+    std::size_t operator()(const RetryKey& key) const noexcept;
   };
 
-  struct PushKey {
-    common::PeerId to;
-    version::VersionId version;
-    friend bool operator==(const PushKey&, const PushKey&) = default;
-  };
-  struct PushKeyHash {
-    std::size_t operator()(const PushKey& key) const noexcept;
-  };
-  struct QueryKey {
-    common::PeerId to;
-    std::uint64_t nonce = 0;
-    friend bool operator==(const QueryKey&, const QueryKey&) = default;
-  };
-  struct QueryKeyHash {
-    std::size_t operator()(const QueryKey& key) const noexcept;
+  struct PendingSend {
+    net::DatagramBytes bytes;  ///< exact datagram for retransmission
+    unsigned attempt = 0;      ///< retransmissions performed so far
+    TimerQueue::TimerId timer = TimerQueue::kInvalidTimer;
   };
 
   [[nodiscard]] common::Round round_of(common::SimTime at) const noexcept {
@@ -239,13 +235,21 @@ class PeerRuntime {
   /// Routes one drained datagram: probe → frame path for pushes, full
   /// decode (+ retry cancellation) for everything else.
   void deliver_datagram(net::InboundDatagram& datagram);
-  void arm_retry(PendingSend pending);
-  void schedule_retry_timer(std::uint64_t token);
-  void on_retry_timer(std::uint64_t token);
-  void cancel_pending(std::uint64_t token);
+  /// The confirmation an outbound message waits for; nullopt when no
+  /// protocol message confirms it (or, for a push, acks are off).
+  [[nodiscard]] std::optional<RetryKey> awaited_confirmation(
+      const gossip::OutboundMessage& message) const;
+  /// A fresh send under `key` supersedes any stale in-flight entry (e.g.
+  /// the node re-pushed the same version to the same target).
+  void arm_retry(const RetryKey& key, net::DatagramBytes bytes);
+  void schedule_retry_timer(const RetryKey& key, PendingSend& pending);
+  void on_retry_timer(const RetryKey& key);
   /// Ack / pull response / query reply arrived: cancel the matching retry.
   void note_confirmation(common::PeerId from,
                          const gossip::GossipPayload& payload);
+  /// Cancels the send's retry timer (a no-op once it fired) and returns
+  /// its buffer to the pool; the caller erases the entry.
+  void release(PendingSend& pending);
   void arm_round_timer();
   void on_round_timer(common::SimTime at);
   void drop_all_retries();
@@ -266,21 +270,17 @@ class PeerRuntime {
   RuntimeConfig config_;
   net::Transport& transport_;
   gossip::ReplicaNode node_;
-  TimerWheel wheel_;
+  TimerQueue timers_;
   common::StreamRng jitter_rng_;
   bool online_ = true;
   common::SimTime now_ = 0.0;
   common::Round last_ticked_round_ = 0;
-  TimerWheel::TimerId round_timer_ = TimerWheel::kInvalidTimer;
+  TimerQueue::TimerId round_timer_ = TimerQueue::kInvalidTimer;
   std::optional<store::ReplicaStore> store_;
   std::string store_error_;
-  TimerWheel::TimerId snapshot_timer_ = TimerWheel::kInvalidTimer;
+  TimerQueue::TimerId snapshot_timer_ = TimerQueue::kInvalidTimer;
 
-  std::unordered_map<std::uint64_t, PendingSend> pending_;  ///< by token
-  std::unordered_map<PushKey, std::uint64_t, PushKeyHash> push_index_;
-  std::unordered_map<common::PeerId, std::uint64_t> pull_index_;
-  std::unordered_map<QueryKey, std::uint64_t, QueryKeyHash> query_index_;
-  std::uint64_t next_token_ = 1;
+  std::unordered_map<RetryKey, PendingSend, RetryKeyHash> retries_;
 
   std::vector<net::InboundDatagram> inbox_scratch_;
   std::vector<gossip::OutboundMessage> out_scratch_;

@@ -34,7 +34,8 @@ struct RetryPolicy {
   /// original send. Pushes are capped lower, at
   /// min(max_attempts, PeerRuntime::kMaxPushTransmissions): §6 never
   /// confirms a push that reaches a peer already holding its version.
-  /// 1 disables retransmission entirely; 0 disables retry tracking.
+  /// 0 and 1 act alike: every datagram is sent once and no retry is
+  /// armed.
   unsigned max_attempts = 5;
 
   /// Deterministic backoff base for retransmission number `attempt`

@@ -67,7 +67,7 @@ struct StoreConfig {
   /// records. 0 disables the count trigger.
   std::uint64_t snapshot_every_records = 256;
   /// Periodic snapshot cadence in runtime seconds (armed on the owner's
-  /// timer wheel; a timer-triggered snapshot is skipped while the log is
+  /// timer queue; a timer-triggered snapshot is skipped while the log is
   /// empty). 0 disables the timer trigger.
   common::SimTime snapshot_interval = 0.0;
   /// fsync(2) after every append. Off by default: the paper's failure

@@ -37,7 +37,7 @@
 #include "runtime/loopback_cluster.hpp"     // IWYU pragma: export
 #include "runtime/peer_runtime.hpp"         // IWYU pragma: export
 #include "runtime/retry.hpp"                // IWYU pragma: export
-#include "runtime/timer_wheel.hpp"          // IWYU pragma: export
+#include "runtime/timer_queue.hpp"          // IWYU pragma: export
 #include "sim/round_simulator.hpp"          // IWYU pragma: export
 #include "sim/sweep.hpp"                    // IWYU pragma: export
 #include "sim/workload.hpp"                 // IWYU pragma: export

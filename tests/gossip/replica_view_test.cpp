@@ -42,23 +42,12 @@ TEST(ReplicaView, SampleReturnsDistinctMembers) {
   ReplicaView view{PeerId(0)};
   for (std::uint32_t i = 1; i <= 50; ++i) view.add(PeerId(i));
   StreamRng rng(1);
-  const auto sample = view.sample(rng, 10, {});
+  std::vector<PeerId> sample;
+  view.sample_into(rng, 10, sample);
   EXPECT_EQ(sample.size(), 10u);
   std::unordered_set<PeerId> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 10u);
   for (const PeerId peer : sample) EXPECT_TRUE(view.contains(peer));
-}
-
-TEST(ReplicaView, SampleHonoursExclusions) {
-  ReplicaView view{PeerId(0)};
-  for (std::uint32_t i = 1; i <= 10; ++i) view.add(PeerId(i));
-  StreamRng rng(2);
-  std::unordered_set<PeerId> exclude{PeerId(1), PeerId(2), PeerId(3)};
-  for (int trial = 0; trial < 50; ++trial) {
-    for (const PeerId peer : view.sample(rng, 7, exclude)) {
-      EXPECT_FALSE(exclude.contains(peer));
-    }
-  }
 }
 
 TEST(ReplicaView, SampleReturnsFewerWhenViewSmall) {
@@ -66,16 +55,21 @@ TEST(ReplicaView, SampleReturnsFewerWhenViewSmall) {
   view.add(PeerId(1));
   view.add(PeerId(2));
   StreamRng rng(3);
-  EXPECT_EQ(view.sample(rng, 10, {}).size(), 2u);
+  std::vector<PeerId> sample;
+  view.sample_into(rng, 10, sample);
+  EXPECT_EQ(sample.size(), 2u);
 }
 
 TEST(ReplicaView, SampleEmptyCases) {
   ReplicaView view{PeerId(0)};
   StreamRng rng(4);
-  EXPECT_TRUE(view.sample(rng, 5, {}).empty());
+  std::vector<PeerId> sample{PeerId(7)};  // replaced, not appended to
+  view.sample_into(rng, 5, sample);
+  EXPECT_TRUE(sample.empty());
   view.add(PeerId(1));
-  EXPECT_TRUE(view.sample(rng, 0, {}).empty());
-  EXPECT_TRUE(view.sample(rng, 5, {PeerId(1)}).empty());
+  sample.push_back(PeerId(7));
+  view.sample_into(rng, 0, sample);
+  EXPECT_TRUE(sample.empty());
 }
 
 TEST(ReplicaView, PresumedOfflineSkippedUntilExpiry) {
@@ -89,8 +83,9 @@ TEST(ReplicaView, PresumedOfflineSkippedUntilExpiry) {
   EXPECT_EQ(view.presumed_offline_count(5), 1u);
 
   StreamRng rng(5);
+  std::vector<PeerId> sample;
   for (int trial = 0; trial < 30; ++trial) {
-    const auto sample = view.sample(rng, 2, {}, /*now=*/5);
+    view.sample_into(rng, 2, sample, /*now=*/5);
     ASSERT_EQ(sample.size(), 1u);
     EXPECT_EQ(sample[0], PeerId(2));
   }
@@ -100,9 +95,8 @@ TEST(ReplicaView, PresumedOfflineSkippedUntilExpiry) {
   // After expiry peer 1 is eligible again.
   bool seen1 = false;
   for (int trial = 0; trial < 30 && !seen1; ++trial) {
-    for (const PeerId peer : view.sample(rng, 2, {}, /*now=*/10)) {
-      seen1 |= peer == PeerId(1);
-    }
+    view.sample_into(rng, 2, sample, /*now=*/10);
+    for (const PeerId peer : sample) seen1 |= peer == PeerId(1);
   }
   EXPECT_TRUE(seen1);
 }
@@ -147,8 +141,10 @@ TEST(ReplicaView, PreferredPeersAreOversampled) {
   int preferred_hits = 0;
   int other_hits = 0;
   constexpr int kTrials = 4'000;
+  std::vector<PeerId> sample;
   for (int trial = 0; trial < kTrials; ++trial) {
-    for (const PeerId peer : view.sample(rng, 1, {})) {
+    view.sample_into(rng, 1, sample);
+    for (const PeerId peer : sample) {
       if (peer == PeerId(1)) {
         ++preferred_hits;
       } else if (peer == PeerId(2)) {
@@ -166,8 +162,9 @@ TEST(ReplicaView, PreferredDoesNotDuplicateInOneSample) {
   view.add(PeerId(2));
   view.mark_preferred(PeerId(1));
   StreamRng rng(7);
+  std::vector<PeerId> sample;
   for (int trial = 0; trial < 50; ++trial) {
-    const auto sample = view.sample(rng, 2, {});
+    view.sample_into(rng, 2, sample);
     std::unordered_set<PeerId> unique(sample.begin(), sample.end());
     EXPECT_EQ(unique.size(), sample.size());
   }
@@ -264,7 +261,7 @@ TEST(ReplicaView, ExpiryHeapMatchesWholeMapPurge) {
         ASSERT_EQ(view.presumed_offline_count(at), model.count(at));
         break;
       case 4: {
-        view.sample_into(sampler, kPeers, sample, nullptr, at);
+        view.sample_into(sampler, kPeers, sample, at);
         model.purge(at);
         std::vector<std::uint32_t> got;
         for (const PeerId p : sample) got.push_back(p.value());

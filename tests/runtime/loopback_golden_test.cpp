@@ -1,5 +1,5 @@
 // Golden determinism for the live runtime layer (ISSUE 3 acceptance): a
-// LoopbackCluster run — full PeerRuntimes, real codec bytes, timer wheels,
+// LoopbackCluster run — full PeerRuntimes, real codec bytes, timer queues,
 // retry timers — over the deterministic inproc network must reproduce a
 // pinned outcome exactly. If any of these numbers moves, the runtime's
 // behaviour changed; re-pin deliberately, never casually.

@@ -1,15 +1,17 @@
 // PeerRuntime behaviour over the deterministic inproc network: retry arming
-// and cancellation, exponential backoff retransmission, attempt exhaustion
-// (the full budget for requests, two transmissions for a push), round
-// cadence, offline/online session semantics, the bytes of a fan-out
-// encoded once, and the durability of pulled values. Every test runs in
-// virtual time — no sleeps, no clocks.
+// and cancellation (each confirmation cancels only its own retry),
+// exponential backoff retransmission, attempt exhaustion (the full budget
+// for requests, two transmissions for a push), round cadence,
+// offline/online session semantics, the bytes of a fan-out encoded once,
+// and the durability of pulled values. Every test runs in virtual time —
+// no sleeps, no clocks.
 #include "runtime/peer_runtime.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <variant>
@@ -17,6 +19,7 @@
 
 #include "gossip/codec.hpp"
 #include "net/inproc_transport.hpp"
+#include "version/version_id.hpp"
 
 namespace updp2p::runtime {
 namespace {
@@ -459,6 +462,54 @@ TEST(PeerRuntime, FanOutDatagramsEqualTheirPayloadEncoding) {
     EXPECT_EQ(transport.sent[i].bytes, gossip::encode(expected[i].payload))
         << "datagram " << i;
   }
+}
+
+TEST(PeerRuntime, ConfirmationsCancelOnlyTheirOwnRetry) {
+  // A pull request, a push and a query request to one peer are in flight
+  // at once. Each confirmation cancels its own retry and no other; an ack
+  // for another version or a reply with another nonce cancels nothing.
+  RuntimeConfig config = Pair::make_runtime_config();
+  config.start_online = false;
+  CaptureTransport transport(common::PeerId(0));
+  PeerRuntime runtime(config, transport);
+  const common::PeerId view[] = {common::PeerId(1)};
+  runtime.bootstrap(view);
+
+  runtime.go_online();  // the §3 reconnect pull, to peer 1
+  ASSERT_EQ(runtime.pending_retries(), 1u);
+  const auto published = runtime.publish("key", "value");
+  ASSERT_TRUE(published.has_value());
+  const std::uint64_t nonce =
+      runtime.begin_query("key", gossip::QueryRule::kLatestVersion, 1);
+  ASSERT_NE(nonce, 0u);
+  ASSERT_EQ(runtime.pending_retries(), 3u);
+
+  const version::VersionId other =
+      version::VersionIdFactory(common::PeerId(1), common::StreamRng(7))
+          .mint(0.0);
+  struct Injection {
+    gossip::GossipPayload payload;
+    std::size_t pending_after;
+    std::uint64_t cancelled_after;
+  };
+  const Injection injections[] = {
+      {gossip::PullResponse{}, 2, 1},
+      {gossip::AckMessage{other}, 2, 1},
+      {gossip::AckMessage{*published}, 1, 2},
+      {gossip::QueryReply{"key", nonce + 1, {}}, 1, 2},
+      {gossip::QueryReply{"key", nonce, {}}, 0, 3},
+  };
+  for (std::size_t i = 0; i < std::size(injections); ++i) {
+    transport.inbox.push_back(
+        {common::PeerId(1), gossip::encode(injections[i].payload)});
+    runtime.poll(0.0);
+    EXPECT_EQ(runtime.pending_retries(), injections[i].pending_after)
+        << "injection " << i;
+    EXPECT_EQ(runtime.stats().retries_cancelled,
+              injections[i].cancelled_after)
+        << "injection " << i;
+  }
+  EXPECT_EQ(runtime.stats().decode_errors, 0u);
 }
 
 TEST(PeerRuntime, PollTimeMustBeMonotone) {
