@@ -102,7 +102,7 @@ BENCHMARK(BM_StoreDelta);
 
 void BM_ViewSampleInto(benchmark::State& state) {
   // The allocation-free path the simulators actually run: scratch output
-  // vector plus the view's own epoch-stamped scratch sets.
+  // vector plus the arena's pick-dedup set.
   const auto population = static_cast<std::uint32_t>(state.range(0));
   gossip::ReplicaView view{common::PeerId(0)};
   for (std::uint32_t i = 1; i < population; ++i) {
@@ -134,9 +134,10 @@ void BM_BuildForwardList(benchmark::State& state) {
 BENCHMARK(BM_BuildForwardList);
 
 void BM_BuildForwardListInto(benchmark::State& state) {
-  // The allocation-free path the node runs per handled push: merge the
-  // received chunked list with the new targets and cap-sample, reusing one
-  // arena ChunkedPeerSet (warm chunk buffers) across calls.
+  // The allocation-free path the node runs per handled push: drop the
+  // listed targets, merge the received chunked list with the rest and
+  // cap-sample, reusing one arena ChunkedPeerSet (warm chunk buffers)
+  // across calls.
   gossip::PartialListConfig config;
   config.mode = gossip::PartialListMode::kDropRandom;
   config.max_entries = 128;
@@ -146,13 +147,62 @@ void BM_BuildForwardListInto(benchmark::State& state) {
   for (std::uint32_t i = 200; i < 260; ++i) targets.emplace_back(i);
   common::StreamRng rng(3);
   common::ChunkedPeerSet out;
+  std::vector<common::PeerId> scratch;  // the call compacts its targets
   for (auto _ : state) {
-    gossip::build_forward_list_into(config, received, targets,
+    scratch.assign(targets.begin(), targets.end());
+    gossip::build_forward_list_into(config, received, scratch,
+                                    common::PeerId::invalid(),
                                     common::PeerId(1000), rng, out);
     benchmark::DoNotOptimize(&out);
   }
 }
 BENCHMARK(BM_BuildForwardListInto);
+
+void BM_ForwardStep(benchmark::State& state, std::uint32_t universe,
+                    std::uint32_t listed, std::uint32_t target_count) {
+  // One §4.2 forward step as ReplicaNode::handle_push_first runs it with
+  // an unbounded list: R_p \ R_f and the outgoing R_f ∪ {self} ∪ R_p, into
+  // one warm output set. R_f holds `listed` ids of the universe and R_p
+  // `target_count` independently sampled ones, so some targets are
+  // dropped; the forwarder and the sender are on R_f, as a target of the
+  // sender would find them.
+  common::StreamRng draw(11);
+  common::ChunkedPeerSet received;
+  for (const std::uint32_t id :
+       draw.sample_without_replacement(universe, listed)) {
+    received.insert(common::PeerId(id));
+  }
+  std::vector<common::PeerId> targets;
+  for (const std::uint32_t id :
+       draw.sample_without_replacement(universe, target_count)) {
+    targets.emplace_back(id);
+  }
+  const common::PeerId self = received.select_rank(0);
+  const common::PeerId from = received.select_rank(received.size() - 1);
+  gossip::PartialListConfig config;
+  config.mode = gossip::PartialListMode::kUnbounded;
+  common::StreamRng rng(3);
+  common::ChunkedPeerSet out;
+  std::vector<common::PeerId> scratch;  // the call compacts its targets
+  for (auto _ : state) {
+    scratch.assign(targets.begin(), targets.end());
+    gossip::build_forward_list_into(config, received, scratch, from, self,
+                                    rng, out);
+    benchmark::DoNotOptimize(&out);
+    benchmark::ClobberMemory();
+  }
+  state.counters["list"] = static_cast<double>(out.size());
+  state.counters["pushes"] = static_cast<double>(scratch.size());
+}
+// sim_push_10k: a 2 000-id array chunk in a 10 000-id universe, 100 targets.
+BENCHMARK_CAPTURE(BM_ForwardStep, array_2000_of_10k, 10'000u, 2'000u, 100u);
+// A received bitmap chunk: 6 000 ids (> kArrayChunkMax) of 10 000.
+BENCHMARK_CAPTURE(BM_ForwardStep, bitmap_6000_of_10k, 10'000u, 6'000u, 100u);
+// A list over four 2^16-id chunks: 3 000 ids of 200 000, 100 targets.
+BENCHMARK_CAPTURE(BM_ForwardStep, multi_chunk_3000_of_200k, 200'000u,
+                  3'000u, 100u);
+// udp_steady: a 32-peer cluster, 16 listed, 8 targets.
+BENCHMARK_CAPTURE(BM_ForwardStep, udp_16_of_32, 32u, 16u, 8u);
 
 void BM_AnalyticalPushModel(benchmark::State& state) {
   analysis::PushModelParams params;

@@ -32,9 +32,9 @@ import re
 import shutil
 import subprocess
 import sys
-import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from base_worktree import ROOT, base_worktree, fail
+
 RUN_TIMEOUT_S = 1800
 PARALLEL_RUNS = 2
 EXAMPLES = [
@@ -47,16 +47,6 @@ EXAMPLES = [
     ("model_cli", ["--trajectory"]),
 ]
 CHAOS = "updp2p-chaos"
-
-
-def fail(message):
-    print(f"compare_outputs: {message}", file=sys.stderr)
-    sys.exit(2)
-
-
-def git(*args):
-    return subprocess.run(["git", "-C", ROOT, *args], check=True,
-                          capture_output=True, text=True).stdout.strip()
 
 
 def benches(source):
@@ -150,15 +140,7 @@ def main():
                         help="seeds per chaos builtin (default 20)")
     args = parser.parse_args()
     build_jobs = max(1, min(4, os.cpu_count() or 1))
-    try:
-        base_rev = git("rev-parse", "--verify", args.base + "^{commit}")
-    except subprocess.CalledProcessError:
-        fail(f"unknown revision {args.base!r}")
-
-    tmp = tempfile.mkdtemp(prefix="compare_outputs-")
-    base_src = os.path.join(tmp, "base-src")
-    try:
-        git("worktree", "add", "--detach", base_src, base_rev)
+    with base_worktree(args.base) as (tmp, base_src, base_rev):
         sides = {"base": os.path.join(tmp, "base-run"),
                  "head": os.path.join(tmp, "head-run")}
         for side_dir in sides.values():
@@ -215,12 +197,6 @@ def main():
         print(f"{len(names) - differing} of {len(names)} outputs identical "
               f"({args.base} = {base_rev[:12]} against the working tree)")
         return 1 if differing else 0
-    finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
-                        base_src], capture_output=True)
-        shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "-C", ROOT, "worktree", "prune"],
-                       capture_output=True)
 
 
 if __name__ == "__main__":

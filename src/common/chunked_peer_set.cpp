@@ -54,6 +54,166 @@ ChunkedPeerSet::Chunk ChunkedPeerSet::take_chunk(std::uint16_t key) {
   return chunk;
 }
 
+ChunkedPeerSet::Chunk ChunkedPeerSet::shared_copy(const Chunk& theirs) {
+  Chunk chunk = take_chunk(theirs.key);
+  chunk.cardinality = theirs.cardinality;
+  chunk.lows.assign(theirs.lows.begin(), theirs.lows.end());
+  chunk.bitmap = theirs.bitmap;
+  return chunk;
+}
+
+std::size_t ChunkedPeerSet::assign_union_compact_new(
+    const ChunkedPeerSet& base, std::span<PeerId> ids, PeerId also) {
+  UPDP2P_ENSURE(&base != this,
+                "assign_union_compact_new needs a distinct base set");
+  clear();
+  // The chunk keys the ids and `also` touch, ascending and distinct. Ids
+  // from one 2^16-id universe share one key, so this is usually one entry.
+  merge_scratch_.clear();
+  std::uint32_t max_id = base.empty() ? 0 : base.max_id_;
+  const auto note = [this, &max_id](PeerId peer) {
+    UPDP2P_ENSURE(peer.is_valid(), "ChunkedPeerSet requires valid peer ids");
+    const auto key = static_cast<std::uint16_t>(peer.value() >> kChunkBits);
+    if (merge_scratch_.empty() || merge_scratch_.back() != key) {
+      merge_scratch_.push_back(key);
+    }
+    max_id = std::max(max_id, peer.value());
+  };
+  for (const PeerId peer : ids) note(peer);
+  if (also.is_valid()) note(also);
+  std::sort(merge_scratch_.begin(), merge_scratch_.end());
+  merge_scratch_.erase(
+      std::unique(merge_scratch_.begin(), merge_scratch_.end()),
+      merge_scratch_.end());
+
+  // One merge walk over base's chunks and the touched keys: untouched
+  // chunks are shared, touched ones swept.
+  std::size_t next = 0;
+  for (const std::uint16_t key : merge_scratch_) {
+    while (next < base.chunks_.size() && base.chunks_[next].key < key) {
+      chunks_.push_back(shared_copy(base.chunks_[next++]));
+    }
+    const Chunk* theirs = nullptr;
+    if (next < base.chunks_.size() && base.chunks_[next].key == key) {
+      theirs = &base.chunks_[next++];
+    }
+    sweep_chunk(key, theirs, ids, also);
+  }
+  while (next < base.chunks_.size()) {
+    chunks_.push_back(shared_copy(base.chunks_[next++]));
+  }
+  for (const Chunk& chunk : chunks_) size_ += chunk.cardinality;
+  max_id_ = size_ == 0 ? 0 : max_id;
+
+  // Ids that were not new were marked invalid; drop them, keeping order.
+  std::size_t kept = 0;
+  for (const PeerId peer : ids) {
+    if (peer.is_valid()) ids[kept++] = peer;
+  }
+  return kept;
+}
+
+void ChunkedPeerSet::sweep_chunk(std::uint16_t key, const Chunk* theirs,
+                                 std::span<PeerId> ids, PeerId also) {
+  const auto in_chunk = [key](PeerId peer) {
+    return peer.is_valid() &&
+           static_cast<std::uint16_t>(peer.value() >> kChunkBits) == key;
+  };
+  const bool also_here = in_chunk(also);
+  Chunk chunk = take_chunk(key);
+
+  if (theirs != nullptr && theirs->is_bitmap()) {
+    // Already a bitmap, and a union only grows it: test and set in place,
+    // sharing their buffer until the first new id.
+    chunk.bitmap = theirs->bitmap;
+    chunk.cardinality = theirs->cardinality;
+    const auto test_and_set = [this, &chunk](std::uint16_t low) {
+      const std::uint64_t mask = std::uint64_t{1} << (low & 63);
+      if ((chunk.bitmap.data()[low >> 6] & mask) != 0) return false;
+      writable_words(chunk)[low >> 6] |= mask;
+      ++chunk.cardinality;
+      return true;
+    };
+    for (PeerId& peer : ids) {
+      if (in_chunk(peer) &&
+          !test_and_set(static_cast<std::uint16_t>(peer.value()))) {
+        peer = PeerId::invalid();
+      }
+    }
+    if (also_here) {
+      (void)test_and_set(static_cast<std::uint16_t>(also.value()));
+    }
+    chunks_.push_back(std::move(chunk));
+    return;
+  }
+
+  // Array chunk (or none): a scratch bitmap over the word range the chunk's
+  // ids span. Their lows are sorted, so the ends bound them.
+  std::uint32_t lo = kChunkSpan - 1;
+  std::uint32_t hi = 0;
+  const auto widen = [&lo, &hi](std::uint32_t low) {
+    lo = std::min(lo, low);
+    hi = std::max(hi, low);
+  };
+  if (theirs != nullptr) {
+    widen(theirs->lows.front());
+    widen(theirs->lows.back());
+  }
+  for (const PeerId peer : ids) {
+    if (in_chunk(peer)) widen(peer.value() & (kChunkSpan - 1));
+  }
+  if (also_here) widen(also.value() & (kChunkSpan - 1));
+  const std::size_t first_word = lo >> 6;
+  const std::size_t word_count = (hi >> 6) - first_word + 1;
+  bit_scratch_.assign(word_count, 0);
+  std::uint64_t* words = bit_scratch_.data();
+  std::uint32_t cardinality = 0;
+  const auto test_and_set = [words, first_word, &cardinality](
+                                std::uint32_t low) {
+    std::uint64_t& word = words[(low >> 6) - first_word];
+    const std::uint64_t mask = std::uint64_t{1} << (low & 63);
+    if ((word & mask) != 0) return false;
+    word |= mask;
+    ++cardinality;
+    return true;
+  };
+  if (theirs != nullptr) {
+    // Distinct by construction: set without testing.
+    for (const std::uint16_t low : theirs->lows) {
+      words[(low >> 6) - first_word] |= std::uint64_t{1} << (low & 63);
+    }
+    cardinality = theirs->cardinality;
+  }
+  for (PeerId& peer : ids) {
+    if (in_chunk(peer) && !test_and_set(peer.value() & (kChunkSpan - 1))) {
+      peer = PeerId::invalid();
+    }
+  }
+  if (also_here) (void)test_and_set(also.value() & (kChunkSpan - 1));
+
+  // Write back in canonical form.
+  chunk.cardinality = cardinality;
+  if (cardinality <= kArrayChunkMax) {
+    chunk.lows.resize(cardinality);
+    std::size_t at = 0;
+    for (std::size_t w = 0; w < word_count; ++w) {
+      std::uint64_t word = words[w];
+      while (word != 0) {
+        chunk.lows[at++] = static_cast<std::uint16_t>(
+            (first_word + w) * 64 +
+            static_cast<std::size_t>(std::countr_zero(word)));
+        word &= word - 1;
+      }
+    }
+  } else {
+    chunk.bitmap = take_bitmap();
+    std::uint64_t* bits = writable_words(chunk);
+    std::fill_n(bits, kBitmapWords, 0);
+    std::copy_n(words, word_count, bits + first_word);
+  }
+  chunks_.push_back(std::move(chunk));
+}
+
 void ChunkedPeerSet::insert_all(const ChunkedPeerSet& other) {
   if (other.empty() || &other == this) return;
   // Iterate by index: inserting chunks invalidates iterators. Both chunk
@@ -63,12 +223,8 @@ void ChunkedPeerSet::insert_all(const ChunkedPeerSet& other) {
     while (mine < chunks_.size() && chunks_[mine].key < theirs.key) ++mine;
     if (mine == chunks_.size() || chunks_[mine].key > theirs.key) {
       // No local chunk for this range: take theirs whole, sharing a bitmap.
-      Chunk chunk = take_chunk(theirs.key);
-      chunk.cardinality = theirs.cardinality;
-      chunk.lows.assign(theirs.lows.begin(), theirs.lows.end());
-      chunk.bitmap = theirs.bitmap;
       chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(mine),
-                     std::move(chunk));
+                     shared_copy(theirs));
       size_ += theirs.cardinality;
     } else {
       const std::uint32_t before = chunks_[mine].cardinality;

@@ -252,6 +252,20 @@ class ChunkedPeerSet {
   /// the count of new ids read the size delta.
   void insert_all(const ChunkedPeerSet& other);
 
+  /// The forward step's union (§4.2), one sweep per chunk that `ids` or
+  /// `also` touch: replaces this set with `base` ∪ `ids` ∪ {`also`} and
+  /// compacts `ids` in place, keeping their order, to the ids that were
+  /// new, i.e. in neither `base` nor an earlier slot of `ids`. `also`
+  /// (skipped when invalid) is inserted after `ids` and never counted.
+  /// Returns the compacted length. A touched array chunk costs O(its ids +
+  /// the 64-id words they span): a scratch bitmap over that word range,
+  /// never more than one chunk's 8 KiB, replaces a binary search and a
+  /// sorted insert per id. A touched bitmap chunk is tested and set in
+  /// place, unsharing only if an id is new. Untouched chunks of `base` are
+  /// shared as insert_all shares them. `base` must not be this set.
+  std::size_t assign_union_compact_new(const ChunkedPeerSet& base,
+                                       std::span<PeerId> ids, PeerId also);
+
   /// Difference: removes every id of `other` from this set (R \ other).
   /// Bitmap/bitmap pairs run word-parallel (64-bit AND-NOT); when an array
   /// chunk meets a much larger one, membership is resolved by galloping
@@ -281,9 +295,9 @@ class ChunkedPeerSet {
     // n/64 words) and are sorted once at the end — the sorted-insert
     // alternative is O(cap^2) element moves.
     rank_scratch_.clear();
-    rank_bits_.assign((size_ + 63) / 64, 0);
+    bit_scratch_.assign((size_ + 63) / 64, 0);
     const auto test_and_set = [this](std::uint32_t r) {
-      std::uint64_t& word = rank_bits_[r >> 6];
+      std::uint64_t& word = bit_scratch_[r >> 6];
       const std::uint64_t mask = std::uint64_t{1} << (r & 63);
       const bool taken = (word & mask) != 0;
       word |= mask;
@@ -385,6 +399,13 @@ class ChunkedPeerSet {
   void park(Chunk& chunk) noexcept;
   /// Takes a parked chunk buffer (or a fresh one) with the given key.
   Chunk take_chunk(std::uint16_t key);
+  /// A copy of another set's chunk that shares its bitmap buffer.
+  Chunk shared_copy(const Chunk& theirs);
+  /// assign_union_compact_new's step for one touched chunk: appends the
+  /// chunk `key` of `theirs` ∪ ids ∪ {also} and marks each id of that key
+  /// that was not new by overwriting it with PeerId::invalid().
+  void sweep_chunk(std::uint16_t key, const Chunk* theirs,
+                   std::span<PeerId> ids, PeerId also);
   /// Unions one incoming chunk into the local chunk with the same key.
   void union_chunk(Chunk& ours, const Chunk& theirs);
   /// Array -> bitmap (contents unchanged).
@@ -412,9 +433,16 @@ class ChunkedPeerSet {
   std::uint32_t max_id_ = 0;   ///< largest member; 0 while empty
   std::vector<Chunk> spare_;   ///< parked array buffers (no bitmap)
   std::vector<SharedBitmap> spare_bitmaps_;  ///< parked, held by no one else
+  // Scratch, never read across calls. Every set carries it (a view's index
+  // too), so the operations share these few vectors instead of adding one
+  // each.
+  /// union_chunk's new lows, keep_ranks' survivors, assign_union_compact_new's
+  /// touched chunk keys.
   std::vector<std::uint16_t> merge_scratch_;
   std::vector<std::uint32_t> rank_scratch_;
-  std::vector<std::uint64_t> rank_bits_;  ///< keep_random taken-rank bitset
+  /// keep_random's taken-rank bitset; assign_union_compact_new's bitmap
+  /// over the words one chunk's ids span (at most kBitmapWords).
+  std::vector<std::uint64_t> bit_scratch_;
 };
 
 }  // namespace updp2p::common

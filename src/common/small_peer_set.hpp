@@ -6,8 +6,8 @@
 // A replica's view holds only the peers it actually knows, so its
 // membership index should cost O(|view|): this set stores the 32-bit ids
 // themselves in a power-of-two open-addressing table with linear probing
-// (load factor <= 0.75). No tombstones — the protocol's views only grow
-// (per-round *scratch* exclusion sets stay on DensePeerSet).
+// (load factor <= 0.75). No tombstones — the protocol's views only grow,
+// and scratch users (the sampler's pick dedup) clear() between calls.
 #pragma once
 
 #include <algorithm>

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "common/chunked_peer_set.hpp"
-#include "common/dense_peer_set.hpp"
+#include "common/small_peer_set.hpp"
 #include "common/types.hpp"
 
 namespace updp2p::gossip {
@@ -33,7 +33,7 @@ struct WorkArena {
 
   // ReplicaView::sample_into scratch.
   std::vector<common::PeerId> pool;      ///< weighted candidate pool
-  common::DensePeerSet chosen;           ///< distinct-pick dedup
+  common::SmallPeerSet chosen;           ///< distinct-pick dedup
 };
 
 }  // namespace updp2p::gossip

@@ -68,12 +68,14 @@ using WireBytes = std::vector<std::byte>;
 /// encoding above.
 inline constexpr std::uint8_t kCodecVersion = 2;
 
-/// Upper bound (exclusive) on peer ids accepted off the wire. Decoded peer
-/// ids index population-sized dense arrays (DensePeerSet stamp arrays), so
-/// a hostile varint must not be able to command a multi-gigabyte resize or
-/// smuggle in the PeerId::invalid() sentinel, which dense containers
-/// reject by contract. 2^28 comfortably covers the paper's largest
-/// evaluated population (10^8, Fig. 5).
+/// Upper bound (exclusive) on peer ids accepted off the wire. It keeps the
+/// PeerId::invalid() sentinel, which the peer sets reject by contract, off
+/// the wire, and bounds the chunk keys a peer-set encoding can name. It
+/// does not make a decoded id a safe index: a stamp array over 2^28 ids is
+/// 1 GiB, so nothing may size an id-indexed array by the largest id a
+/// flooding list named (ReplicaView::sample_into dedups its picks in a
+/// hash set sized by the picks). 2^28 comfortably covers the paper's
+/// largest evaluated population (10^8, Fig. 5).
 inline constexpr std::uint64_t kMaxWirePeerId = std::uint64_t{1} << 28;
 
 /// Upper bound (exclusive) on chunk keys in the peerset encoding: a chunk

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/small_peer_set.hpp"
 #include "gossip/codec.hpp"
 #include "gossip/partial_list.hpp"
 
@@ -39,8 +40,12 @@ void ReplicaNode::import_durable_state(
 
 void ReplicaNode::seed_fixed_neighbors(
     std::span<const common::PeerId> neighbors) {
-  fixed_neighbors_.assign(neighbors.begin(), neighbors.end());
-  std::erase(fixed_neighbors_, self_);
+  fixed_neighbors_.clear();
+  common::SmallPeerSet listed;
+  listed.reserve(neighbors.size());
+  for (const common::PeerId peer : neighbors) {
+    if (peer != self_ && listed.insert(peer)) fixed_neighbors_.push_back(peer);
+  }
   view_.merge(neighbors);
 }
 
@@ -71,13 +76,15 @@ void ReplicaNode::start_push(version::VersionedValue value, common::Round now,
   seen_versions_.insert(value.id);
   note_activity(now);
 
-  // Round 0: the initiator selects f_r·R replicas (§4.2).
-  const std::vector<common::PeerId>& targets =
+  // Round 0: the initiator selects f_r·R replicas (§4.2); its list is
+  // {self} ∪ R_p.
+  std::vector<common::PeerId>& targets =
       select_targets(config_.absolute_fanout(), now);
-  if (targets.empty()) return;
   build_forward_list_into(config_.partial_list,
                           /*received=*/common::ChunkedPeerSet(), targets,
-                          self_, rng_, arena().list);
+                          /*from=*/common::PeerId::invalid(), self_, rng_,
+                          arena().list);
+  if (targets.empty()) return;
 
   // One shared buffer serves the whole fan-out: each message copy is a
   // refcount bump, not an O(|R_f|) vector (or version-vector) copy.
@@ -183,20 +190,14 @@ void ReplicaNode::handle_push_first(common::PeerId from,
   // Select R_p (f_r·R random replicas; f_r itself shrinks under §6
   // self-tuning), then push to R_p \ R_f: peers already on the flooding
   // list are *dropped*, not re-drawn — that is what shrinks the message
-  // count by the (1−l(t)) factor of §4.2.
+  // count by the (1−l(t)) factor of §4.2. One sweep per touched chunk of
+  // the list computes R_p \ R_f and the outgoing R_f ∪ {self} ∪ R_p.
   std::vector<common::PeerId>& targets = select_targets(
       forward_.effective_fanout(config_.absolute_fanout(), list_fraction),
       now);
-  // R_p \ R_f by direct probes into the compressed list: ~fanout contains()
-  // calls (O(1) on bitmap chunks) replace materialising R_f into an
-  // O(|R_f|) scratch set per delivery.
-  std::erase_if(targets, [&flooded, from](common::PeerId peer) {
-    return peer == from || flooded.contains(peer);
-  });
-  if (targets.empty()) return;
-
-  build_forward_list_into(config_.partial_list, flooded, targets, self_,
+  build_forward_list_into(config_.partial_list, flooded, targets, from, self_,
                           rng_, arena().list);
+  if (targets.empty()) return;
   // Forwarded value and list are shared across the fan-out.
   const GossipPayload payload(
       PushMessage{value, SharedPeerList(arena().list), next_round});

@@ -111,6 +111,8 @@ class ReplicaNode {
   /// kFixedNeighbors mode: supplies the static target set — the "topology
   /// knowledge" a directional-gossip-like scheme [20] would maintain (e.g.
   /// peers observed online at bootstrap). Peers are also added to the view.
+  /// Self and repeats are dropped (the first occurrence keeps its place),
+  /// so each neighbour is pushed to at most once per forward.
   void seed_fixed_neighbors(std::span<const common::PeerId> neighbors);
 
   // --- application-facing API ------------------------------------------------

@@ -17,20 +17,16 @@ const char* to_string(PartialListMode mode) noexcept {
 
 void build_forward_list_into(const PartialListConfig& config,
                              const common::ChunkedPeerSet& received,
-                             std::span<const common::PeerId> new_targets,
-                             common::PeerId self, common::StreamRng& rng,
+                             std::vector<common::PeerId>& targets,
+                             common::PeerId from, common::PeerId self,
+                             common::StreamRng& rng,
                              common::ChunkedPeerSet& out) {
-  out.clear();
-  if (config.mode == PartialListMode::kNone) return;
-
-  // Union: received ∪ {self} ∪ targets. The set representation dedups by
-  // construction. Seed the tiny {self} ∪ targets side first (inserts into
-  // a near-empty array chunk), then absorb the large received list in one
-  // merge pass — the reverse order would pay a sorted-insert memmove per
-  // target into an already-populated chunk.
-  out.insert(self);
-  for (const common::PeerId peer : new_targets) out.insert(peer);
-  out.insert_all(received);
+  std::erase(targets, from);
+  targets.resize(out.assign_union_compact_new(received, targets, self));
+  if (targets.empty() || config.mode == PartialListMode::kNone) {
+    out.clear();
+    return;
+  }
 
   if (config.mode == PartialListMode::kUnbounded ||
       out.size() <= config.max_entries) {
@@ -58,10 +54,11 @@ void build_forward_list_into(const PartialListConfig& config,
 
 common::ChunkedPeerSet build_forward_list(
     const PartialListConfig& config, const common::ChunkedPeerSet& received,
-    const std::vector<common::PeerId>& new_targets, common::PeerId self,
+    std::vector<common::PeerId> targets, common::PeerId self,
     common::StreamRng& rng) {
   common::ChunkedPeerSet out;
-  build_forward_list_into(config, received, new_targets, self, rng, out);
+  build_forward_list_into(config, received, targets, common::PeerId::invalid(),
+                          self, rng, out);
   return out;
 }
 

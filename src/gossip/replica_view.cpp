@@ -6,7 +6,7 @@ namespace updp2p::gossip {
 
 bool ReplicaView::add(common::PeerId peer) {
   // Track the id bound for every peer *offered*, not just those stored:
-  // sampling sizes its DensePeerSet scratch off id_bound_, and a flooding
+  // sampling draws ids below id_bound_ for dense views, and a flooding
   // list may legitimately contain this view's owner.
   if (peer.is_valid()) {
     if (peer.value() + 1 > id_bound_) {
@@ -140,8 +140,11 @@ void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
   const bool check_offline = !presumed_offline_until_.empty();
   const bool weighted = preferred_weight_ > 1 && !preferred_.empty();
 
-  common::DensePeerSet& chosen = arena().chosen;
-  chosen.reserve_ids(id_bound_);
+  // Picks dedup in a hash set sized by the picks, never by id_bound_:
+  // the bound is whatever id a flooding list named, up to 2^28 off the
+  // wire, and an id-indexed array over it would be 1 GiB.
+  common::SmallPeerSet& chosen = arena().chosen;
+  chosen.reserve(std::min(count, member_count));
   chosen.clear();
   out.reserve(std::min(count, member_count));
 

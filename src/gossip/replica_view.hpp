@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/chunked_peer_set.hpp"
-#include "common/dense_peer_set.hpp"
 #include "common/rng.hpp"
 #include "common/small_peer_set.hpp"
 #include "common/types.hpp"

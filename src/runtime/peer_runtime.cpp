@@ -343,33 +343,35 @@ std::optional<PeerRuntime::RetryKey> PeerRuntime::awaited_confirmation(
 void PeerRuntime::arm_retry(const RetryKey& key, net::DatagramBytes bytes) {
   const auto [it, fresh] = retries_.try_emplace(key);
   if (!fresh) release(it->second);
-  it->second = PendingSend{std::move(bytes)};
+  it->second.bytes = std::move(bytes);
+  it->second.attempt = 0;
   ++stats_.retries_armed;
-  schedule_retry_timer(key, it->second);
+  schedule_retry_timer(it);
 }
 
-void PeerRuntime::schedule_retry_timer(const RetryKey& key,
-                                       PendingSend& pending) {
+void PeerRuntime::schedule_retry_timer(RetryTable::iterator entry) {
+  PendingSend& pending = entry->second;
+  UPDP2P_ENSURE(pending.timer == TimerQueue::kInvalidTimer,
+                "retry entry already has a pending timer");
   const common::SimTime wait =
       config_.retry.delay(pending.attempt, jitter_rng_);
-  pending.timer = timers_.schedule_after(
-      wait, [this, key](common::SimTime /*at*/) { on_retry_timer(key); });
+  pending.timer =
+      timers_.schedule_after(wait, RetryFire{this, &entry->first});
 }
 
 void PeerRuntime::on_retry_timer(const RetryKey& key) {
-  // Every path that erases an entry cancels its timer first, so a timer
-  // that fires always finds its own entry.
   const auto it = retries_.find(key);
-  UPDP2P_ENSURE(it != retries_.end(), "retry timer outlived its send");
+  UPDP2P_ENSURE(it != retries_.end() && &it->first == &key,
+                "retry timer outlived its send");
   PendingSend& pending = it->second;
+  pending.timer = TimerQueue::kInvalidTimer;  // it just fired
   const unsigned budget =
       key.expect == Expect::kAck
           ? std::min(config_.retry.max_attempts, kMaxPushTransmissions)
           : config_.retry.max_attempts;
   if (1 + pending.attempt >= budget) {
     ++stats_.retries_exhausted;
-    release(pending);
-    retries_.erase(it);
+    erase_retry(it);
     return;
   }
   ++pending.attempt;
@@ -380,7 +382,7 @@ void PeerRuntime::on_retry_timer(const RetryKey& key) {
   // any path that lost them and had to re-encode.
   if (pending.bytes.empty()) ++stats_.retransmit_reencodes;
   transport_.send(key.to, pending.bytes);
-  schedule_retry_timer(key, pending);
+  schedule_retry_timer(it);
 }
 
 void PeerRuntime::note_confirmation(common::PeerId from,
@@ -400,13 +402,22 @@ void PeerRuntime::note_confirmation(common::PeerId from,
   const auto it = retries_.find(key);
   if (it == retries_.end()) return;
   ++stats_.retries_cancelled;
-  release(it->second);
-  retries_.erase(it);
+  erase_retry(it);
 }
 
 void PeerRuntime::release(PendingSend& pending) {
-  timers_.cancel(pending.timer);
+  if (pending.timer != TimerQueue::kInvalidTimer) {
+    const bool was_pending = timers_.cancel(pending.timer);
+    UPDP2P_ENSURE(was_pending,
+                  "retry entry names a timer the queue no longer holds");
+    pending.timer = TimerQueue::kInvalidTimer;
+  }
   recycle_buffer(std::move(pending.bytes));
+}
+
+void PeerRuntime::erase_retry(RetryTable::iterator entry) {
+  release(entry->second);
+  retries_.erase(entry);
 }
 
 void PeerRuntime::arm_round_timer() {
@@ -432,8 +443,7 @@ void PeerRuntime::on_round_timer(common::SimTime at) {
 }
 
 void PeerRuntime::drop_all_retries() {
-  for (auto& [key, pending] : retries_) release(pending);
-  retries_.clear();
+  while (!retries_.empty()) erase_retry(retries_.begin());
 }
 
 }  // namespace updp2p::runtime

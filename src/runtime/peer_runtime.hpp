@@ -36,6 +36,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -216,8 +217,30 @@ class PeerRuntime {
   struct PendingSend {
     net::DatagramBytes bytes;  ///< exact datagram for retransmission
     unsigned attempt = 0;      ///< retransmissions performed so far
+    /// The entry's one pending timer; kInvalidTimer while none is pending
+    /// (from the moment it fires until it is re-armed).
     TimerQueue::TimerId timer = TimerQueue::kInvalidTimer;
   };
+  using RetryTable = std::unordered_map<RetryKey, PendingSend, RetryKeyHash>;
+
+  /// A retry timer's callback. It points at the retry table's key instead
+  /// of copying it; two pointers fit std::function's local buffer, so
+  /// arming a timer does not allocate. The pointer is live whenever the
+  /// timer fires: unordered_map nodes keep their address across rehash,
+  /// an entry has at most one pending timer (schedule_retry_timer checks)
+  /// and it is `PendingSend::timer` (release checks), and erase_retry,
+  /// the only way out of the table, cancels that timer before erasing.
+  struct RetryFire {
+    PeerRuntime* runtime;
+    const RetryKey* key;
+    void operator()(common::SimTime /*at*/) const {
+      runtime->on_retry_timer(*key);
+    }
+  };
+  static_assert(std::is_trivially_copyable_v<RetryFire> &&
+                    sizeof(RetryFire) <= 16,
+                "a retry timer's callback must fit std::function's local "
+                "buffer (16 bytes in libstdc++)");
 
   [[nodiscard]] common::Round round_of(common::SimTime at) const noexcept {
     return static_cast<common::Round>(at / config_.round_duration);
@@ -242,14 +265,19 @@ class PeerRuntime {
   /// A fresh send under `key` supersedes any stale in-flight entry (e.g.
   /// the node re-pushed the same version to the same target).
   void arm_retry(const RetryKey& key, net::DatagramBytes bytes);
-  void schedule_retry_timer(const RetryKey& key, PendingSend& pending);
+  /// Arms the entry's timer, which points at the entry's key (see
+  /// RetryFire). The entry must have no pending timer.
+  void schedule_retry_timer(RetryTable::iterator entry);
   void on_retry_timer(const RetryKey& key);
   /// Ack / pull response / query reply arrived: cancel the matching retry.
   void note_confirmation(common::PeerId from,
                          const gossip::GossipPayload& payload);
-  /// Cancels the send's retry timer (a no-op once it fired) and returns
-  /// its buffer to the pool; the caller erases the entry.
+  /// Cancels the send's pending timer, if any, and returns its buffer to
+  /// the pool.
   void release(PendingSend& pending);
+  /// Releases the entry, then erases it. Every erase goes through here,
+  /// so no timer outlives the key it points at.
+  void erase_retry(RetryTable::iterator entry);
   void arm_round_timer();
   void on_round_timer(common::SimTime at);
   void drop_all_retries();
@@ -280,7 +308,7 @@ class PeerRuntime {
   std::string store_error_;
   TimerQueue::TimerId snapshot_timer_ = TimerQueue::kInvalidTimer;
 
-  std::unordered_map<RetryKey, PendingSend, RetryKeyHash> retries_;
+  RetryTable retries_;
 
   std::vector<net::InboundDatagram> inbox_scratch_;
   std::vector<gossip::OutboundMessage> out_scratch_;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -456,6 +457,94 @@ TEST(ChunkedPeerSet, CopyOnWriteModelCheck) {
       ASSERT_NO_FATAL_FAILURE(expect_matches(sets[k], refs[k]));
     }
     ASSERT_NO_FATAL_FAILURE(expect_matches(root, root_ref));
+  }
+}
+
+TEST(ChunkedPeerSet, AssignUnionCompactNewKeepsOrderAndFirstOccurrence) {
+  const ChunkedPeerSet base{PeerId(3), PeerId(7), PeerId(70'000)};
+  std::vector<PeerId> ids{PeerId(9),      PeerId(7), PeerId(200'000),
+                          PeerId(9),      PeerId(1), PeerId(70'000),
+                          PeerId(70'001)};
+  ChunkedPeerSet out{PeerId(42)};  // replaced, not extended
+  const std::size_t kept =
+      out.assign_union_compact_new(base, ids, PeerId(5));
+  ids.resize(kept);
+  EXPECT_EQ(ids, (std::vector<PeerId>{PeerId(9), PeerId(200'000), PeerId(1),
+                                      PeerId(70'001)}));
+  expect_matches(out, {1, 3, 5, 7, 9, 70'000, 70'001, 200'000});
+  // `also` is inserted but never counted, and an invalid one is skipped.
+  std::vector<PeerId> none{PeerId(3)};
+  EXPECT_EQ(out.assign_union_compact_new(base, none, PeerId::invalid()), 0u);
+  expect_matches(out, {3, 7, 70'000});
+}
+
+TEST(ChunkedPeerSet, AssignUnionCompactNewTopChunkIgnoresDroppedIds) {
+  // A dropped id is marked with PeerId::invalid(), whose high half is the
+  // top chunk key: the top chunk's sweep must not read it as an id.
+  const ChunkedPeerSet base{PeerId(5)};
+  std::vector<PeerId> ids{PeerId(5), PeerId(0xFFFF'0001u), PeerId(6)};
+  ChunkedPeerSet out;
+  ids.resize(out.assign_union_compact_new(base, ids, PeerId::invalid()));
+  EXPECT_EQ(ids, (std::vector<PeerId>{PeerId(0xFFFF'0001u), PeerId(6)}));
+  expect_matches(out, {5, 6, 0xFFFF'0001u});
+}
+
+TEST(ChunkedPeerSet, AssignUnionCompactNewSharesBitmapsItDoesNotWrite) {
+  ChunkedPeerSet base;
+  for (std::uint32_t id = 0; id < 2 * ChunkedPeerSet::kChunkSpan; id += 2) {
+    base.insert(PeerId(id));
+  }
+  // Every id already present: both bitmap chunks stay shared.
+  std::vector<PeerId> ids{PeerId(2), PeerId(70'000)};
+  ChunkedPeerSet out;
+  EXPECT_EQ(out.assign_union_compact_new(base, ids, PeerId(4)), 0u);
+  ASSERT_EQ(out.chunks().size(), 2u);
+  EXPECT_EQ(out.chunks()[0].bitmap.data(), base.chunks()[0].bitmap.data());
+  EXPECT_EQ(out.chunks()[1].bitmap.data(), base.chunks()[1].bitmap.data());
+  // A new id unshares its chunk only; base is untouched.
+  ids = {PeerId(70'001)};
+  EXPECT_EQ(out.assign_union_compact_new(base, ids, PeerId(4)), 1u);
+  EXPECT_EQ(out.chunks()[0].bitmap.data(), base.chunks()[0].bitmap.data());
+  EXPECT_NE(out.chunks()[1].bitmap.data(), base.chunks()[1].bitmap.data());
+  EXPECT_FALSE(base.contains(PeerId(70'001)));
+  EXPECT_TRUE(out.contains(PeerId(70'001)));
+  EXPECT_EQ(out.size(), base.size() + 1);
+}
+
+TEST(ChunkedPeerSet, AssignUnionCompactNewModelCheck) {
+  // Random bases (empty, sparse arrays, bitmap chunks) and random id lists
+  // over one to four chunks against plain set algebra, with one output
+  // set reused throughout so parked buffers are exercised too.
+  StreamRng rng(4242);
+  ChunkedPeerSet out;
+  for (int trial = 0; trial < 150; ++trial) {
+    const std::uint32_t universe =
+        std::array<std::uint32_t, 3>{64, 10'000, 200'000}[trial % 3];
+    const double density =
+        std::array<double, 4>{0.0, 0.01, 0.3, 0.9}[rng.uniform_below(4)];
+    ChunkedPeerSet base;
+    std::set<std::uint32_t> ref;
+    for (std::uint32_t id = 0; id < universe; ++id) {
+      if (density > 0.0 && rng.bernoulli(density)) {
+        base.insert(PeerId(id));
+        ref.insert(id);
+      }
+    }
+    std::vector<PeerId> ids;
+    const auto count = rng.uniform_below(130);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      ids.emplace_back(static_cast<std::uint32_t>(rng.uniform_below(universe)));
+    }
+    const PeerId also(static_cast<std::uint32_t>(rng.uniform_below(universe)));
+    std::vector<PeerId> expected_new;
+    for (const PeerId id : ids) {
+      if (ref.insert(id.value()).second) expected_new.push_back(id);
+    }
+    ref.insert(also.value());
+    ids.resize(out.assign_union_compact_new(base, ids, also));
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    EXPECT_EQ(ids, expected_new);
+    ASSERT_NO_FATAL_FAILURE(expect_matches(out, ref));
   }
 }
 

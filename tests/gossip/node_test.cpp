@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "gossip/codec.hpp"
 #include "support/node_reactions.hpp"
 
 namespace updp2p::gossip {
@@ -120,6 +121,34 @@ TEST(ReplicaNode, ForwardedListIsUnionOfReceivedAndNewTargets) {
   for (const auto& message : reactions) {
     EXPECT_TRUE(forwarded_list.contains(message.to));
   }
+}
+
+TEST(ReplicaNode, HostileListIdLeavesSamplerScratchViewSized) {
+  // One push frame whose flooding list also names the largest id the wire
+  // admits raises the view's id bound to 2^28. The forward's target
+  // sample must not size its dedup scratch by that bound: a stamp array
+  // over it is 1 GiB. It stays a small multiple of the view.
+  WorkArena arena;
+  ReplicaNode bob(PeerId(0), test_config(), StreamRng(5));
+  bob.use_arena(&arena);
+  std::vector<PeerId> view;
+  for (std::uint32_t i = 1; i <= 31; ++i) view.emplace_back(i);
+  bob.bootstrap(view);
+
+  auto alice = make_node(1, test_config(), 32);
+  const auto from_alice = alice.publish("key", "v1", 0);
+  const PushMessage& push = as_push(from_alice.front());
+  common::ChunkedPeerSet list = push.flooding_list.set();
+  list.insert(PeerId(static_cast<std::uint32_t>(kMaxWirePeerId - 1)));
+  const WireBytes frame =
+      encode(GossipPayload{PushMessage{push.value, list, push.round}});
+
+  std::vector<OutboundMessage> out;
+  ASSERT_TRUE(bob.handle_frame(PeerId(1), frame, 1, out));
+  ASSERT_GT(bob.stats().pushes_forwarded, 0u);  // the sampler ran
+  EXPECT_TRUE(bob.view().contains(
+      PeerId(static_cast<std::uint32_t>(kMaxWirePeerId - 1))));
+  EXPECT_LE(arena.chosen.capacity(), 4 * (bob.view().size() + 1));
 }
 
 TEST(ReplicaNode, DuplicatePushIsNotForwardedTwice) {
@@ -396,7 +425,9 @@ TEST(ReplicaNode, FixedNeighborsReusedAcrossUpdates) {
   auto config = test_config();
   config.target_selection = TargetSelection::kFixedNeighbors;
   auto node = make_node(0, config);
-  const std::vector<PeerId> fixed{PeerId(7), PeerId(8), PeerId(9)};
+  // 8 is listed twice and still gets one push per update.
+  const std::vector<PeerId> fixed{PeerId(7), PeerId(8), PeerId(8),
+                                  PeerId(9)};
   node.seed_fixed_neighbors(fixed);
 
   for (int update = 0; update < 3; ++update) {
@@ -406,6 +437,7 @@ TEST(ReplicaNode, FixedNeighborsReusedAcrossUpdates) {
     ASSERT_EQ(out.size(), 3u);
     std::unordered_set<PeerId> targets;
     for (const auto& message : out) targets.insert(message.to);
+    EXPECT_EQ(targets.size(), 3u);
     EXPECT_TRUE(targets.contains(PeerId(7)));
     EXPECT_TRUE(targets.contains(PeerId(8)));
     EXPECT_TRUE(targets.contains(PeerId(9)));

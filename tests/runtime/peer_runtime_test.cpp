@@ -88,6 +88,11 @@ TEST(PeerRuntime, PublishPropagatesAndAckCancelsRetry) {
   EXPECT_EQ(pair.a.pending_retries(), 0u);
   EXPECT_EQ(pair.a.stats().retries_cancelled, 1u);
   EXPECT_EQ(pair.a.stats().retransmits, 0u);  // ack beat the timer
+  // Past the cancelled timer's deadline: it never fires for the erased
+  // entry (ASan would flag a timer left pointing at its freed key).
+  pair.step_to(1.0);
+  EXPECT_EQ(pair.a.stats().retransmits, 0u);
+  EXPECT_EQ(pair.a.stats().retries_exhausted, 0u);
 }
 
 TEST(PeerRuntime, LostPushIsRetransmittedWithBackoff) {
