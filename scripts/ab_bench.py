@@ -28,6 +28,10 @@ neither) and one verdict, the first of these that applies:
                            by more than the bound
   within bound             none of the above
 
+A gain made while the change failed a larger share of its operations than
+the base is printed as `gain not counted (more failed operations)`: fewer
+completed operations can make a per-operation cost look lower.
+
 With --trace 1 it compares the per-layer metrics of traced runs instead.
 Those have no bound, so their verdict is `equal`, `gain`, `loss` (the base
 won at least 9 in 10 pairs and its median is better by more than its
@@ -36,8 +40,9 @@ quartile distance) or `no clear difference`.
 It also prints the operations each side attempted and failed, both
 revisions and the host.
 
-Exits 0 when no metric regressed beyond its bound and no run failed a
-correctness gate, 1 otherwise, and 2 when a side cannot be built or run.
+Exits 0 when no metric regressed beyond its bound, no run failed a
+correctness gate and the change failed no larger share of its operations
+than the base; 1 otherwise, and 2 when a side cannot be built or run.
 """
 import argparse
 import json
@@ -80,8 +85,15 @@ def quartiles(values):
     return q1, median, q3
 
 
-def verdict(metric, base, change, needed):
-    """(pairs the change won, verdict); `needed` wins make a gain."""
+def failed_share(runs):
+    """Failed over attempted operations, summed over `runs`."""
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
+
+
+def verdict(metric, base, change, needed, more_failures=False):
+    """(pairs the change won, verdict); `needed` wins make a gain, unless
+    the change failed a larger share of operations (`more_failures`)."""
     lower = metric.get("better", "lower") == "lower"
     bound = metric.get("bound")
     q1, base_median, q3 = quartiles(base)
@@ -94,7 +106,8 @@ def verdict(metric, base, change, needed):
     if wins == 0 and losses == 0:
         return wins, "equal"
     if wins >= needed and -worse_by > spread:
-        return wins, "gain"
+        return wins, ("gain not counted (more failed operations)"
+                      if more_failures else "gain")
     if bound is None:
         return wins, ("loss" if losses >= needed and worse_by > spread
                       else "no clear difference")
@@ -171,13 +184,15 @@ def main():
         header = (f"{'metric':40} {'unit':6} {'base q1':>11} {'base med':>11}"
                   f" {'base q3':>11} {'change med':>11} {'wins':>6}  verdict")
         print(header)
+        more_failures = (failed_share(results["change"]) >
+                         failed_share(results["base"]))
         regressed = False
         for metric in metrics:
             name = metric["name"]
             base = [r["metrics"][name]["value"] for r in results["base"]]
             change = [r["metrics"][name]["value"] for r in results["change"]]
             q1, median, q3 = quartiles(base)
-            wins, word = verdict(metric, base, change, needed)
+            wins, word = verdict(metric, base, change, needed, more_failures)
             regressed |= word == "regression beyond bound"
             print(f"{name:40} {metric['unit']:6} {q1:11.5g} {median:11.5g} "
                   f"{q3:11.5g} {statistics.median(change):11.5g} "
@@ -191,7 +206,9 @@ def main():
             incorrect += bad if side == "change" else 0
             print(f"{side:6} operations failed {failed} of {attempted} "
                   f"attempted; runs failing a correctness gate: {bad}")
-        return 1 if regressed or incorrect else 0
+        if more_failures:
+            print("change failed a larger share of its operations than base")
+        return 1 if regressed or incorrect or more_failures else 0
 
 
 if __name__ == "__main__":

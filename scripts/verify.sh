@@ -65,7 +65,8 @@ cmake --build --preset release -j "${JOBS}"
 # consumers, shape-checked by scripts/check_lint_baseline.py. clang-tidy
 # runs the curated .clang-tidy set over compile_commands.json when the
 # binary exists, and is skipped with a notice otherwise (the container
-# image has no clang frontend).
+# image has no clang frontend). The unit tests of scripts/ab_bench.py's
+# verdict rules (stdlib unittest, no build needed) run with this leg.
 if [[ "${UPDATE_LINT_BASELINE}" == "1" ]]; then
   echo "==> lint: regenerating tools/lint/lint-baseline.txt"
   ./build/tools/lint/updp2p-lint --root . \
@@ -76,6 +77,8 @@ echo "==> lint: updp2p-lint over src/ bench/ examples/ (SARIF: build/lint.sarif)
   --baseline tools/lint/lint-baseline.txt \
   --format sarif --output build/lint.sarif
 python3 scripts/check_lint_baseline.py build/lint.sarif
+echo "==> lint: scripts/test_ab_bench.py (ab_bench.py verdict rules)"
+python3 scripts/test_ab_bench.py
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "==> lint: clang-tidy (curated .clang-tidy) over compile_commands.json"
   mapfile -t TIDY_SOURCES < <(find src tools -name '*.cpp' | sort)

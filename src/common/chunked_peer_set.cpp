@@ -681,44 +681,4 @@ void ChunkedPeerSet::keep_ranks(const std::vector<std::uint32_t>& ranks) {
   refresh_max_id();
 }
 
-bool ChunkedPeerSet::append_array_chunk(std::uint16_t key,
-                                        std::span<const std::uint16_t> lows) {
-  if (lows.empty() || lows.size() > kArrayChunkMax) return false;
-  if (!chunks_.empty() && chunks_.back().key >= key) return false;
-  for (std::size_t i = 1; i < lows.size(); ++i) {
-    if (lows[i] <= lows[i - 1]) return false;
-  }
-  Chunk chunk = take_chunk(key);
-  chunk.lows.assign(lows.begin(), lows.end());
-  chunk.cardinality = static_cast<std::uint32_t>(lows.size());
-  size_ += chunk.cardinality;
-  max_id_ = (std::uint32_t{key} << kChunkBits) | lows.back();
-  chunks_.push_back(std::move(chunk));
-  return true;
-}
-
-bool ChunkedPeerSet::append_bitmap_chunk(std::uint16_t key,
-                                         std::span<const std::uint64_t> words) {
-  if (words.size() != kBitmapWords) return false;
-  if (!chunks_.empty() && chunks_.back().key >= key) return false;
-  std::uint32_t cardinality = 0;
-  std::size_t top = 0;  // last nonzero word
-  for (std::size_t w = 0; w < kBitmapWords; ++w) {
-    cardinality += static_cast<std::uint32_t>(std::popcount(words[w]));
-    if (words[w] != 0) top = w;
-  }
-  // Canonical form: a bitmap chunk must be denser than any array chunk.
-  if (cardinality <= kArrayChunkMax) return false;
-  Chunk chunk = take_chunk(key);
-  chunk.bitmap = take_bitmap();
-  std::copy(words.begin(), words.end(), writable_words(chunk));
-  chunk.cardinality = cardinality;
-  size_ += cardinality;
-  max_id_ = (std::uint32_t{key} << kChunkBits) |
-            static_cast<std::uint32_t>(top * 64 +
-                                       (63 - std::countl_zero(words[top])));
-  chunks_.push_back(std::move(chunk));
-  return true;
-}
-
 }  // namespace updp2p::common

@@ -44,15 +44,16 @@
 //
 // clear() parks array buffers, and the bitmap buffers this set alone
 // holds, on internal free lists instead of freeing them, so a warm set
-// rebuilt every round performs no heap allocation — the same steady-state
-// property DensePeerSet gives the stamp scratch.
+// rebuilt every round performs no heap allocation.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
+#include <concepts>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -332,11 +333,34 @@ class ChunkedPeerSet {
   // chunk needs 1..kArrayChunkMax strictly increasing lows; a bitmap chunk
   // needs more than kArrayChunkMax bits set. On success the chunk is
   // adopted verbatim.
+  //
+  // The streaming forms build the chunk straight in a parked buffer, so a
+  // warm set decodes without allocating: `next_low()` yields each of the
+  // `count` lows and `next_word()` each of the kBitmapWords words, as a
+  // std::optional whose nullopt aborts. A rejected chunk's buffer is
+  // parked again.
+
+  template <std::invocable NextLow>
+  [[nodiscard]] bool append_array_chunk(std::uint16_t key, std::size_t count,
+                                        NextLow&& next_low);
+  template <std::invocable NextWord>
+  [[nodiscard]] bool append_bitmap_chunk(std::uint16_t key,
+                                         NextWord&& next_word);
 
   [[nodiscard]] bool append_array_chunk(std::uint16_t key,
-                                        std::span<const std::uint16_t> lows);
+                                        std::span<const std::uint16_t> lows) {
+    auto next = lows.begin();
+    return append_array_chunk(key, lows.size(), [&next] {
+      return std::optional<std::uint16_t>(*next++);
+    });
+  }
   [[nodiscard]] bool append_bitmap_chunk(std::uint16_t key,
-                                         std::span<const std::uint64_t> words);
+                                         std::span<const std::uint64_t> words) {
+    if (words.size() != kBitmapWords) return false;
+    auto next = words.begin();
+    return append_bitmap_chunk(
+        key, [&next] { return std::optional<std::uint64_t>(*next++); });
+  }
 
   /// Content equality (canonical form: equal contents imply equal chunk
   /// forms); a shared buffer compares equal without a scan.
@@ -444,5 +468,59 @@ class ChunkedPeerSet {
   /// over the words one chunk's ids span (at most kBitmapWords).
   std::vector<std::uint64_t> bit_scratch_;
 };
+
+template <std::invocable NextLow>
+bool ChunkedPeerSet::append_array_chunk(std::uint16_t key, std::size_t count,
+                                        NextLow&& next_low) {
+  if (count == 0 || count > kArrayChunkMax) return false;
+  if (!chunks_.empty() && chunks_.back().key >= key) return false;
+  Chunk chunk = take_chunk(key);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::optional<std::uint16_t> low = next_low();
+    if (!low || (i > 0 && *low <= chunk.lows.back())) {
+      park(chunk);
+      return false;
+    }
+    chunk.lows.push_back(*low);
+  }
+  chunk.cardinality = static_cast<std::uint32_t>(count);
+  size_ += count;
+  max_id_ = (std::uint32_t{key} << kChunkBits) | chunk.lows.back();
+  chunks_.push_back(std::move(chunk));
+  return true;
+}
+
+template <std::invocable NextWord>
+bool ChunkedPeerSet::append_bitmap_chunk(std::uint16_t key,
+                                         NextWord&& next_word) {
+  if (!chunks_.empty() && chunks_.back().key >= key) return false;
+  Chunk chunk = take_chunk(key);
+  chunk.bitmap = take_bitmap();
+  std::uint64_t* words = writable_words(chunk);
+  std::uint32_t cardinality = 0;
+  std::size_t top = 0;  // last nonzero word
+  for (std::size_t w = 0; w < kBitmapWords; ++w) {
+    const std::optional<std::uint64_t> word = next_word();
+    if (!word) {
+      park(chunk);
+      return false;
+    }
+    words[w] = *word;
+    cardinality += static_cast<std::uint32_t>(std::popcount(*word));
+    if (*word != 0) top = w;
+  }
+  // Canonical form: a bitmap chunk must be denser than any array chunk.
+  if (cardinality <= kArrayChunkMax) {
+    park(chunk);
+    return false;
+  }
+  chunk.cardinality = cardinality;
+  size_ += cardinality;
+  max_id_ = (std::uint32_t{key} << kChunkBits) |
+            static_cast<std::uint32_t>(top * 64 +
+                                       (63 - std::countl_zero(words[top])));
+  chunks_.push_back(std::move(chunk));
+  return true;
+}
 
 }  // namespace updp2p::common

@@ -1,8 +1,9 @@
 // Compact open-addressing membership set over sparse peer ids.
 //
-// DensePeerSet costs O(max_id) memory per instance, which is fine for a
-// handful of shared scratch sets but fatal for per-node state: at a 100k
-// population, one stamp array per replica view is 400 KB x 100k nodes.
+// A stamp array indexed by peer id costs O(max_id) memory per instance,
+// which is fine for a handful of shared scratch sets but fatal for
+// per-node state: at a 100k population, one stamp array per replica view
+// is 400 KB x 100k nodes, and a hostile id can size it at will.
 // A replica's view holds only the peers it actually knows, so its
 // membership index should cost O(|view|): this set stores the 32-bit ids
 // themselves in a power-of-two open-addressing table with linear probing

@@ -3,9 +3,10 @@
 // PR 1 made the per-message path allocation-free by giving every node its
 // own reusable scratch buffers — five vectors and several stamp sets per
 // replica. At 10k replicas that private scratch dominates resident memory
-// (a DensePeerSet stamp array alone is O(population) per node). Only one
-// node per driver thread executes at a time, so the scratch can be shared:
-// a WorkArena holds one set of buffers that every node wired to it reuses.
+// (a stamp array indexed by peer id alone is O(population) per node). Only
+// one node per driver thread executes at a time, so the scratch can be
+// shared: a WorkArena holds one set of buffers that every node wired to it
+// reuses.
 // A sequential owner (ReplicatedIndex) uses one arena for the whole
 // population; the sharded RoundSimulator uses one arena per shard, which
 // keeps the sharing single-threaded by construction. A PeerRuntime keeps

@@ -87,21 +87,40 @@ void put_version_vector(WireBytes& out, const version::VersionVector& vv) {
   }
 }
 
+/// One history entry; nullopt on truncation or an id the wire cannot carry.
+std::optional<version::VersionVector::Entry> get_history_entry(
+    std::span<const std::byte> bytes, std::size_t& offset) {
+  const auto peer = get_varint(bytes, offset);
+  const auto counter = get_varint(bytes, offset);
+  if (!peer || !counter || *peer >= kMaxWirePeerId) return std::nullopt;
+  return version::VersionVector::Entry{
+      common::PeerId(static_cast<std::uint32_t>(*peer)), *counter};
+}
+
+/// Entries arrive ascending from put_version_vector, but any order, repeated
+/// peers and zero counters decode to what observe()-ing them in order would
+/// build (VersionVector::from_entries).
 std::optional<version::VersionVector> get_version_vector(
     std::span<const std::byte> bytes, std::size_t& offset) {
   const auto count = get_varint(bytes, offset);
-  if (!count) return std::nullopt;
   // Each entry needs at least two bytes; reject absurd counts early so a
   // hostile length prefix cannot make us loop for long.
-  if (*count > bytes.size()) return std::nullopt;
-  version::VersionVector vv;
+  if (!count || *count > bytes.size()) return std::nullopt;
+  // Read every entry once before storing any: the reserve below then pays
+  // for bytes actually consumed (two or more per entry), never for a
+  // declared count alone, which a snapshot value may set near its 1 GiB cap.
+  const std::size_t first = offset;
   for (std::uint64_t i = 0; i < *count; ++i) {
-    const auto peer = get_varint(bytes, offset);
-    const auto counter = get_varint(bytes, offset);
-    if (!peer || !counter || *peer >= kMaxWirePeerId) return std::nullopt;
-    vv.observe(common::PeerId(static_cast<std::uint32_t>(*peer)), *counter);
+    if (!get_history_entry(bytes, offset)) return std::nullopt;
   }
-  return vv;
+  std::vector<version::VersionVector::Entry> entries;
+  entries.reserve(*count);
+  for (std::size_t at = first; at < offset;) {
+    if (const auto entry = get_history_entry(bytes, at)) {
+      entries.push_back(*entry);
+    }
+  }
+  return version::VersionVector::from_entries(std::move(entries));
 }
 
 void put_value(WireBytes& out, const version::VersionedValue& value) {
@@ -161,10 +180,10 @@ void put_peer_set(WireBytes& out, const ChunkedPeerSet& set) {
 }
 
 /// Streaming peerset decode into a caller-owned set. `set` is cleared
-/// first — a warm arena set's parked chunk buffers are reused by the
-/// append_*_chunk builders, so decoding into the same set every delivery
-/// allocates nothing once the buffers are warm. On failure the set is left
-/// cleared so no partial chunks leak to the caller.
+/// first, and each chunk is decoded straight into one of its parked chunk
+/// buffers (the streaming append_*_chunk builders), so decoding into the
+/// same set every delivery allocates nothing once the buffers are warm. On
+/// failure the set is left cleared so no partial chunks leak to the caller.
 bool get_peer_set_into(std::span<const std::byte> bytes, std::size_t& offset,
                        ChunkedPeerSet& set) {
   set.clear();
@@ -172,8 +191,6 @@ bool get_peer_set_into(std::span<const std::byte> bytes, std::size_t& offset,
   // Strictly increasing keys below kMaxWireChunkKey bound the chunk count
   // too; rejecting early keeps a hostile prefix from looping for long.
   if (!chunk_count || *chunk_count > kMaxWireChunkKey) return false;
-  std::vector<std::uint16_t> lows;
-  std::vector<std::uint64_t> words;
   for (std::uint64_t c = 0; c < *chunk_count; ++c) {
     const auto fail = [&set] {
       set.clear();  // no partial chunks leak to the caller
@@ -199,32 +216,30 @@ bool get_peer_set_into(std::span<const std::byte> bytes, std::size_t& offset,
           *cardinality > bytes.size() - offset) {
         return fail();
       }
-      lows.clear();
-      lows.reserve(*cardinality);
+      // First low verbatim, then gap-1 deltas; append_array_chunk rejects
+      // lows that do not strictly increase (a wrapped sum among them).
       std::uint64_t value = 0;
-      for (std::uint64_t i = 0; i < *cardinality; ++i) {
+      bool first = true;
+      const auto next_low = [&]() -> std::optional<std::uint16_t> {
         const auto delta = get_varint(bytes, offset);
-        if (!delta) return fail();
-        value = i == 0 ? *delta : value + *delta + 1;
-        if (value >= ChunkedPeerSet::kChunkSpan) return fail();
-        lows.push_back(static_cast<std::uint16_t>(value));
-      }
-      if (!set.append_array_chunk(static_cast<std::uint16_t>(*key), lows)) {
+        if (!delta) return std::nullopt;
+        value = first ? *delta : value + *delta + 1;
+        first = false;
+        if (value >= ChunkedPeerSet::kChunkSpan) return std::nullopt;
+        return static_cast<std::uint16_t>(value);
+      };
+      if (!set.append_array_chunk(static_cast<std::uint16_t>(*key),
+                                  *cardinality, next_low)) {
         return fail();
       }
     } else {
-      words.clear();
-      words.reserve(ChunkedPeerSet::kBitmapWords);
-      for (std::size_t w = 0; w < ChunkedPeerSet::kBitmapWords; ++w) {
-        const auto word = get_u64(bytes, offset);
-        if (!word) return fail();
-        words.push_back(*word);
-      }
       // append_bitmap_chunk enforces canonical density (> kArrayChunkMax
       // bits); the declared cardinality must match the actual popcount or
       // the header is lying.
       const std::size_t before = set.size();
-      if (!set.append_bitmap_chunk(static_cast<std::uint16_t>(*key), words) ||
+      if (!set.append_bitmap_chunk(
+              static_cast<std::uint16_t>(*key),
+              [&bytes, &offset] { return get_u64(bytes, offset); }) ||
           set.size() - before != *cardinality) {
         return fail();
       }

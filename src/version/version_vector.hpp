@@ -4,12 +4,20 @@
 // vectors". The vector maps an updating peer to the count of updates it has
 // originated; component-wise comparison classifies two replica states as
 // equal, dominated, dominating or concurrent.
+//
+// In the paper's regime nearly every peer eventually publishes, so a store
+// summary names hundreds of writers. The vector is one array of (peer,
+// counter) pairs sorted by peer, never holding a zero counter: one heap
+// block per vector, linear walks for compare and merge, binary search for
+// a single peer.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -25,12 +33,24 @@ enum class Causality {
 [[nodiscard]] const char* to_string(Causality c) noexcept;
 
 /// Sparse version vector. Absent entries are implicitly zero, so comparing
-/// vectors over disjoint updater sets behaves correctly.
+/// vectors over disjoint updater sets behaves correctly. Canonical form:
+/// entries ascend by peer and no counter is zero, so equal histories are
+/// equal arrays.
 class VersionVector {
  public:
+  /// One writer's counter.
+  using Entry = std::pair<common::PeerId, std::uint64_t>;
+
   VersionVector() = default;
 
+  /// The vector that observe()-ing every entry in order builds: entries may
+  /// come in any order, a repeated peer keeps its largest counter and zero
+  /// counters vanish. O(n log n), O(n) when already ascending; `entries`
+  /// becomes the storage.
+  [[nodiscard]] static VersionVector from_entries(std::vector<Entry> entries);
+
   /// Records one more update originated by `peer`; returns the new counter.
+  /// A counter that wraps to zero is dropped like any zero.
   std::uint64_t increment(common::PeerId peer);
 
   /// Sets the counter for `peer` to max(current, counter).
@@ -38,7 +58,8 @@ class VersionVector {
 
   [[nodiscard]] std::uint64_t get(common::PeerId peer) const noexcept;
 
-  /// Component-wise maximum (join in the lattice of histories).
+  /// Component-wise maximum (join in the lattice of histories), merged in
+  /// place in O(n + m); allocates nothing when `other` names no new peer.
   void merge(const VersionVector& other);
 
   [[nodiscard]] Causality compare(const VersionVector& other) const noexcept;
@@ -56,8 +77,8 @@ class VersionVector {
   /// Total number of update events summarised by this vector.
   [[nodiscard]] std::uint64_t total_events() const noexcept;
 
-  [[nodiscard]] const std::map<common::PeerId, std::uint64_t>& entries()
-      const noexcept {
+  /// Ascending by peer, no zero counter.
+  [[nodiscard]] std::span<const Entry> entries() const noexcept {
     return counters_;
   }
 
@@ -66,7 +87,7 @@ class VersionVector {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  std::map<common::PeerId, std::uint64_t> counters_;
+  std::vector<Entry> counters_;  ///< ascending by peer, no zero counter
 };
 
 std::ostream& operator<<(std::ostream& os, const VersionVector& vv);

@@ -5,11 +5,73 @@
 // re-encodes without crashing. Never UB, never unbounded allocation.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "common/rng.hpp"
 #include "gossip/codec.hpp"
+
+// Allocation accounting for the tests that bound what a decode allocates:
+// every operator new in this test binary goes through malloc here, and the
+// calls and bytes requested on a thread while its `tracking` flag is set
+// are summed. The aligned forms keep their defaults (a matching pair).
+namespace alloc_count {
+thread_local bool tracking = false;
+thread_local std::size_t calls = 0;
+thread_local std::size_t bytes = 0;
+
+void* allocate(std::size_t n) noexcept {
+  if (tracking) {
+    ++calls;
+    bytes += n;
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+// Out of line, so the compiler does not pair an inlined free() with the
+// operator new that produced the pointer (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+/// Counts what `fn` allocates on this thread.
+template <typename Fn>
+std::pair<std::size_t, std::size_t> calls_and_bytes(Fn&& fn) {
+  calls = 0;
+  bytes = 0;
+  tracking = true;
+  fn();
+  tracking = false;
+  return {calls, bytes};
+}
+}  // namespace alloc_count
+
+void* operator new(std::size_t n) {
+  if (void* p = alloc_count::allocate(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return alloc_count::allocate(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return alloc_count::allocate(n);
+}
+void operator delete(void* p) noexcept { alloc_count::release(p); }
+void operator delete[](void* p) noexcept { alloc_count::release(p); }
+void operator delete(void* p, std::size_t) noexcept {
+  alloc_count::release(p);
+}
+void operator delete[](void* p, std::size_t) noexcept {
+  alloc_count::release(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  alloc_count::release(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  alloc_count::release(p);
+}
 
 namespace updp2p::gossip {
 namespace {
@@ -448,6 +510,102 @@ TEST(CodecFuzz, HostileVarintLengthsDoNotAllocate) {
   put_varint(hostile, std::uint64_t{1} << 40);  // 1 TiB key, allegedly
   hostile.push_back(std::byte{'x'});
   EXPECT_FALSE(decode(hostile).has_value());
+}
+
+/// A value's wire bytes: key "k", `payload_bytes` of payload, a digest, a
+/// history declaring `declared` entries followed by the (peer, counter)
+/// varints given, a flags byte and written_at.
+WireBytes value_bytes(std::size_t payload_bytes, std::uint64_t declared,
+                      std::initializer_list<std::pair<std::uint64_t,
+                                                      std::uint64_t>>
+                          entries) {
+  WireBytes out;
+  put_varint(out, 1);
+  out.push_back(std::byte{'k'});
+  put_varint(out, payload_bytes);
+  out.insert(out.end(), payload_bytes, std::byte{'p'});
+  out.insert(out.end(), 16, std::byte{0x5A});  // version id digest
+  put_varint(out, declared);
+  for (const auto& [peer, counter] : entries) {
+    put_varint(out, peer);
+    put_varint(out, counter);
+  }
+  out.push_back(std::byte{0});                // flags: not a tombstone
+  out.insert(out.end(), 8, std::byte{0});     // written_at 0.0
+  return out;
+}
+
+TEST(CodecFuzz, HistoryInAnyOrderDecodesToObserveInOrder) {
+  // Descending, a repeated peer, zero counters (one for a peer named
+  // nowhere else): what observe() builds entry by entry, in that order.
+  const WireBytes wire = value_bytes(
+      3, 7, {{9, 2}, {9, 5}, {4, 0}, {7, 3}, {4, 1}, {2, 0}, {9, 1}});
+  version::VersionVector observed;
+  for (const auto& [peer, counter] :
+       {std::pair<std::uint32_t, std::uint64_t>{9, 2}, {9, 5}, {4, 0},
+        {7, 3}, {4, 1}, {2, 0}, {9, 1}}) {
+    observed.observe(common::PeerId(peer), counter);
+  }
+  std::size_t offset = 0;
+  const auto value = decode_value(wire, offset);
+  ASSERT_TRUE(value.has_value());
+  EXPECT_EQ(offset, wire.size());
+  EXPECT_EQ(value->history, observed);
+  EXPECT_EQ(value->history.to_string(), "{4:1, 7:3, 9:5}");
+  // Re-encoded ascending, one entry per peer, no zero.
+  WireBytes reencoded;
+  encode_value(reencoded, *value);
+  EXPECT_EQ(reencoded, value_bytes(3, 3, {{4, 1}, {7, 3}, {9, 5}}));
+}
+
+TEST(CodecFuzz, HostileHistoryCountDoesNotAllocateByDeclaredCount) {
+  // The declared count passes the frame-size check (at most one entry per
+  // byte of the whole buffer, a 64 KiB payload included), but only three
+  // entries, six bytes, follow before the buffer ends. Reserving by the
+  // count would request 16 bytes per declared entry; the decoder may
+  // allocate only what the value's strings and the entries it read need.
+  constexpr std::size_t kPayload = 64 * 1024;
+  constexpr std::size_t kDeclared = 60'000;
+  WireBytes wire = value_bytes(kPayload, kDeclared, {{1, 1}, {2, 1}, {3, 1}});
+  wire.resize(wire.size() - 9);  // cut the flags and written_at: truncated
+  ASSERT_LE(kDeclared, wire.size());
+  std::optional<version::VersionedValue> value;
+  const auto [calls, bytes] = alloc_count::calls_and_bytes([&] {
+    std::size_t offset = 0;
+    value = decode_value(wire, offset);
+  });
+  EXPECT_FALSE(value.has_value());
+  EXPECT_LT(bytes, kPayload + 4096)
+      << calls << " allocations for " << kDeclared << " declared entries";
+  EXPECT_LT(bytes, kDeclared * sizeof(version::VersionVector::Entry) / 8);
+}
+
+TEST(CodecFuzz, WarmPeerSetDecodeAllocatesNothing) {
+  // Array chunks, a bitmap chunk and a far chunk: once a set has decoded
+  // a list, decoding the same shape again reuses its parked buffers.
+  common::ChunkedPeerSet list;
+  for (std::uint32_t id = 0; id < 10'000; id += 5) {
+    list.insert(common::PeerId(id));
+  }
+  for (std::uint32_t i = 0; i < 5'000; ++i) {
+    list.insert(common::PeerId(65'536 + 13 * i));
+  }
+  list.insert(common::PeerId(200'000'000));
+  WireBytes wire;
+  encode_peer_set(wire, list);
+  common::ChunkedPeerSet target;
+  for (int warm = 0; warm < 2; ++warm) {
+    std::size_t offset = 0;
+    ASSERT_TRUE(decode_peer_set(wire, offset, target));
+  }
+  bool ok = false;
+  const auto [calls, bytes] = alloc_count::calls_and_bytes([&] {
+    std::size_t offset = 0;
+    ok = decode_peer_set(wire, offset, target);
+  });
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(target, list);
+  EXPECT_EQ(calls, 0u) << bytes << " bytes";
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace updp2p::version {
@@ -174,6 +178,152 @@ TEST_P(VersionVectorProperty, MergeIsLeastUpperBound) {
       EXPECT_EQ(counter, std::max(a.get(peer), b.get(peer)));
     }
   }
+}
+
+/// The representation VersionVector had as a std::map, kept as the
+/// reference: observe() keeps zeros implicit, merge() observes every entry.
+class MapReference {
+ public:
+  std::uint64_t increment(PeerId peer) { return ++counters_[peer]; }
+  void observe(PeerId peer, std::uint64_t counter) {
+    if (counter == 0) return;
+    auto& slot = counters_[peer];
+    slot = std::max(slot, counter);
+  }
+  [[nodiscard]] std::uint64_t get(PeerId peer) const {
+    const auto it = counters_.find(peer);
+    return it == counters_.end() ? 0 : it->second;
+  }
+  void merge(const MapReference& other) {
+    for (const auto& [peer, counter] : other.counters_) observe(peer, counter);
+  }
+  [[nodiscard]] Causality compare(const MapReference& other) const {
+    bool greater = false;
+    bool less = false;
+    for (const auto& [peer, counter] : counters_) {
+      greater |= counter > other.get(peer);
+      less |= counter < other.get(peer);
+    }
+    for (const auto& [peer, counter] : other.counters_) {
+      greater |= get(peer) > counter;
+      less |= get(peer) < counter;
+    }
+    if (greater && less) return Causality::kConcurrent;
+    if (greater) return Causality::kDominates;
+    return less ? Causality::kDominatedBy : Causality::kEqual;
+  }
+  [[nodiscard]] std::uint64_t total_events() const {
+    std::uint64_t total = 0;
+    for (const auto& [peer, counter] : counters_) total += counter;
+    return total;
+  }
+  friend bool operator==(const MapReference&, const MapReference&) = default;
+
+  std::map<PeerId, std::uint64_t> counters_;
+};
+
+void expect_matches(const VersionVector& vv, const MapReference& ref) {
+  const std::vector<VersionVector::Entry> expected(ref.counters_.begin(),
+                                                   ref.counters_.end());
+  ASSERT_TRUE(std::ranges::equal(vv.entries(), expected)) << vv;
+  EXPECT_EQ(vv.entry_count(), ref.counters_.size());
+  EXPECT_EQ(vv.total_events(), ref.total_events());
+  for (std::size_t i = 0; i < vv.entries().size(); ++i) {
+    EXPECT_NE(vv.entries()[i].second, 0u);
+    if (i > 0) {
+      EXPECT_LT(vv.entries()[i - 1].first, vv.entries()[i].first);
+    }
+  }
+}
+
+TEST_P(VersionVectorProperty, AgreesWithMapReferenceUnderRandomOperations) {
+  common::StreamRng rng(GetParam() ^ 0x77aa);
+  constexpr int kVectors = 4;
+  std::vector<VersionVector> vectors(kVectors);
+  std::vector<MapReference> refs(kVectors);
+  // Up to 40 writers, so the arrays grow past a handful of entries and
+  // observe() lands before, between and after existing ones.
+  const auto random_peer = [&rng] {
+    return PeerId(static_cast<std::uint32_t>(rng.uniform_below(40)));
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const auto a = static_cast<std::size_t>(rng.uniform_below(kVectors));
+    const auto b = static_cast<std::size_t>(rng.uniform_below(kVectors));
+    switch (rng.uniform_below(7)) {
+      case 0: {
+        const PeerId peer = random_peer();
+        EXPECT_EQ(vectors[a].increment(peer), refs[a].increment(peer));
+        break;
+      }
+      case 1:
+      case 2: {
+        // A zero in one case in six: it must stay implicit.
+        const PeerId peer = random_peer();
+        const std::uint64_t counter = rng.uniform_below(6) == 0
+                                          ? 0
+                                          : rng.uniform_below(50) + 1;
+        vectors[a].observe(peer, counter);
+        refs[a].observe(peer, counter);
+        break;
+      }
+      case 3: {
+        vectors[a].merge(vectors[b]);  // a == b merges a vector with itself
+        refs[a].merge(refs[b]);
+        break;
+      }
+      case 4: {
+        const PeerId peer = random_peer();
+        EXPECT_EQ(vectors[a].get(peer), refs[a].get(peer));
+        break;
+      }
+      case 5: {
+        EXPECT_EQ(vectors[a].compare(vectors[b]), refs[a].compare(refs[b]));
+        EXPECT_EQ(vectors[a] == vectors[b], refs[a] == refs[b]);
+        break;
+      }
+      default: {
+        // Reset now and then, so short vectors keep being exercised too.
+        if (rng.uniform_below(8) == 0) {
+          vectors[a] = VersionVector{};
+          refs[a] = MapReference{};
+        }
+        break;
+      }
+    }
+    expect_matches(vectors[a], refs[a]);
+  }
+}
+
+TEST_P(VersionVectorProperty, FromEntriesMatchesObserveInOrder) {
+  common::StreamRng rng(GetParam() ^ 0x1f1f);
+  for (int i = 0; i < 300; ++i) {
+    // Any order, repeated peers, zero counters.
+    std::vector<VersionVector::Entry> entries(rng.uniform_below(30));
+    VersionVector observed;
+    for (auto& [peer, counter] : entries) {
+      peer = PeerId(static_cast<std::uint32_t>(rng.uniform_below(12)));
+      counter = rng.uniform_below(4) == 0 ? 0 : rng.uniform_below(9) + 1;
+      observed.observe(peer, counter);
+    }
+    if (rng.uniform_below(3) == 0) {
+      std::ranges::sort(entries, {}, &VersionVector::Entry::first);
+    }
+    EXPECT_EQ(VersionVector::from_entries(entries), observed);
+  }
+}
+
+TEST(VersionVector, MergeWithNoNewPeerKeepsTheArray) {
+  VersionVector summary;
+  for (std::uint32_t p = 0; p < 64; ++p) summary.observe(PeerId(p * 2), 1);
+  VersionVector history;
+  history.observe(PeerId(10), 5);
+  history.observe(PeerId(126), 2);
+  const auto* storage = summary.entries().data();
+  summary.merge(history);
+  EXPECT_EQ(summary.entries().data(), storage);  // raised in place
+  EXPECT_EQ(summary.get(PeerId(10)), 5u);
+  EXPECT_EQ(summary.get(PeerId(126)), 2u);
+  EXPECT_EQ(summary.entry_count(), 64u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VersionVectorProperty,
