@@ -6,7 +6,8 @@ working tree.
     scripts/ab_bench.py --base a5ca402 --workload udp_steady --pairs 10 \\
         --seconds 30 --first-seed 500
 
-Checks out REV with `git worktree` under a temporary directory. Each side's
+Exports REV with `git archive` into a temporary directory
+(scripts/base_worktree.py), so nothing is written under `.git`. Each side's
 `livebench/run.py` builds its own livebench, REV's and the working tree's in
 two temporary build directories, on one untimed warm-up run per side. Then
 it runs both sides for --pairs pairs. Both runs of a pair use the same seed
@@ -38,7 +39,8 @@ won at least 9 in 10 pairs and its median is better by more than its
 quartile distance) or `no clear difference`.
 
 It also prints the operations each side attempted and failed, both
-revisions and the host.
+revisions (the base as the SHA REV resolved to; an export has no git
+metadata to describe) and the host.
 
 Exits 0 when no metric regressed beyond its bound, no run failed a
 correctness gate and the change failed no larger share of its operations
@@ -151,7 +153,7 @@ def main():
     if args.workload not in [w["name"] for w in spec["workloads"]]:
         fail(f"unknown workload {args.workload}")
     metrics = spec["per_layer" if args.trace else "end_to_end"]
-    with base_worktree(args.base) as (tmp, base_src, _):
+    with base_worktree(args.base) as (tmp, base_src, base_sha):
         sources = {"base": base_src, "change": ROOT}
         builds = {side: os.path.join(tmp, f"{side}-build")
                   for side in sources}
@@ -177,7 +179,7 @@ def main():
         print(f"\nworkload {args.workload}: {args.pairs} pairs of "
               f"{args.seconds} s, seeds {args.first_seed}.."
               f"{args.first_seed + args.pairs - 1}, trace {args.trace}")
-        print(f"base   {args.base} = {describe(base_src)}")
+        print(f"base   {args.base} = {base_sha}")
         print(f"change working tree = {describe(ROOT)}")
         print(f"host   {platform.node()}, {os.cpu_count()} cpus, "
               f"{platform.machine()}, {platform.platform()}")

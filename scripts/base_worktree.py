@@ -2,9 +2,11 @@
 
     from base_worktree import ROOT, base_worktree, fail
 
-`base_worktree(rev)` checks REV out with `git worktree` under a fresh
-temporary directory and removes both on exit; `fail` reports an error under
-the running script's name and exits 2.
+`base_worktree(rev)` exports REV's files with `git archive REV | tar -x`
+into a fresh temporary directory and removes it on exit. The export has no
+`.git`: nothing is written under the repository's own `.git`, and a killed
+run leaves no worktree registered. `fail` reports an error under the
+running script's name and exits 2.
 """
 import contextlib
 import os
@@ -32,7 +34,8 @@ def git(*args):
 
 @contextlib.contextmanager
 def base_worktree(rev):
-    """Yields (temporary directory, REV's checkout in it, REV's full SHA)."""
+    """Yields (temporary directory, REV's files exported in it, REV's full
+    SHA)."""
     try:
         sha = git("rev-parse", "--verify", rev + "^{commit}")
     except subprocess.CalledProcessError:
@@ -40,11 +43,14 @@ def base_worktree(rev):
     tmp = tempfile.mkdtemp(prefix=tool_name() + "-")
     source = os.path.join(tmp, "base-src")
     try:
-        git("worktree", "add", "--detach", source, sha)
+        os.mkdir(source)
+        archive = subprocess.Popen(["git", "-C", ROOT, "archive", sha],
+                                   stdout=subprocess.PIPE)
+        extract = subprocess.run(["tar", "-x", "-C", source],
+                                 stdin=archive.stdout)
+        archive.stdout.close()
+        if archive.wait() != 0 or extract.returncode != 0:
+            fail(f"cannot export {rev!r}")
         yield tmp, source, sha
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
-                        source], capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "-C", ROOT, "worktree", "prune"],
-                       capture_output=True)

@@ -4,8 +4,9 @@
     scripts/compare_outputs.py --base HEAD~1
     scripts/compare_outputs.py --base 1b62655 --chaos-seeds 5
 
-Builds REV (checked out with `git worktree` under a temporary directory) and
-the working tree, both in Release, and runs on each side:
+Builds REV (exported with `git archive` into a temporary directory by
+scripts/base_worktree.py, so nothing is written under `.git`) and the
+working tree, both in Release, and runs on each side:
 
   * every bench under bench/ except micro_core, without arguments;
   * the examples quickstart, shared_calendar, trust_ratings, churn_storm,

@@ -79,6 +79,8 @@ echo "==> lint: updp2p-lint over src/ bench/ examples/ (SARIF: build/lint.sarif)
 python3 scripts/check_lint_baseline.py build/lint.sarif
 echo "==> lint: scripts/test_ab_bench.py (ab_bench.py verdict rules)"
 python3 scripts/test_ab_bench.py
+echo "==> lint: scripts/test_base_worktree.py (base revision export)"
+python3 scripts/test_base_worktree.py
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "==> lint: clang-tidy (curated .clang-tidy) over compile_commands.json"
   mapfile -t TIDY_SOURCES < <(find src tools -name '*.cpp' | sort)

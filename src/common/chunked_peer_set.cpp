@@ -451,82 +451,6 @@ std::size_t ChunkedPeerSet::rank_of(PeerId peer) const noexcept {
   return rank;
 }
 
-void ChunkedPeerSet::subtract(const ChunkedPeerSet& other) {
-  if (empty() || other.empty()) return;
-  std::size_t theirs_index = 0;
-  for (Chunk& ours : chunks_) {
-    while (theirs_index < other.chunks_.size() &&
-           other.chunks_[theirs_index].key < ours.key) {
-      ++theirs_index;
-    }
-    if (theirs_index == other.chunks_.size()) break;
-    const Chunk& theirs = other.chunks_[theirs_index];
-    if (theirs.key != ours.key) continue;
-
-    const std::uint32_t before = ours.cardinality;
-    if (ours.is_bitmap() && theirs.is_bitmap()) {
-      // Word-parallel AND-NOT: 64 ids per instruction.
-      const std::uint64_t* bits = theirs.bitmap.data();
-      std::uint64_t* dst = writable_words(ours);
-      std::uint32_t remaining = 0;
-      for (std::size_t w = 0; w < kBitmapWords; ++w) {
-        dst[w] &= ~bits[w];
-        remaining += static_cast<std::uint32_t>(std::popcount(dst[w]));
-      }
-      ours.cardinality = remaining;
-    } else if (ours.is_bitmap()) {
-      std::uint64_t* dst = writable_words(ours);
-      for (const std::uint16_t low : theirs.lows) {
-        std::uint64_t& word = dst[low >> 6];
-        const std::uint64_t mask = std::uint64_t{1} << (low & 63);
-        if ((word & mask) != 0) {
-          word &= ~mask;
-          --ours.cardinality;
-        }
-      }
-    } else if (theirs.is_bitmap()) {
-      // Gallop-free: each of our (few) lows probes their bitmap in O(1).
-      const std::uint64_t* bits = theirs.bitmap.data();
-      std::size_t keep = 0;
-      for (const std::uint16_t low : ours.lows) {
-        if (((bits[low >> 6] >> (low & 63)) & 1) == 0) {
-          ours.lows[keep++] = low;
-        }
-      }
-      ours.lows.resize(keep);
-      ours.cardinality = static_cast<std::uint32_t>(keep);
-    } else if (ours.lows.size() * 16 < theirs.lows.size()) {
-      // Galloping probes: our side is much smaller, so binary-search each
-      // of our elements in theirs instead of walking both linearly.
-      std::size_t keep = 0;
-      for (const std::uint16_t low : ours.lows) {
-        if (!std::binary_search(theirs.lows.begin(), theirs.lows.end(),
-                                low)) {
-          ours.lows[keep++] = low;
-        }
-      }
-      ours.lows.resize(keep);
-      ours.cardinality = static_cast<std::uint32_t>(keep);
-    } else {
-      // Linear two-pointer difference, compacting in place.
-      std::size_t keep = 0;
-      std::size_t j = 0;
-      for (const std::uint16_t low : ours.lows) {
-        while (j < theirs.lows.size() && theirs.lows[j] < low) ++j;
-        if (j == theirs.lows.size() || theirs.lows[j] != low) {
-          ours.lows[keep++] = low;
-        }
-      }
-      ours.lows.resize(keep);
-      ours.cardinality = static_cast<std::uint32_t>(keep);
-    }
-    size_ -= before - ours.cardinality;
-    canonicalize(ours);
-  }
-  drop_empty_chunks();
-  refresh_max_id();
-}
-
 void ChunkedPeerSet::keep_lowest(std::size_t cap) {
   if (cap >= size_) return;
   if (cap == 0) {

@@ -16,10 +16,9 @@
 // equality chunk-wise, the wire encoding deterministic, and a decode of an
 // encode bit-identical to the source set.
 //
-// Set algebra runs chunk-at-a-time: union and difference over bitmap
-// chunks are 64-bit OR / AND-NOT sweeps (word-parallel — 64 ids per
-// instruction), array chunks use linear merges or galloping probes when
-// one side is much smaller.
+// Set algebra runs chunk-at-a-time: a union over bitmap chunks is a 64-bit
+// OR sweep (word-parallel — 64 ids per instruction), array chunks use
+// linear merges or galloping probes when one side is much smaller.
 //
 // Bitmap buffers are shared copy-on-write (CRoaring's copy-on-write
 // containers are the reference design). Copying a set, or taking a union
@@ -267,12 +266,6 @@ class ChunkedPeerSet {
   std::size_t assign_union_compact_new(const ChunkedPeerSet& base,
                                        std::span<PeerId> ids, PeerId also);
 
-  /// Difference: removes every id of `other` from this set (R \ other).
-  /// Bitmap/bitmap pairs run word-parallel (64-bit AND-NOT); when an array
-  /// chunk meets a much larger one, membership is resolved by galloping
-  /// (binary-search) probes instead of a full linear merge.
-  void subtract(const ChunkedPeerSet& other);
-
   /// Keeps the `cap` smallest ids, dropping the rest. (Under a sorted-set
   /// representation the head/tail drop policies of §4.2 order by peer id.)
   void keep_lowest(std::size_t cap);
@@ -317,13 +310,6 @@ class ChunkedPeerSet {
     }
     std::sort(rank_scratch_.begin(), rank_scratch_.end());
     keep_ranks(rank_scratch_);
-  }
-
-  /// Copies the contents into `out` (ascending), replacing it.
-  void to_vector(std::vector<PeerId>& out) const {
-    out.clear();
-    out.reserve(size_);
-    for_each([&out](PeerId peer) { out.push_back(peer); });
   }
 
   // --- wire-decode builders ---------------------------------------------------

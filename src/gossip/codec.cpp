@@ -1,5 +1,6 @@
 #include "gossip/codec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -257,6 +258,32 @@ bool skip_string(std::span<const std::byte> bytes, std::size_t& offset) {
   return true;
 }
 
+/// Advances `offset` past one version vector without building it (probe
+/// path). False on truncation or a count no frame could hold.
+bool skip_version_vector(std::span<const std::byte> bytes,
+                         std::size_t& offset) {
+  const auto count = get_varint(bytes, offset);
+  if (!count || *count > bytes.size()) return false;
+  for (std::uint64_t i = 0; i < 2 * *count; ++i) {
+    if (!get_varint(bytes, offset)) return false;
+  }
+  return true;
+}
+
+/// The smallest encoded value: two empty strings, the digest, an empty
+/// history, the flags byte and written_at.
+constexpr std::size_t kMinValueBytes = 1 + 1 + 16 + 1 + 1 + 8;
+
+/// How many elements of at least `min_bytes` each the bytes after
+/// `offset` can hold, capped at `declared`: what a decoder may reserve
+/// before it has read one, so a hostile count buys no more memory than
+/// the frame's own bytes.
+std::size_t fitting(std::span<const std::byte> bytes, std::size_t offset,
+                    std::uint64_t declared, std::size_t min_bytes) {
+  return static_cast<std::size_t>(std::min<std::uint64_t>(
+      declared, (bytes.size() - offset) / min_bytes));
+}
+
 /// Parses the fixed frame header; returns the kind byte or nullopt.
 std::optional<Kind> get_frame_header(std::span<const std::byte> bytes,
                                      std::size_t& offset) {
@@ -399,8 +426,18 @@ std::optional<FrameProbe> probe_frame(std::span<const std::byte> bytes) {
       probe.nonce = *nonce;
       return probe;
     }
+    case Kind::kPullResponse: {
+      // pullresp := vv || flags || count || value* — the summary's varints
+      // are skipped, not stored.
+      if (!skip_version_vector(bytes, offset) || !get_u8(bytes, offset)) {
+        return std::nullopt;
+      }
+      const auto values = get_varint(bytes, offset);
+      if (!values) return std::nullopt;
+      probe.values = *values;
+      return probe;
+    }
     case Kind::kPullRequest:
-    case Kind::kPullResponse:
       return probe;  // nothing cheap to identify beyond the kind
   }
   return std::nullopt;
@@ -432,17 +469,12 @@ std::optional<GossipPayload> decode(std::span<const std::byte> bytes) {
 
   switch (*kind) {
     case Kind::kPush: {
-      auto value = get_value(bytes, offset);
-      auto round = get_varint(bytes, offset);
       common::ChunkedPeerSet list;
-      if (!value || !round ||
-          *round > std::numeric_limits<common::Round>::max() ||
-          !get_peer_set_into(bytes, offset, list)) {
-        return std::nullopt;
-      }
-      return GossipPayload{PushMessage{SharedValue(std::move(*value)),
+      auto push = decode_push_into(bytes, list);
+      if (!push) return std::nullopt;
+      return GossipPayload{PushMessage{SharedValue(std::move(push->value)),
                                        SharedPeerList(std::move(list)),
-                                       static_cast<common::Round>(*round)}};
+                                       push->round}};
     }
     case Kind::kPullRequest: {
       auto summary = get_version_vector(bytes, offset);
@@ -452,7 +484,7 @@ std::optional<GossipPayload> decode(std::span<const std::byte> bytes) {
       }
       PullRequest request;
       request.summary = std::move(*summary);
-      request.have.reserve(*have_count);
+      request.have.reserve(fitting(bytes, offset, *have_count, 16));
       for (std::uint64_t i = 0; i < *have_count; ++i) {
         auto digest = get_digest(bytes, offset);
         if (!digest) return std::nullopt;
@@ -473,7 +505,8 @@ std::optional<GossipPayload> decode(std::span<const std::byte> bytes) {
       PullResponse response;
       response.summary = std::move(*summary);
       response.confident = (*confident & 1) != 0;
-      response.missing.reserve(*count);
+      response.missing.reserve(
+          fitting(bytes, offset, *count, kMinValueBytes));
       for (std::uint64_t i = 0; i < *count; ++i) {
         auto value = get_value(bytes, offset);
         if (!value) return std::nullopt;
@@ -504,7 +537,7 @@ std::optional<GossipPayload> decode(std::span<const std::byte> bytes) {
       reply.key = std::move(*key);
       reply.nonce = *nonce;
       reply.confident = (*confident & 1) != 0;
-      reply.versions.reserve(*count);
+      reply.versions.reserve(fitting(bytes, offset, *count, kMinValueBytes));
       for (std::uint64_t i = 0; i < *count; ++i) {
         auto value = get_value(bytes, offset);
         if (!value) return std::nullopt;

@@ -110,27 +110,32 @@ void encode_into(const GossipPayload& payload, WireBytes& out);
 
 /// What a header probe can read without walking the variable-length tail:
 /// the message kind plus the cheap identifying fields (enough for duplicate
-/// classification and retry cancellation). See probe_frame() for the trust
-/// contract.
+/// classification, retry cancellation and the WAL's append rules). See
+/// probe_frame() for the trust contract.
 struct FrameProbe {
   WireKind kind = WireKind::kPush;
   /// kPush: the pushed version's id. kAck: the acknowledged version.
   version::VersionId version;
   /// kQueryRequest / kQueryReply: the correlation nonce.
   std::uint64_t nonce = 0;
+  /// kPullResponse: the number of values the response carries.
+  std::uint64_t values = 0;
 };
 
 /// Cheap header probe: validates magic/version/kind and decodes ONLY the
 /// probed fields (for a push that means skipping the two length-prefixed
 /// strings and reading the 16-byte digest — the version vector, flags and
-/// flooding list are never touched). nullopt when the probed prefix is
-/// malformed.
+/// flooding list are never touched; for a pull response, skipping the
+/// summary vector's varints to reach the value count). nullopt when the
+/// probed prefix is malformed.
 ///
 /// Trust contract: a successful probe does NOT imply the frame decodes —
 /// the unexamined tail may still be garbage. Callers may use the probe for
 /// *monotone bookkeeping only* (duplicate counting, retry cancellation
 /// lookups); any action that mutates protocol state from the frame's
-/// contents must run the full decode first and handle its failure.
+/// contents must run the full decode first and handle its failure. Once
+/// the same frame's full decode succeeded, the probed fields are what it
+/// read, and may gate what follows it.
 [[nodiscard]] std::optional<FrameProbe> probe_frame(
     std::span<const std::byte> bytes);
 
@@ -144,10 +149,9 @@ struct DecodedPush {
 /// chunks are decoded directly into `list` (cleared first; a warm arena
 /// set reuses its parked chunk buffers, so the common case allocates
 /// nothing) instead of materialising a temporary ChunkedPeerSet inside a
-/// GossipPayload. Field-for-field equivalent to decode(): it succeeds
-/// exactly when decode() yields a PushMessage, with identical value, round
-/// and list (pinned by the codec fuzz suite). On failure `list` is left
-/// cleared and the return is nullopt.
+/// GossipPayload. decode() reads a push through this function, so the two
+/// cannot disagree on the push grammar. On failure `list` is left cleared
+/// and the return is nullopt.
 [[nodiscard]] std::optional<DecodedPush> decode_push_into(
     std::span<const std::byte> bytes, common::ChunkedPeerSet& list);
 

@@ -86,10 +86,6 @@ struct GossipConfig {
   analysis::PfSchedule forward_probability = analysis::pf_constant(1.0);
   /// §6: modulate PF(t) by locally observed duplicates and list coverage.
   bool self_tuning = false;
-  /// Multiplicative PF penalty per duplicate received for the same update.
-  double duplicate_damping = 0.5;
-  /// PF floor so self-tuning cannot silence a peer entirely.
-  double min_forward_probability = 0.01;
 
   PartialListConfig partial_list;
   AckConfig acks;
@@ -106,11 +102,6 @@ struct GossipConfig {
     UPDP2P_ENSURE(fanout_fraction > 0.0 && fanout_fraction <= 1.0,
                   "f_r must be in (0,1]");
     UPDP2P_ENSURE(estimated_total_replicas > 0, "population must be positive");
-    UPDP2P_ENSURE(duplicate_damping > 0.0 && duplicate_damping <= 1.0,
-                  "duplicate damping must be in (0,1]");
-    UPDP2P_ENSURE(min_forward_probability >= 0.0 &&
-                      min_forward_probability <= 1.0,
-                  "PF floor must be in [0,1]");
     UPDP2P_ENSURE(pull.contacts_per_attempt > 0,
                   "pull must contact at least one peer");
   }

@@ -11,11 +11,11 @@ double ForwardDecider::probability(common::Round t,
   if (self_tuning_) {
     // Duplicate pressure gates WHETHER to gossip at all: at a sustained
     // duplicate rate of 1 (every push a duplicate) the probability is
-    // multiplied by `duplicate_damping_`; exponential in between. The
+    // multiplied by kDuplicateDamping; exponential in between. The
     // list-coverage signal tunes the fanout instead (effective_fanout) —
     // applying both signals to both knobs over-suppresses.
-    p *= std::pow(duplicate_damping_, duplicate_rate_);
-    p = std::max(p, min_probability_);
+    p *= std::pow(kDuplicateDamping, duplicate_rate_);
+    p = std::max(p, kMinProbability);
   }
   (void)list_fraction;
   return std::clamp(p, 0.0, 1.0);

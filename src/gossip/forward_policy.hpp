@@ -21,9 +21,7 @@ class ForwardDecider {
  public:
   explicit ForwardDecider(const GossipConfig& config)
       : schedule_(config.forward_probability),
-        self_tuning_(config.self_tuning),
-        duplicate_damping_(config.duplicate_damping),
-        min_probability_(config.min_forward_probability) {}
+        self_tuning_(config.self_tuning) {}
 
   /// Effective forwarding probability for an update received with round
   /// counter t−1 and about to be pushed in round t. `list_fraction` is the
@@ -55,11 +53,13 @@ class ForwardDecider {
  private:
   analysis::PfSchedule schedule_;
   bool self_tuning_;
-  double duplicate_damping_;
-  double min_probability_;
   double duplicate_rate_ = 0.0;
 
   static constexpr double kEwmaAlpha = 0.15;
+  /// Self-tuning PF multiplier at a sustained duplicate rate of 1.
+  static constexpr double kDuplicateDamping = 0.5;
+  /// Self-tuning PF floor, so duplicates cannot silence a peer entirely.
+  static constexpr double kMinProbability = 0.01;
 };
 
 }  // namespace updp2p::gossip

@@ -133,14 +133,6 @@ bool ReplicaNode::note_push_received(common::PeerId from,
   return true;
 }
 
-void ReplicaNode::handle_push(common::PeerId from, const PushMessage& push,
-                              common::Round now,
-                              std::vector<OutboundMessage>& out) {
-  if (!note_push_received(from, push.value->id)) return;
-  handle_push_first(from, push.value, push.round, push.flooding_list.set(),
-                    now, out);
-}
-
 void ReplicaNode::handle_push_first(common::PeerId from,
                                     const SharedValue& value,
                                     common::Round push_round,
@@ -152,7 +144,7 @@ void ReplicaNode::handle_push_first(common::PeerId from,
   // a duplicate's flooding list is dropped with the rest of the message —
   // which also means the dominant duplicate-delivery path never pays a
   // set merge (at 100k replicas ~80% of deliveries are duplicates), and
-  // the frame path (handle_frame) never even *decodes* it.
+  // handle_frame never even *decodes* it.
   stats_.members_discovered += view_.merge(flooded);
 
   const version::ApplyOutcome outcome = store_.apply(*value);
@@ -243,7 +235,26 @@ bool ReplicaNode::handle_frame(common::PeerId from,
   // Non-push kinds carry no skippable bulk — decode fully and dispatch.
   const auto payload = decode(frame);
   if (!payload) return false;
-  handle_message(from, *payload, now, out);
+  std::visit(
+      [this, from, now, &out](const auto& message) {
+        using T = std::decay_t<decltype(message)>;
+        if constexpr (std::is_same_v<T, PullRequest>) {
+          handle_pull_request(from, message, now, out);
+        } else if constexpr (std::is_same_v<T, PullResponse>) {
+          handle_pull_response(from, message, now);
+        } else if constexpr (std::is_same_v<T, AckMessage>) {
+          handle_ack(from, message);
+        } else if constexpr (std::is_same_v<T, QueryRequest>) {
+          handle_query_request(from, message, now, out);
+        } else if constexpr (std::is_same_v<T, QueryReply>) {
+          handle_query_reply(from, message);
+        } else {
+          // The probe routed every push above, and decode() reads the same
+          // kind byte, so no push reaches this branch.
+          static_assert(std::is_same_v<T, PushMessage>);
+        }
+      },
+      *payload);
   return true;
 }
 
@@ -399,33 +410,6 @@ void ReplicaNode::handle_query_reply(common::PeerId from,
   // vote per replica, as the majority logic of §4.4 requires.
   it->second.answers.push_back(
       QueryAnswer{from, local_winner(reply.versions), reply.confident});
-}
-
-// --- event dispatch --------------------------------------------------------------
-
-void ReplicaNode::handle_message(common::PeerId from,
-                                 const GossipPayload& payload,
-                                 common::Round now,
-                                 std::vector<OutboundMessage>& out) {
-  std::visit(
-      [this, from, now, &out](const auto& message) {
-        using T = std::decay_t<decltype(message)>;
-        if constexpr (std::is_same_v<T, PushMessage>) {
-          handle_push(from, message, now, out);
-        } else if constexpr (std::is_same_v<T, PullRequest>) {
-          handle_pull_request(from, message, now, out);
-        } else if constexpr (std::is_same_v<T, PullResponse>) {
-          handle_pull_response(from, message, now);
-        } else if constexpr (std::is_same_v<T, AckMessage>) {
-          handle_ack(from, message);
-        } else if constexpr (std::is_same_v<T, QueryRequest>) {
-          handle_query_request(from, message, now, out);
-        } else {
-          static_assert(std::is_same_v<T, QueryReply>);
-          handle_query_reply(from, message);
-        }
-      },
-      payload);
 }
 
 void ReplicaNode::on_reconnect(common::Round now,

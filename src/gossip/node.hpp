@@ -154,25 +154,22 @@ class ReplicaNode {
 
   // --- environment-driven events --------------------------------------------
 
-  /// Delivers one protocol message, appending the node's reactions to
-  /// `out` so a round engine can reuse one buffer across the whole round.
-  /// With warm scratch buffers a push round performs no per-call container
-  /// allocation beyond the outbound payloads themselves. (Every event
-  /// handler below appends to `out` the same way.)
-  void handle_message(common::PeerId from, const GossipPayload& payload,
-                      common::Round now, std::vector<OutboundMessage>& out);
-
-  /// Zero-copy delivery of one ENCODED frame (codec bytes, no transport
-  /// framing). A cheap header probe classifies the message first: a push
-  /// for an already-seen version — the dominant delivery at scale — is
-  /// counted as a duplicate without decoding the version vector or the
-  /// flooding list; a first receipt streams its flooding list into the
-  /// arena's recv_list scratch (decode_push_into); other kinds decode
-  /// fully and dispatch through handle_message. Returns false (with NO
-  /// protocol-state change) when the frame is malformed. Behaviour and RNG
-  /// draw order are bit-identical to decoding the frame and calling
-  /// handle_message — NodeFuzz.FrameDeliveryMatchesPayloadDelivery pins
-  /// this. Both round engines deliver every message through here.
+  /// Delivers one ENCODED frame (codec bytes, no transport framing): the
+  /// node's only way in for a protocol message. Both round engines, the
+  /// WAL replay and PeerRuntime deliver every message through here. The
+  /// node's reactions are appended to `out` so a round engine can reuse
+  /// one buffer across the whole round; with warm scratch buffers a push
+  /// round performs no per-call container allocation beyond the outbound
+  /// payloads themselves. (Every event handler below appends to `out` the
+  /// same way.)
+  ///
+  /// A cheap header probe classifies the message first: a push for an
+  /// already-seen version — the dominant delivery at scale — is counted as
+  /// a duplicate without decoding the version vector or the flooding list;
+  /// a first receipt streams its flooding list into the arena's recv_list
+  /// scratch (decode_push_into); other kinds decode fully and dispatch.
+  /// Returns false, with NO protocol-state change, when the frame is
+  /// malformed (ReplicaNode.MalformedFrameChangesNothing pins this).
   [[nodiscard]] bool handle_frame(common::PeerId from,
                                   std::span<const std::byte> frame,
                                   common::Round now,
@@ -212,15 +209,13 @@ class ReplicaNode {
   // a fresh vector. This keeps the per-message path free of vector churn.
   void start_push(version::VersionedValue value, common::Round now,
                   std::vector<OutboundMessage>& out);
-  void handle_push(common::PeerId from, const PushMessage& push,
-                   common::Round now, std::vector<OutboundMessage>& out);
   /// Common bookkeeping of every push receipt (§3's ProcessedUpdate
   /// check): counters, view refresh, duplicate classification. Returns
-  /// true on first receipt. Shared by the in-memory and frame paths so
-  /// their observable behaviour cannot drift.
+  /// true on first receipt. Shared by handle_frame's duplicate and
+  /// first-receipt branches.
   bool note_push_received(common::PeerId from, const version::VersionId& id);
-  /// The first-receipt tail of handle_push (merge, apply, ack, forward);
-  /// `flooded` may alias the arena's recv_list scratch.
+  /// A first receipt's handling once its frame decoded (merge, apply, ack,
+  /// forward); `flooded` may alias the arena's recv_list scratch.
   void handle_push_first(common::PeerId from, const SharedValue& value,
                          common::Round push_round,
                          const common::ChunkedPeerSet& flooded,

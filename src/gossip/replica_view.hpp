@@ -61,9 +61,9 @@ class ReplicaView {
   /// (membership knowledge gained through gossip).
   std::size_t merge(std::span<const common::PeerId> peers);
 
-  /// Merges a received flooding list in compressed form: one pass of
-  /// word-parallel set difference (AND-NOT over bitmap chunks) discovers
-  /// the new ids while the union absorbs them. Returns how many were new.
+  /// Merges a received flooding list in compressed form: one union
+  /// (ChunkedPeerSet::insert_all), whose size delta is the number of ids
+  /// that were new. Returns that number.
   std::size_t merge(const common::ChunkedPeerSet& peers);
 
   [[nodiscard]] bool contains(common::PeerId peer) const {

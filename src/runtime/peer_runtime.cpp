@@ -165,59 +165,50 @@ void PeerRuntime::poll(common::SimTime now) {
 }
 
 void PeerRuntime::deliver_datagram(net::InboundDatagram& datagram) {
-  // A cheap header probe routes the datagram. Pushes — the bulk of live
-  // traffic, and never a confirming signal — take the zero-copy frame
-  // path: the node classifies duplicates from the probe alone and
-  // stream-decodes first receipts. Everything else (acks, pull/query
-  // traffic) is small; it decodes fully, cancels any retry it confirms,
-  // and dispatches as before.
+  // One path for every kind: a header probe names the frame and the node
+  // takes the frame itself. Every decision below that reads a probed
+  // field runs only once handle_frame has accepted the frame, whose full
+  // decode read the same prefix; a duplicate push, which the node counts
+  // from the probe alone, only bumps a counter here.
   const auto probe = gossip::probe_frame(datagram.bytes);
   if (!probe) {
     ++stats_.decode_errors;
     return;
   }
+  const bool push = probe->kind == gossip::WireKind::kPush;
+  // Probe-based duplicate classification gates the WAL append exactly as
+  // it gates the full decode: ~80% of push deliveries are duplicates the
+  // node already holds durably, and logging them would bloat the log
+  // with bytes replay would classify as duplicates anyway. Read before
+  // delivery, which marks the version known.
+  const bool first_receipt = push && !node_.knows_version(probe->version);
   out_scratch_.clear();
-  if (probe->kind == gossip::WireKind::kPush) {
-    // Probe-based duplicate classification gates the WAL append exactly as
-    // it gates the full decode: ~80% of push deliveries are duplicates the
-    // node already holds durably, and logging them would bloat the log
-    // with bytes replay would classify as duplicates anyway.
-    const bool first_receipt = !node_.knows_version(probe->version);
-    if (!node_.handle_frame(datagram.from, datagram.bytes, current_round(),
-                            out_scratch_)) {
-      ++stats_.decode_errors;
-      return;
-    }
-    if (first_receipt) {
-      // Append-before-ack: the §6 ack sits in out_scratch_ and only goes
-      // out (transmit below) once the frame is durably in the log — an
-      // acked update can never be lost to a crash.
+  if (!node_.handle_frame(datagram.from, datagram.bytes, current_round(),
+                          out_scratch_)) {
+    ++stats_.decode_errors;
+    return;
+  }
+  // This datagram may be the confirming signal a retry timer is waiting
+  // for. The node touches neither the retry table nor the buffer pool, so
+  // cancelling after delivery changes nothing transmit sees.
+  note_confirmation(datagram.from, *probe);
+  if (first_receipt) {
+    // Append-before-ack: the §6 ack sits in out_scratch_ and only goes
+    // out (transmit below) once the frame is durably in the log — an
+    // acked update can never be lost to a crash.
+    append_durable(datagram.from, current_round(), datagram.bytes);
+  } else if (push) {
+    if (store_) ++stats_.wal_duplicates_skipped;
+  } else if (probe->kind == gossip::WireKind::kPullResponse) {
+    stats_.pull_response_bytes_in += datagram.bytes.size();
+    // A pull response carrying values is new state exactly like a first
+    // push; one that carries none changes nothing worth logging. It is
+    // logged after it applies, as a first push is: the append may trigger
+    // a snapshot, which must already hold the pulled values because it
+    // covers (and truncates) this record. Pull responses are never acked,
+    // so nothing waits on the append.
+    if (probe->values > 0) {
       append_durable(datagram.from, current_round(), datagram.bytes);
-    } else if (store_) {
-      ++stats_.wal_duplicates_skipped;
-    }
-  } else {
-    const auto payload = gossip::decode(datagram.bytes);
-    if (!payload) {
-      ++stats_.decode_errors;
-      return;
-    }
-    // Cancel first: this datagram may be the confirming signal a retry
-    // timer is waiting for.
-    note_confirmation(datagram.from, *payload);
-    node_.handle_message(datagram.from, *payload, current_round(),
-                         out_scratch_);
-    if (const auto* pull = std::get_if<gossip::PullResponse>(&*payload)) {
-      stats_.pull_response_bytes_in += datagram.bytes.size();
-      // A pull response carrying values is new state exactly like a first
-      // push; one that carries none changes nothing worth logging. It is
-      // logged after it applies, as a first push is: the append may
-      // trigger a snapshot, which must already hold the pulled values
-      // because it covers (and truncates) this record. Pull responses are
-      // never acked, so nothing waits on the append.
-      if (!pull->missing.empty()) {
-        append_durable(datagram.from, current_round(), datagram.bytes);
-      }
     }
   }
   transmit(out_scratch_);
@@ -386,18 +377,22 @@ void PeerRuntime::on_retry_timer(const RetryKey& key) {
 }
 
 void PeerRuntime::note_confirmation(common::PeerId from,
-                                    const gossip::GossipPayload& payload) {
+                                    const gossip::FrameProbe& probe) {
   RetryKey key{.to = from};
-  if (const auto* ack = std::get_if<gossip::AckMessage>(&payload)) {
-    key.expect = Expect::kAck;
-    key.version = ack->acked;
-  } else if (std::holds_alternative<gossip::PullResponse>(payload)) {
-    key.expect = Expect::kPullResponse;
-  } else if (const auto* reply = std::get_if<gossip::QueryReply>(&payload)) {
-    key.expect = Expect::kQueryReply;
-    key.nonce = reply->nonce;
-  } else {
-    return;
+  switch (probe.kind) {
+    case gossip::WireKind::kAck:
+      key.expect = Expect::kAck;
+      key.version = probe.version;
+      break;
+    case gossip::WireKind::kPullResponse:
+      key.expect = Expect::kPullResponse;
+      break;
+    case gossip::WireKind::kQueryReply:
+      key.expect = Expect::kQueryReply;
+      key.nonce = probe.nonce;
+      break;
+    default:
+      return;
   }
   const auto it = retries_.find(key);
   if (it == retries_.end()) return;

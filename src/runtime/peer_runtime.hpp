@@ -7,10 +7,12 @@
 //   * outbound protocol messages are encoded with gossip::codec and handed
 //     to the Transport as datagrams, each fan-out run (gossip::FanOutKey)
 //     encoded once;
-//   * inbound datagrams are probed (gossip::probe_frame) and routed:
-//     pushes go down the zero-copy frame path (duplicates classified from
-//     the header, first receipts stream-decoded), other kinds decode fully;
-//     garbage is counted and dropped — the codec is fail-safe;
+//   * every inbound datagram takes one path: a header probe
+//     (gossip::probe_frame) names it, the node takes the frame itself
+//     (ReplicaNode::handle_frame), and only once the node accepted it do
+//     the probed kind, version, nonce and value count cancel a retry and
+//     decide the WAL append; garbage is counted and dropped — the codec is
+//     fail-safe;
 //   * a monotonic timer queue supplies the push-round cadence
 //     (on_round_start) and per-message retry timers;
 //   * datagrams whose arrival the protocol can confirm — pushes (via §6
@@ -42,6 +44,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "gossip/codec.hpp"
 #include "gossip/node.hpp"
 #include "net/transport.hpp"
 #include "runtime/retry.hpp"
@@ -156,8 +159,8 @@ class PeerRuntime {
   // --- event loop -----------------------------------------------------------
 
   /// Advances the runtime to `now` (monotone): drains the transport,
-  /// delivers decoded messages to the node, fires due timers (round ticks,
-  /// retransmits) and transmits everything the node emitted.
+  /// hands each datagram to the node as a frame, fires due timers (round
+  /// ticks, retransmits) and transmits everything the node emitted.
   void poll(common::SimTime now);
 
   /// Earliest pending timer deadline — how long an event loop may sleep
@@ -255,8 +258,8 @@ class PeerRuntime {
   void transmit(std::vector<gossip::OutboundMessage>& messages);
   [[nodiscard]] net::DatagramBytes take_buffer();
   void recycle_buffer(net::DatagramBytes&& bytes);
-  /// Routes one drained datagram: probe → frame path for pushes, full
-  /// decode (+ retry cancellation) for everything else.
+  /// Delivers one drained datagram: probe, handle_frame, then the retry
+  /// cancellation and WAL rules the accepted frame's probe decides.
   void deliver_datagram(net::InboundDatagram& datagram);
   /// The confirmation an outbound message waits for; nullopt when no
   /// protocol message confirms it (or, for a push, acks are off).
@@ -269,9 +272,9 @@ class PeerRuntime {
   /// RetryFire). The entry must have no pending timer.
   void schedule_retry_timer(RetryTable::iterator entry);
   void on_retry_timer(const RetryKey& key);
-  /// Ack / pull response / query reply arrived: cancel the matching retry.
-  void note_confirmation(common::PeerId from,
-                         const gossip::GossipPayload& payload);
+  /// Ack / pull response / query reply arrived: cancel the matching retry,
+  /// keyed from the accepted frame's probed kind, version and nonce.
+  void note_confirmation(common::PeerId from, const gossip::FrameProbe& probe);
   /// Cancels the send's pending timer, if any, and returns its buffer to
   /// the pool.
   void release(PendingSend& pending);

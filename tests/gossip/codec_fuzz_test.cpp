@@ -143,9 +143,9 @@ std::vector<GossipPayload> sample_payloads(common::StreamRng& rng) {
 ///     re-encode (the decoder only produces well-formed values).
 ///  2. probe_frame() never *diverges* from decode(): whenever the full
 ///     decode succeeds, the probe must succeed too and report the same
-///     kind and identifying fields. (The converse is deliberately free —
-///     a probe may accept a frame whose unexamined tail is garbage; that
-///     is the documented trust contract.)
+///     kind, identifying fields and value count. (The converse is
+///     deliberately free — a probe may accept a frame whose unexamined
+///     tail is garbage; that is the documented trust contract.)
 ///  3. decode_push_into() accepts exactly the frames decode() turns into a
 ///     PushMessage, yielding an identical value, round and flooding list,
 ///     and leaves the target set empty on every rejection.
@@ -169,6 +169,9 @@ void check_bytes(std::span<const std::byte> bytes) {
     } else if (const auto* reply = std::get_if<QueryReply>(&*decoded)) {
       EXPECT_EQ(probe->kind, WireKind::kQueryReply);
       EXPECT_EQ(probe->nonce, reply->nonce);
+    } else if (const auto* response = std::get_if<PullResponse>(&*decoded)) {
+      EXPECT_EQ(probe->kind, WireKind::kPullResponse);
+      EXPECT_EQ(probe->values, response->missing.size());
     }
   }
 
@@ -235,8 +238,9 @@ TEST(CodecFuzz, ProbeOfTruncatedFramesNeverDiverges) {
   // The lazy-decode trust contract, exhaustively: for EVERY truncation of a
   // valid frame, probe_frame must either reject the prefix or report
   // exactly what it reports on the full frame — it may never invent a
-  // different kind, version or nonce. (check_bytes already covers the
-  // probe-vs-decode side on these prefixes; this pins probe-vs-probe.)
+  // different kind, version, nonce or value count. (check_bytes already
+  // covers the probe-vs-decode side on these prefixes; this pins
+  // probe-vs-probe.)
   common::StreamRng rng(0x9B0B);
   for (const GossipPayload& payload : sample_payloads(rng)) {
     const WireBytes wire = encode(payload);
@@ -249,6 +253,7 @@ TEST(CodecFuzz, ProbeOfTruncatedFramesNeverDiverges) {
       EXPECT_EQ(probe->kind, full->kind) << "len " << len;
       EXPECT_EQ(probe->version, full->version) << "len " << len;
       EXPECT_EQ(probe->nonce, full->nonce) << "len " << len;
+      EXPECT_EQ(probe->values, full->values) << "len " << len;
     }
   }
 }
@@ -578,6 +583,45 @@ TEST(CodecFuzz, HostileHistoryCountDoesNotAllocateByDeclaredCount) {
   EXPECT_LT(bytes, kPayload + 4096)
       << calls << " allocations for " << kDeclared << " declared entries";
   EXPECT_LT(bytes, kDeclared * sizeof(version::VersionVector::Entry) / 8);
+}
+
+TEST(CodecFuzz, HostileValueCountDoesNotAllocateByDeclaredCount) {
+  // Each frame declares one element per byte of the whole frame, which
+  // passes the frame-size check, and is then cut off. Zero filler parses
+  // as the smallest elements there are (28-byte values, 16-byte digests),
+  // so the decoder reads as many as the bytes hold before it fails.
+  // Reserving by the declared count would request 120 bytes per declared
+  // value and 16 per digest; a rejected decode may allocate only a small
+  // multiple of the frame's own length.
+  constexpr std::size_t kFrame = 60 * 1024;
+  const auto header = [](WireKind kind) {
+    return WireBytes{std::byte{0xD5}, std::byte{0x2B},
+                     static_cast<std::byte>(kCodecVersion),
+                     static_cast<std::byte>(kind)};
+  };
+  WireBytes pull_request = header(WireKind::kPullRequest);
+  put_varint(pull_request, 0);  // empty summary
+  WireBytes pull_response = header(WireKind::kPullResponse);
+  put_varint(pull_response, 0);  // empty summary
+  pull_response.push_back(std::byte{1});  // confident
+  WireBytes query_reply = header(WireKind::kQueryReply);
+  put_varint(query_reply, 1);
+  query_reply.push_back(std::byte{'k'});
+  put_varint(query_reply, 7);  // nonce
+  query_reply.push_back(std::byte{1});  // confident
+  for (WireBytes* frame : {&pull_request, &pull_response, &query_reply}) {
+    put_varint(*frame, kFrame);
+    frame->resize(kFrame, std::byte{0});
+    const auto kind = probe_frame(*frame);
+    ASSERT_TRUE(kind.has_value());
+    std::optional<GossipPayload> decoded;
+    const auto [calls, bytes] =
+        alloc_count::calls_and_bytes([&] { decoded = decode(*frame); });
+    EXPECT_FALSE(decoded.has_value());
+    EXPECT_LT(bytes, 8 * kFrame)
+        << "kind " << static_cast<int>(kind->kind) << ": " << calls
+        << " allocations";
+  }
 }
 
 TEST(CodecFuzz, WarmPeerSetDecodeAllocatesNothing) {

@@ -357,6 +357,22 @@ TEST(Codec, ProbeReadsKindAndIdentityWithoutFullDecode) {
   EXPECT_EQ(query_probe->kind, WireKind::kQueryRequest);
   EXPECT_EQ(query_probe->nonce, 99u);
 
+  // A pull response's value count sits behind its summary vector.
+  PullResponse response;
+  response.summary.observe(PeerId(3), 7);
+  response.summary.observe(PeerId(70'000), 300);
+  const auto empty_probe = probe_frame(encode(GossipPayload{response}));
+  ASSERT_TRUE(empty_probe.has_value());
+  EXPECT_EQ(empty_probe->kind, WireKind::kPullResponse);
+  EXPECT_EQ(empty_probe->values, 0u);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    response.missing.push_back(sample_value(seed));
+  }
+  const auto values_probe = probe_frame(encode(GossipPayload{response}));
+  ASSERT_TRUE(values_probe.has_value());
+  EXPECT_EQ(values_probe->kind, WireKind::kPullResponse);
+  EXPECT_EQ(values_probe->values, 3u);
+
   EXPECT_FALSE(probe_frame({}).has_value());
 }
 

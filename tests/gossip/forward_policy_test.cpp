@@ -33,21 +33,20 @@ TEST(ForwardDecider, SelfTuningProbabilityIgnoresListCoverage) {
 }
 
 TEST(ForwardDecider, SelfTuningRespectsFloor) {
+  // A schedule below the 1 % floor: damping pushes it lower still, and the
+  // floor lifts it back.
   auto config = base_config();
   config.self_tuning = true;
-  config.min_forward_probability = 0.05;
-  config.duplicate_damping = 0.01;
-  config.forward_probability = analysis::pf_constant(1.0);
+  config.forward_probability = analysis::pf_constant(0.001);
   ForwardDecider decider(config);
+  EXPECT_DOUBLE_EQ(decider.probability(0, 0.0), 0.01);
   for (int i = 0; i < 200; ++i) decider.observe_push(true);
-  EXPECT_GE(decider.probability(0, 0.0), 0.05);
-  EXPECT_LE(decider.probability(0, 0.0), 0.06);
+  EXPECT_DOUBLE_EQ(decider.probability(0, 0.0), 0.01);
 }
 
 TEST(ForwardDecider, DuplicatesDampenProbability) {
   auto config = base_config();
   config.self_tuning = true;
-  config.duplicate_damping = 0.5;
   config.forward_probability = analysis::pf_constant(1.0);
   ForwardDecider decider(config);
   const double before = decider.probability(0, 0.0);
@@ -101,7 +100,6 @@ TEST(ForwardDecider, EffectiveFanoutUnaffectedByDuplicates) {
   // Duplicates gate PF, not the fanout (split-signal design).
   auto config = base_config();
   config.self_tuning = true;
-  config.duplicate_damping = 0.5;
   ForwardDecider decider(config);
   for (int i = 0; i < 30; ++i) decider.observe_push(true);
   EXPECT_EQ(decider.effective_fanout(20, 0.0), 20u);

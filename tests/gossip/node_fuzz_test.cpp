@@ -4,7 +4,6 @@
 // garbage; protocols keep state machines sane anyway.
 #include <gtest/gtest.h>
 
-#include "gossip/codec.hpp"
 #include "gossip/node.hpp"
 #include "support/node_reactions.hpp"
 
@@ -162,80 +161,6 @@ TEST_P(NodeFuzz, SurvivesRandomMessageStorm) {
   EXPECT_LE(stats.duplicate_pushes, stats.pushes_received);
   // 4. The view never contains the node itself.
   EXPECT_FALSE(node.view().contains(PeerId(0)));
-}
-
-TEST_P(NodeFuzz, FrameDeliveryMatchesPayloadDelivery) {
-  // The round engines deliver only encoded frames, so handle_frame (header
-  // probe, probe-classified duplicates, streamed first-receipt decodes)
-  // must act exactly as handle_message on the decoded payload. Two nodes
-  // with one config and one stream get the same events: one receives each
-  // message as a payload, the other as encode(payload). Every reaction and
-  // every piece of observable state must match after every step. Most
-  // deliveries re-send an earlier push, so most push deliveries take the
-  // probe-only duplicate path.
-  StreamRng rng(GetParam());
-  const GossipConfig config = fuzz_config(rng);
-  const StreamRng node_rng(rng(), 0);
-  ReplicaNode by_payload(PeerId(0), config, node_rng);
-  ReplicaNode by_frame(PeerId(0), config, node_rng);
-  // Half the peers, so senders and flooding lists still add members.
-  std::vector<PeerId> view;
-  for (std::uint32_t i = 1; i < 32; ++i) view.emplace_back(i);
-  by_payload.bootstrap(view);
-  by_frame.bootstrap(view);
-
-  std::vector<GossipPayload> pushes;  // every push delivered so far
-  std::vector<OutboundMessage> payload_out;
-  std::vector<OutboundMessage> frame_out;
-  common::Round now = 0;
-  for (int step = 0; step < 2'000; ++step) {
-    payload_out.clear();
-    frame_out.clear();
-    const auto action = rng.uniform_below(100);
-    if (action < 85) {
-      const PeerId from(
-          static_cast<std::uint32_t>(rng.uniform_below(64)) + 1);
-      GossipPayload payload = !pushes.empty() && rng.bernoulli(0.6)
-                                  ? pushes[rng.pick_index(pushes.size())]
-                                  : random_payload(rng);
-      if (std::holds_alternative<PushMessage>(payload)) {
-        pushes.push_back(payload);
-      }
-      by_payload.handle_message(from, payload, now, payload_out);
-      ASSERT_TRUE(by_frame.handle_frame(from, encode(payload), now, frame_out))
-          << "step " << step;
-    } else if (action < 90) {
-      const std::string key = "k" + std::to_string(rng.uniform_below(4));
-      payload_out = by_payload.publish(key, "local", now);
-      frame_out = by_frame.publish(key, "local", now);
-    } else if (action < 95) {
-      by_payload.on_round_start(now, payload_out);
-      by_frame.on_round_start(now, frame_out);
-    } else if (action < 98) {
-      by_payload.on_reconnect(now, payload_out);
-      by_frame.on_reconnect(now, frame_out);
-    } else {
-      by_payload.on_disconnect(now);
-      by_frame.on_disconnect(now);
-    }
-    if (rng.bernoulli(0.3)) ++now;
-
-    ASSERT_EQ(payload_out.size(), frame_out.size()) << "step " << step;
-    for (std::size_t i = 0; i < payload_out.size(); ++i) {
-      EXPECT_EQ(payload_out[i].to, frame_out[i].to) << "step " << step;
-      EXPECT_EQ(encode(payload_out[i].payload), encode(frame_out[i].payload))
-          << "step " << step;
-    }
-    ASSERT_TRUE(by_payload.stats() == by_frame.stats()) << "step " << step;
-    ASSERT_EQ(by_payload.store().content_digest(),
-              by_frame.store().content_digest())
-        << "step " << step;
-    ASSERT_EQ(by_payload.view().membership(), by_frame.view().membership())
-        << "step " << step;
-  }
-  // The regime check: duplicates dominate the push deliveries.
-  const NodeStats& stats = by_frame.stats();
-  EXPECT_GT(stats.duplicate_pushes * 2, stats.pushes_received);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NodeFuzz,

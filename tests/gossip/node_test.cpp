@@ -151,6 +151,53 @@ TEST(ReplicaNode, HostileListIdLeavesSamplerScratchViewSized) {
   EXPECT_LE(arena.chosen.capacity(), 4 * (bob.view().size() + 1));
 }
 
+TEST(ReplicaNode, MalformedFrameChangesNothing) {
+  // handle_frame validates before it mutates. A frame cut short keeps the
+  // prefix probe_frame reads, so it probes fine, then fails its full
+  // decode: the node must refuse it and stay exactly as it was. Each kind
+  // here carries more than the probe reads (an ack or a query request is
+  // nothing but probed fields), and each is accepted whole.
+  auto alice = make_node(0);
+  (void)alice.publish("a", "1", 0);
+  const auto pushes = alice.publish("b", "2", 0);
+  auto bob = make_node(1);
+  const std::uint64_t nonce =
+      bob.begin_query("a", QueryRule::kLatestVersion, 3, 1).nonce;
+  const auto requests = reconnect(bob, 1);
+  const auto responses =
+      deliver(alice, PeerId(1), requests.front().payload, 1);
+  ASSERT_FALSE(
+      std::get<PullResponse>(responses.front().payload).missing.empty());
+  const GossipPayload payloads[] = {
+      pushes.front().payload, requests.front().payload,
+      responses.front().payload,
+      QueryReply{"a", nonce, {*alice.read("a")}, true}};
+
+  for (std::uint32_t i = 0; i < std::size(payloads); ++i) {
+    const WireBytes frame = encode(payloads[i]);
+    const std::span<const std::byte> cut(frame.data(), frame.size() - 3);
+    const auto probe = probe_frame(cut);
+    ASSERT_TRUE(probe.has_value()) << "payload " << i;
+    ASSERT_EQ(probe->kind, probe_frame(frame)->kind) << "payload " << i;
+    ASSERT_FALSE(decode(cut).has_value()) << "payload " << i;
+
+    // A sender outside bob's view: accepting anything from it shows.
+    const PeerId stranger(200 + i);
+    const NodeStats stats = bob.stats();
+    const auto content = bob.store().content_digest();
+    const common::ChunkedPeerSet members = bob.view().membership();
+    std::vector<OutboundMessage> out;
+    EXPECT_FALSE(bob.handle_frame(stranger, cut, 2, out)) << "payload " << i;
+    EXPECT_TRUE(out.empty()) << "payload " << i;
+    EXPECT_TRUE(bob.stats() == stats) << "payload " << i;
+    EXPECT_EQ(bob.store().content_digest(), content) << "payload " << i;
+    EXPECT_EQ(bob.view().membership(), members) << "payload " << i;
+
+    EXPECT_TRUE(bob.handle_frame(stranger, frame, 2, out)) << "payload " << i;
+    EXPECT_FALSE(bob.stats() == stats) << "payload " << i;
+  }
+}
+
 TEST(ReplicaNode, DuplicatePushIsNotForwardedTwice) {
   auto alice = make_node(0);
   auto bob = make_node(1);

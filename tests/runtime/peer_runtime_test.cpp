@@ -472,7 +472,9 @@ TEST(PeerRuntime, FanOutDatagramsEqualTheirPayloadEncoding) {
 TEST(PeerRuntime, ConfirmationsCancelOnlyTheirOwnRetry) {
   // A pull request, a push and a query request to one peer are in flight
   // at once. Each confirmation cancels its own retry and no other; an ack
-  // for another version or a reply with another nonce cancels nothing.
+  // for another version or a reply with another nonce cancels nothing,
+  // and neither does a frame cut short whose probe names a pending retry:
+  // the node refuses it, so it counts a decode error.
   RuntimeConfig config = Pair::make_runtime_config();
   config.start_online = false;
   CaptureTransport transport(common::PeerId(0));
@@ -492,29 +494,43 @@ TEST(PeerRuntime, ConfirmationsCancelOnlyTheirOwnRetry) {
   const version::VersionId other =
       version::VersionIdFactory(common::PeerId(1), common::StreamRng(7))
           .mint(0.0);
+  const version::VersionedValue value = *runtime.read("key");
+  gossip::PullResponse carrying_one;
+  carrying_one.missing.push_back(value);
   struct Injection {
     gossip::GossipPayload payload;
     std::size_t pending_after;
     std::uint64_t cancelled_after;
+    std::size_t cut = 0;  ///< bytes cut off the frame's end
   };
   const Injection injections[] = {
+      {carrying_one, 3, 0, 3},
       {gossip::PullResponse{}, 2, 1},
       {gossip::AckMessage{other}, 2, 1},
       {gossip::AckMessage{*published}, 1, 2},
       {gossip::QueryReply{"key", nonce + 1, {}}, 1, 2},
+      {gossip::QueryReply{"key", nonce, {value}}, 1, 2, 3},
       {gossip::QueryReply{"key", nonce, {}}, 0, 3},
   };
+  std::uint64_t decode_errors = 0;
   for (std::size_t i = 0; i < std::size(injections); ++i) {
-    transport.inbox.push_back(
-        {common::PeerId(1), gossip::encode(injections[i].payload)});
+    gossip::WireBytes frame = gossip::encode(injections[i].payload);
+    frame.resize(frame.size() - injections[i].cut);
+    if (injections[i].cut > 0) {
+      ASSERT_TRUE(gossip::probe_frame(frame).has_value()) << "injection " << i;
+      ++decode_errors;
+    }
+    transport.inbox.push_back({common::PeerId(1), std::move(frame)});
     runtime.poll(0.0);
     EXPECT_EQ(runtime.pending_retries(), injections[i].pending_after)
         << "injection " << i;
     EXPECT_EQ(runtime.stats().retries_cancelled,
               injections[i].cancelled_after)
         << "injection " << i;
+    EXPECT_EQ(runtime.stats().decode_errors, decode_errors)
+        << "injection " << i;
   }
-  EXPECT_EQ(runtime.stats().decode_errors, 0u);
+  EXPECT_EQ(runtime.stats().decode_errors, 2u);
 }
 
 TEST(PeerRuntime, PollTimeMustBeMonotone) {
