@@ -253,7 +253,7 @@ BENCHMARK(BM_CodecRoundTrip);
 
 void BM_CodecEncode(benchmark::State& state) {
   const gossip::GossipPayload payload = codec_bench_payload();
-  gossip::WireBytes frame;  // warm, as the pooled runtime path runs it
+  gossip::WireBytes frame;  // warm, as PeerRuntime's run frame is
   for (auto _ : state) {
     gossip::encode_into(payload, frame);
     benchmark::DoNotOptimize(frame.data());
@@ -434,9 +434,9 @@ class CountingNullTransport final : public net::Transport {
 void BM_RuntimeForwardFanOut(benchmark::State& state) {
   // PeerRuntime's send path for one forward: a publish's round-0 push to N
   // targets (f_r = 1 over an N-peer view), each fan-out run encoded once
-  // and copied into N pooled buffers, handed to a transport that only
-  // counts. max_attempts = 1 arms no retry, so every iteration's buffers
-  // return to the pool; the node's write and target pick are included.
+  // and sent to every target from that frame, handed to a transport that
+  // only counts. max_attempts = 1 arms no retry, so no iteration copies
+  // the frame; the node's write and target pick are included.
   const auto targets = static_cast<std::uint32_t>(state.range(0));
   runtime::RuntimeConfig config;
   config.gossip.fanout_fraction = 1.0;

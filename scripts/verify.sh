@@ -66,7 +66,10 @@ cmake --build --preset release -j "${JOBS}"
 # runs the curated .clang-tidy set over compile_commands.json when the
 # binary exists, and is skipped with a notice otherwise (the container
 # image has no clang frontend). The unit tests of scripts/ab_bench.py's
-# verdict rules (stdlib unittest, no build needed) run with this leg.
+# verdict rules (stdlib unittest, no build needed) run with this leg, and so
+# does tools/profile/selftest.sh: it compiles the LD_PRELOAD stack sampler
+# and heap profiler (docs/benchmarks.md, "Profiling on this host") and
+# checks both on a tiny program.
 if [[ "${UPDATE_LINT_BASELINE}" == "1" ]]; then
   echo "==> lint: regenerating tools/lint/lint-baseline.txt"
   ./build/tools/lint/updp2p-lint --root . \
@@ -81,6 +84,8 @@ echo "==> lint: scripts/test_ab_bench.py (ab_bench.py verdict rules)"
 python3 scripts/test_ab_bench.py
 echo "==> lint: scripts/test_base_worktree.py (base revision export)"
 python3 scripts/test_base_worktree.py
+echo "==> lint: tools/profile/selftest.sh (profiler preloads build and run)"
+tools/profile/selftest.sh build/profile
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "==> lint: clang-tidy (curated .clang-tidy) over compile_commands.json"
   mapfile -t TIDY_SOURCES < <(find src tools -name '*.cpp' | sort)

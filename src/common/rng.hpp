@@ -274,6 +274,8 @@ struct PhiloxStream {
 ///   * the draw index forms the lower 64 counter bits.
 /// Constructing a StreamRng costs three splitmix64 steps and no block
 /// computation — cheap enough to key a fresh stream per (node, round).
+/// seek() jumps to any draw in O(1), so a long-lived stream can be stored
+/// as its draw position and rebuilt from its key when next needed.
 /// Satisfies UniformRandomBitGenerator.
 class StreamRng : public RngOps<StreamRng> {
  public:
@@ -313,6 +315,20 @@ class StreamRng : public RngOps<StreamRng> {
     buffered_ = out[2] | (static_cast<std::uint64_t>(out[3]) << 32);
     have_buffered_ = true;
     return out[0] | (static_cast<std::uint64_t>(out[1]) << 32);
+  }
+
+  /// Draws taken so far: the index of the next draw.
+  [[nodiscard]] std::uint64_t position() const noexcept {
+    return 2 * ctr_ - (have_buffered_ ? 1 : 0);
+  }
+
+  /// Positions the stream at draw `n`, as if n draws had been taken. O(1):
+  /// the counter names the block, and an odd `n` computes that block once
+  /// and keeps its second half buffered.
+  void seek(std::uint64_t n) noexcept {
+    ctr_ = n / 2;
+    have_buffered_ = false;
+    if (n % 2 != 0) (void)(*this)();
   }
 
   /// Derives an independent child generator (consumes one draw).

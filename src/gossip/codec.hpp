@@ -97,10 +97,10 @@ enum class WireKind : std::uint8_t {
 /// Serialises any protocol payload into a framed byte string.
 [[nodiscard]] WireBytes encode(const GossipPayload& payload);
 
-/// Appending encode into a caller-owned (typically pooled) buffer: the
+/// Appending encode into a caller-owned (typically reused) buffer: the
 /// buffer is cleared and filled with exactly what encode() would return,
 /// but a warm buffer's capacity is reused instead of reallocated. This is
-/// what lets PeerRuntime recycle DatagramBytes through a free list.
+/// how PeerRuntime encodes every fan-out run into one warm frame.
 void encode_into(const GossipPayload& payload, WireBytes& out);
 
 /// Parses a framed byte string; nullopt on any malformation (bad magic,

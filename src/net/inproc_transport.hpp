@@ -13,6 +13,19 @@
 // Offline semantics mirror the paper's §3 model: a datagram that arrives
 // while the destination is not listening is dropped (and counted), never
 // queued — an offline peer must recover through the pull phase.
+//
+// A directed link costs 12 bytes: the draw positions of its loss, latency
+// and chaos streams in a dense table indexed by the endpoints' attach
+// order. Each submit rebuilds the link's streams from (seed, link,
+// purpose) and seeks them to their stored positions (StreamRng::seek is
+// O(1)), so no stream object is kept per link. A peer keeps its index for
+// good, across detach and re-attach, which is what lets a restarted peer's
+// links continue their streams. For N ids ever attached the table holds
+// at most N² links: 3.1 MB at N = 512.
+//
+// Like UdpTransport, an endpoint refuses a datagram whose frame (payload
+// plus the kFrameHeaderBytes header) exceeds kMaxDatagramBytes, so a
+// virtual-time run meets the same size limit as a deployed one.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +51,10 @@ class InprocTransport;
 ///
 /// Determinism contract: the only randomness a policy may use is the
 /// per-directed-link StreamRng handed in (its draw index advances only for
-/// links the policy actually draws on), so installing a policy never
-/// perturbs the loss/latency streams and a null policy leaves the schedule
-/// bit-identical to a hook-less build.
+/// links the policy actually draws on, and persists from one submit to the
+/// next), so installing a policy never perturbs the loss/latency streams
+/// and a null policy leaves the schedule bit-identical to a hook-less
+/// build.
 class LinkFaultPolicy {
  public:
   struct Decision {
@@ -123,26 +137,38 @@ class InprocNetwork {
     }
   };
 
-  /// Persistent per-directed-link streams: the draw index advances with
-  /// every datagram on that link, independent of all other links.
-  struct LinkRngs {
-    common::StreamRng loss;
-    common::StreamRng latency;
-    common::StreamRng chaos;  ///< handed to the LinkFaultPolicy, never drawn here
+  /// A peer id that is or once was attached: its endpoint, null while
+  /// detached, and its index into draws_, kept across re-attach.
+  struct Endpoint {
+    InprocTransport* transport = nullptr;
+    std::uint32_t index = 0;
   };
 
-  /// Called by the sending endpoint. Returns false when `to` has no
-  /// attached endpoint (parity with UDP "no route").
-  bool submit(common::PeerId from, common::PeerId to,
+  /// A directed link's stream positions: the draws taken so far from its
+  /// loss, latency and chaos streams.
+  struct LinkDraws {
+    std::uint32_t loss = 0;
+    std::uint32_t latency = 0;
+    std::uint32_t chaos = 0;  ///< handed to the LinkFaultPolicy, never drawn here
+  };
+
+  /// Called by the sending endpoint, which passes its own index. Returns
+  /// false when `to` has no attached endpoint (parity with UDP "no route").
+  bool submit(std::uint32_t from_index, common::PeerId from, common::PeerId to,
               std::span<const std::byte> payload);
   void detach(common::PeerId self) noexcept;
-  [[nodiscard]] LinkRngs& link_rngs(common::PeerId from, common::PeerId to);
+  /// The link's stream for `purpose`, at draw `position`.
+  [[nodiscard]] common::StreamRng link_stream(std::uint64_t link,
+                                              std::uint64_t purpose,
+                                              std::uint32_t position) const;
 
   InprocNetworkConfig config_;
   std::shared_ptr<LatencyModel> latency_;  ///< resolved (never null)
   std::priority_queue<Flight, std::vector<Flight>, std::greater<>> flights_;
-  std::unordered_map<common::PeerId, InprocTransport*> endpoints_;
-  std::unordered_map<std::uint64_t, LinkRngs> links_;
+  std::unordered_map<common::PeerId, Endpoint> endpoints_;
+  /// draws_[from index][to index]; a row grows, to every index assigned so
+  /// far, when its sender first reaches a destination past its end.
+  std::vector<std::vector<LinkDraws>> draws_;
   LinkFaultPolicy* policy_ = nullptr;  ///< borrowed; nullptr = no chaos
   std::uint64_t next_seq_ = 0;
   common::SimTime now_ = 0.0;
@@ -157,6 +183,8 @@ class InprocTransport final : public Transport {
   InprocTransport& operator=(const InprocTransport&) = delete;
 
   [[nodiscard]] common::PeerId self() const noexcept override { return self_; }
+  /// Refuses (send_errors, false) a payload whose frame would exceed
+  /// kMaxDatagramBytes, as UdpTransport does; nothing is submitted.
   bool send(common::PeerId to, std::span<const std::byte> payload) override;
   std::size_t drain(std::vector<InboundDatagram>& out) override;
   void set_listening(bool listening) override { listening_ = listening; }
@@ -167,11 +195,13 @@ class InprocTransport final : public Transport {
 
  private:
   friend class InprocNetwork;
-  InprocTransport(InprocNetwork* network, common::PeerId self)
-      : network_(network), self_(self) {}
+  InprocTransport(InprocNetwork* network, common::PeerId self,
+                  std::uint32_t index)
+      : network_(network), self_(self), index_(index) {}
 
   InprocNetwork* network_;  ///< cleared if the network dies first
   common::PeerId self_;
+  std::uint32_t index_;  ///< this peer's row in the network's draws_
   bool listening_ = true;
   std::vector<InboundDatagram> inbox_;
   TransportStats stats_;

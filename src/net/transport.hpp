@@ -28,6 +28,12 @@ namespace updp2p::net {
 /// Raw datagram payload bytes (same representation the gossip codec uses).
 using DatagramBytes = std::vector<std::byte>;
 
+/// Largest datagram a transport carries, frame header included: a UDP
+/// payload must fit one 64 KiB datagram, and InprocTransport enforces the
+/// same limit so virtual-time runs meet it too. A send over the limit is
+/// refused and counted in TransportStats::send_errors.
+inline constexpr std::size_t kMaxDatagramBytes = 64 * 1024;
+
 /// One received datagram, already stripped of transport framing.
 struct InboundDatagram {
   common::PeerId from;
@@ -41,7 +47,7 @@ struct TransportStats {
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t send_no_route = 0;    ///< destination not in the directory
-  std::uint64_t send_errors = 0;      ///< OS-level send failure
+  std::uint64_t send_errors = 0;      ///< OS-level failure or oversize frame
   std::uint64_t send_short_writes = 0;  ///< kernel truncated the datagram
   std::uint64_t frames_rejected = 0;  ///< inbound framing parse failures
   std::uint64_t dropped_offline = 0;  ///< received while not listening

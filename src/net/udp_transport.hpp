@@ -40,7 +40,7 @@ struct UdpTransportConfig {
   /// later via add_route(); sends to ids with no entry fail (send_no_route).
   std::vector<UdpPeerAddress> peers;
   /// Largest accepted datagram (frame header + payload).
-  std::size_t max_datagram_bytes = 64 * 1024;
+  std::size_t max_datagram_bytes = kMaxDatagramBytes;
 };
 
 class UdpTransport final : public Transport {

@@ -189,8 +189,8 @@ void PeerRuntime::deliver_datagram(net::InboundDatagram& datagram) {
     return;
   }
   // This datagram may be the confirming signal a retry timer is waiting
-  // for. The node touches neither the retry table nor the buffer pool, so
-  // cancelling after delivery changes nothing transmit sees.
+  // for. The node never touches the retry table, so cancelling after
+  // delivery changes nothing transmit sees.
   note_confirmation(datagram.from, *probe);
   if (first_receipt) {
     // Append-before-ack: the §6 ack sits in out_scratch_ and only goes
@@ -275,36 +275,31 @@ void PeerRuntime::arm_snapshot_timer() {
       });
 }
 
-net::DatagramBytes PeerRuntime::take_buffer() {
-  if (frame_pool_.empty()) return {};
-  net::DatagramBytes bytes = std::move(frame_pool_.back());
-  frame_pool_.pop_back();
-  ++stats_.frames_reused;
-  return bytes;
-}
-
-void PeerRuntime::recycle_buffer(net::DatagramBytes&& bytes) {
-  if (bytes.capacity() == 0) return;
-  frame_pool_.push_back(std::move(bytes));
-}
-
 void PeerRuntime::transmit(std::vector<gossip::OutboundMessage>& messages) {
   gossip::FanOutKey run;
+  // The open run's frame as its retries share it; made on the run's first
+  // retry, so a run nobody waits on (acks, forwards without acks, pull
+  // responses) is never copied.
+  std::shared_ptr<const net::DatagramBytes> retained;
   for (gossip::OutboundMessage& message : messages) {
     const gossip::FanOutKey key = gossip::fan_out_key(message.payload);
     if (!key.continues(run)) {
       run = key;
       gossip::encode_into(message.payload, run_frame_);
+      retained.reset();
     }
-    net::DatagramBytes bytes = take_buffer();
-    bytes.assign(run_frame_.begin(), run_frame_.end());
     ++stats_.datagrams_out;
-    transport_.send(message.to, bytes);
+    transport_.send(message.to, run_frame_);
     const std::optional<RetryKey> retry = awaited_confirmation(message);
     if (retry && config_.retry.max_attempts > 1) {
-      arm_retry(*retry, std::move(bytes));
+      if (retained) {
+        ++stats_.frames_reused;
+      } else {
+        retained = std::make_shared<const net::DatagramBytes>(run_frame_);
+      }
+      arm_retry(*retry, retained);
     } else {
-      recycle_buffer(std::move(bytes));
+      ++stats_.frames_reused;
     }
   }
   messages.clear();
@@ -331,7 +326,8 @@ std::optional<PeerRuntime::RetryKey> PeerRuntime::awaited_confirmation(
   return std::nullopt;
 }
 
-void PeerRuntime::arm_retry(const RetryKey& key, net::DatagramBytes bytes) {
+void PeerRuntime::arm_retry(const RetryKey& key,
+                            std::shared_ptr<const net::DatagramBytes> bytes) {
   const auto [it, fresh] = retries_.try_emplace(key);
   if (!fresh) release(it->second);
   it->second.bytes = std::move(bytes);
@@ -371,8 +367,11 @@ void PeerRuntime::on_retry_timer(const RetryKey& key) {
   // Retransmission is the encoded bytes the original send produced — the
   // tripwire below (asserted 0 by the loopback golden test) would count
   // any path that lost them and had to re-encode.
-  if (pending.bytes.empty()) ++stats_.retransmit_reencodes;
-  transport_.send(key.to, pending.bytes);
+  if (!pending.bytes || pending.bytes->empty()) {
+    ++stats_.retransmit_reencodes;
+  } else {
+    transport_.send(key.to, *pending.bytes);
+  }
   schedule_retry_timer(it);
 }
 
@@ -407,7 +406,7 @@ void PeerRuntime::release(PendingSend& pending) {
                   "retry entry names a timer the queue no longer holds");
     pending.timer = TimerQueue::kInvalidTimer;
   }
-  recycle_buffer(std::move(pending.bytes));
+  pending.bytes.reset();
 }
 
 void PeerRuntime::erase_retry(RetryTable::iterator entry) {

@@ -6,7 +6,7 @@
 //
 //   * outbound protocol messages are encoded with gossip::codec and handed
 //     to the Transport as datagrams, each fan-out run (gossip::FanOutKey)
-//     encoded once;
+//     encoded once and every target sent straight from that frame;
 //   * every inbound datagram takes one path: a header probe
 //     (gossip::probe_frame) names it, the node takes the frame itself
 //     (ReplicaNode::handle_frame), and only once the node accepted it do
@@ -22,7 +22,8 @@
 //     requests within RetryPolicy::max_attempts transmissions, pushes
 //     within kMaxPushTransmissions, because §6 never confirms a push to a
 //     peer that already holds the version. Each in-flight send has one
-//     entry in one retry table, keyed by the message that confirms it;
+//     entry in one retry table, keyed by the message that confirms it,
+//     and the retries of one fan-out run share one copy of its frame;
 //   * online/offline session control is external (go_online/go_offline),
 //     so churn can be driven by an orchestrator, a test harness, or a real
 //     process lifecycle.
@@ -34,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -89,12 +91,13 @@ struct RuntimeStats {
   std::uint64_t retries_exhausted = 0;  ///< attempt budget ran out
   std::uint64_t rounds_ticked = 0;
   std::uint64_t dropped_while_offline = 0;
-  /// Outbound frames encoded into a recycled buffer (pool hit) instead of
-  /// a fresh allocation — >0 in any steady-state run.
+  /// First transmissions that allocated no frame buffer: every send but the
+  /// one per retried fan-out run that copies the run's frame for its
+  /// retries to share. >0 in any run that sends.
   std::uint64_t frames_reused = 0;
   /// Retransmissions that had to re-encode their payload. MUST stay 0: a
-  /// retransmit resends the exact bytes its PendingSend owns; this counter
-  /// is a tripwire asserted by the loopback golden test.
+  /// retransmit resends the exact bytes its PendingSend shares; this
+  /// counter is a tripwire asserted by the loopback golden test.
   std::uint64_t retransmit_reencodes = 0;
   // --- durable store (all zero while the store is disabled) ---------------
   std::uint64_t wal_appends = 0;          ///< frames made durable
@@ -218,7 +221,9 @@ class PeerRuntime {
   };
 
   struct PendingSend {
-    net::DatagramBytes bytes;  ///< exact datagram for retransmission
+    /// Exact datagram for retransmission, shared by every retry of the
+    /// fan-out run that sent it.
+    std::shared_ptr<const net::DatagramBytes> bytes;
     unsigned attempt = 0;      ///< retransmissions performed so far
     /// The entry's one pending timer; kInvalidTimer while none is pending
     /// (from the moment it fires until it is re-armed).
@@ -251,13 +256,11 @@ class PeerRuntime {
 
   /// Encodes, transmits and (where a confirming signal exists) arms a
   /// retry for every message the node emitted. Consumes `messages`.
-  /// Each fan-out run is encoded once into run_frame_ and copied into a
-  /// pooled buffer per message (take_buffer / recycle_buffer): frames that
-  /// arm a retry keep their buffer in the PendingSend for exact-bytes
-  /// retransmission; all others return it to the pool immediately.
+  /// Each fan-out run is encoded once into run_frame_ and every target is
+  /// sent from it. The run's first target that arms a retry copies the
+  /// frame once into an immutable shared buffer, which every retry of the
+  /// run holds for exact-bytes retransmission.
   void transmit(std::vector<gossip::OutboundMessage>& messages);
-  [[nodiscard]] net::DatagramBytes take_buffer();
-  void recycle_buffer(net::DatagramBytes&& bytes);
   /// Delivers one drained datagram: probe, handle_frame, then the retry
   /// cancellation and WAL rules the accepted frame's probe decides.
   void deliver_datagram(net::InboundDatagram& datagram);
@@ -267,7 +270,8 @@ class PeerRuntime {
       const gossip::OutboundMessage& message) const;
   /// A fresh send under `key` supersedes any stale in-flight entry (e.g.
   /// the node re-pushed the same version to the same target).
-  void arm_retry(const RetryKey& key, net::DatagramBytes bytes);
+  void arm_retry(const RetryKey& key,
+                 std::shared_ptr<const net::DatagramBytes> bytes);
   /// Arms the entry's timer, which points at the entry's key (see
   /// RetryFire). The entry must have no pending timer.
   void schedule_retry_timer(RetryTable::iterator entry);
@@ -275,8 +279,8 @@ class PeerRuntime {
   /// Ack / pull response / query reply arrived: cancel the matching retry,
   /// keyed from the accepted frame's probed kind, version and nonce.
   void note_confirmation(common::PeerId from, const gossip::FrameProbe& probe);
-  /// Cancels the send's pending timer, if any, and returns its buffer to
-  /// the pool.
+  /// Cancels the send's pending timer, if any, and drops its reference to
+  /// the run's frame.
   void release(PendingSend& pending);
   /// Releases the entry, then erases it. Every erase goes through here,
   /// so no timer outlives the key it points at.
@@ -315,10 +319,8 @@ class PeerRuntime {
 
   std::vector<net::InboundDatagram> inbox_scratch_;
   std::vector<gossip::OutboundMessage> out_scratch_;
-  /// Free list of outbound frame buffers; capacity-warm after the first
-  /// few sends, so steady-state encodes allocate nothing.
-  std::vector<net::DatagramBytes> frame_pool_;
-  /// The open fan-out run's encoded frame (transmit scratch).
+  /// The open fan-out run's encoded frame (transmit scratch); capacity-warm
+  /// after the first few runs, so steady-state encodes allocate nothing.
   net::DatagramBytes run_frame_;
   RuntimeStats stats_;
 };

@@ -292,6 +292,86 @@ TEST(StreamRng, ConstructionIsPositionFree) {
   EXPECT_EQ(late(), second);
 }
 
+/// Draw `index` of the (seed, stream, purpose) stream, read off the
+/// counter layout StreamRng documents: the Philox key from the seed, the
+/// upper counter half from (stream, purpose), and the lower half the block
+/// index, each block giving two draws.
+std::uint64_t reference_draw(std::uint64_t seed, std::uint64_t stream,
+                             std::uint64_t purpose, std::uint64_t index) {
+  std::uint64_t sm = seed;
+  const std::uint64_t keyed = splitmix64(sm);
+  sm ^= stream * 0x9e3779b97f4a7c15ULL;
+  const std::uint64_t stream_mix = splitmix64(sm);
+  sm ^= purpose * 0xbf58476d1ce4e5b9ULL;
+  const std::uint64_t hi = stream_mix ^ splitmix64(sm);
+  const std::uint64_t block = index / 2;
+  const auto low = [](std::uint64_t word) {
+    return static_cast<std::uint32_t>(word);
+  };
+  const PhiloxStream::Block out = PhiloxStream::block(
+      low(keyed), low(keyed >> 32),
+      {low(block), low(block >> 32), low(hi), low(hi >> 32)});
+  return index % 2 == 0
+             ? out[0] | (static_cast<std::uint64_t>(out[1]) << 32)
+             : out[2] | (static_cast<std::uint64_t>(out[3]) << 32);
+}
+
+TEST(StreamRng, SeekMatchesSequentialDraws) {
+  constexpr std::uint64_t kSeed = 2024;
+  constexpr std::uint64_t kStream = (std::uint64_t{7} << 32) | 3;
+  constexpr std::uint64_t kPurpose = 0x1A7E;
+  constexpr std::uint64_t kDraws = 5;
+  StreamRng sequential(kSeed, kStream, kPurpose);
+  std::vector<std::uint64_t> draws;
+  for (std::uint64_t k = 0; k < 17 + kDraws; ++k) {
+    EXPECT_EQ(sequential.position(), k);
+    draws.push_back(sequential());
+    // The reference reads the stream's own draws, so it can stand in for
+    // draws too far out to take one by one.
+    EXPECT_EQ(reference_draw(kSeed, kStream, kPurpose, k), draws.back());
+  }
+
+  for (std::uint64_t n = 0; n <= 17; ++n) {
+    StreamRng rng(kSeed, kStream, kPurpose);
+    rng.seek(n);
+    EXPECT_EQ(rng.position(), n);
+    for (std::uint64_t k = 0; k < kDraws; ++k) {
+      EXPECT_EQ(rng(), draws[n + k]) << "seek " << n << ", draw " << k;
+      EXPECT_EQ(rng.position(), n + k + 1);
+    }
+  }
+
+  // Around 2^32 draws (past any 32-bit position) and 2^33, where the
+  // block index carries into the counter's second word.
+  const std::uint64_t far[] = {(std::uint64_t{1} << 32) - 1,
+                               std::uint64_t{1} << 32,
+                               (std::uint64_t{1} << 32) + 1,
+                               (std::uint64_t{1} << 33) - 1,
+                               (std::uint64_t{1} << 33) + 6,
+                               (std::uint64_t{1} << 40) + 3};
+  for (const std::uint64_t n : far) {
+    StreamRng rng(kSeed, kStream, kPurpose);
+    rng.seek(n);
+    EXPECT_EQ(rng.position(), n);
+    for (std::uint64_t k = 0; k < kDraws; ++k) {
+      EXPECT_EQ(rng(), reference_draw(kSeed, kStream, kPurpose, n + k))
+          << "seek " << n << ", draw " << k;
+    }
+    EXPECT_EQ(rng.position(), n + kDraws);
+  }
+
+  // Seeking a used stream back to 0 replays it, from either half of a block.
+  StreamRng used(kSeed, kStream, kPurpose);
+  for (int k = 0; k < 7; ++k) (void)used();
+  used.seek(0);
+  EXPECT_EQ(used.position(), 0u);
+  for (std::uint64_t k = 0; k < draws.size(); ++k) {
+    EXPECT_EQ(used(), draws[k]) << "replayed draw " << k;
+  }
+  used.seek(3);
+  EXPECT_EQ(used(), draws[3]);
+}
+
 TEST(StreamRng, DeriveSeedIsPureAndNonAdvancing) {
   StreamRng rng(7, 1, 0);
   const auto seed_a = rng.derive_seed(123);

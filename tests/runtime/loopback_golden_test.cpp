@@ -80,9 +80,9 @@ TEST(LoopbackGolden, PinnedOutcome) {
   EXPECT_EQ(outcome.totals.retries_cancelled, 11u);
   EXPECT_EQ(outcome.totals.retries_exhausted, 12u);
   EXPECT_EQ(outcome.totals.decode_errors, 0u);
-  // Zero-copy invariants of the pooled send path: encodes land in recycled
-  // buffers once the pool is warm, and a retransmission NEVER re-encodes —
-  // it resends the exact bytes its PendingSend owns.
+  // Zero-copy invariants of the send path: sends go out from their run's
+  // frame without a buffer of their own, and a retransmission NEVER
+  // re-encodes — it resends the exact bytes its PendingSend shares.
   EXPECT_GT(outcome.totals.frames_reused, 0u);
   EXPECT_EQ(outcome.totals.retransmit_reencodes, 0u);
   EXPECT_DOUBLE_EQ(outcome.end_time, 3.2499999999999991);
