@@ -152,8 +152,8 @@ echo "==> sanitizers: TSan build + concurrency suites"
 # buffers' atomic counts and acquire-ordered unshare check).
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}" \
-  --target common_tests sim_tests net_tests runtime_tests store_tests \
-  chaos_tests
+  --target common_tests sim_tests net_tests runtime_tests \
+  runtime_alloc_tests store_tests chaos_tests
 ctest --preset tsan -j "${JOBS}"
 
 echo "==> verify OK"

@@ -28,11 +28,13 @@ namespace updp2p::net {
 /// Raw datagram payload bytes (same representation the gossip codec uses).
 using DatagramBytes = std::vector<std::byte>;
 
-/// Largest datagram a transport carries, frame header included: a UDP
-/// payload must fit one 64 KiB datagram, and InprocTransport enforces the
-/// same limit so virtual-time runs meet it too. A send over the limit is
-/// refused and counted in TransportStats::send_errors.
-inline constexpr std::size_t kMaxDatagramBytes = 64 * 1024;
+/// Largest datagram a transport carries, frame header included: the
+/// largest UDP payload IPv4 can carry, 65 535 bytes less the 20-byte IPv4
+/// header and the 8-byte UDP header. UdpTransport sends over IPv4, and
+/// InprocTransport enforces the same limit so virtual-time runs meet it
+/// too. A send over the limit is refused and counted in
+/// TransportStats::send_errors.
+inline constexpr std::size_t kMaxDatagramBytes = 65'535 - 20 - 8;
 
 /// One received datagram, already stripped of transport framing.
 struct InboundDatagram {

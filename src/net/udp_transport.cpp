@@ -67,10 +67,10 @@ std::unique_ptr<UdpTransport> UdpTransport::open(
     return nullptr;
   }
 
-  auto transport = std::unique_ptr<UdpTransport>(new UdpTransport(
-      config.self, fd, ntohs(bound.sin_port), config.max_datagram_bytes));
+  auto transport = std::unique_ptr<UdpTransport>(
+      new UdpTransport(config.self, fd, ntohs(bound.sin_port)));
   for (const UdpPeerAddress& peer : config.peers) transport->add_route(peer);
-  transport->recv_scratch_.resize(config.max_datagram_bytes);
+  transport->recv_scratch_.resize(kMaxDatagramBytes);
   return transport;
 }
 
@@ -92,7 +92,7 @@ bool UdpTransport::send(common::PeerId to, std::span<const std::byte> payload) {
     return false;
   }
   frame_datagram(self_, payload, frame_scratch_);
-  if (frame_scratch_.size() > max_datagram_bytes_) {
+  if (frame_scratch_.size() > kMaxDatagramBytes) {
     ++stats_.send_errors;
     return false;
   }

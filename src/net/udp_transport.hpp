@@ -39,8 +39,6 @@ struct UdpTransportConfig {
   /// Static membership directory. Entries for unknown ids may be added
   /// later via add_route(); sends to ids with no entry fail (send_no_route).
   std::vector<UdpPeerAddress> peers;
-  /// Largest accepted datagram (frame header + payload).
-  std::size_t max_datagram_bytes = kMaxDatagramBytes;
 };
 
 class UdpTransport final : public Transport {
@@ -95,15 +93,12 @@ class UdpTransport final : public Transport {
     std::uint16_t port_be = 0;  ///< network byte order
   };
 
-  UdpTransport(common::PeerId self, int fd, std::uint16_t port,
-               std::size_t max_datagram_bytes)
-      : self_(self), fd_(fd), port_(port),
-        max_datagram_bytes_(max_datagram_bytes) {}
+  UdpTransport(common::PeerId self, int fd, std::uint16_t port)
+      : self_(self), fd_(fd), port_(port) {}
 
   common::PeerId self_;
   int fd_ = -1;
   std::uint16_t port_ = 0;
-  std::size_t max_datagram_bytes_;
   bool listening_ = true;
   std::unordered_map<common::PeerId, Resolved> routes_;
   std::vector<std::byte> frame_scratch_;  ///< reused send buffer

@@ -269,8 +269,9 @@ TEST(InprocNetwork, DetachedDestinationCountsDrop) {
 
 TEST(InprocNetwork, OversizeDatagramIsRefusedLikeUdp) {
   // The frame UdpTransport would put on the wire (header plus payload) may
-  // not exceed kMaxDatagramBytes; InprocTransport refuses the same sends,
-  // counts them as send errors and submits nothing.
+  // not exceed kMaxDatagramBytes, the largest UDP payload IPv4 carries;
+  // InprocTransport refuses the same sends, counts them as send errors and
+  // submits nothing.
   InprocNetwork network;
   auto a = network.attach(common::PeerId(1));
   auto b = network.attach(common::PeerId(2));

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <sys/time.h>
 
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <string>
@@ -81,6 +82,41 @@ TEST(UdpTransport, SendWithoutRouteFails) {
   ASSERT_TRUE(a);
   EXPECT_FALSE(a->send(common::PeerId(42), bytes_of("void")));
   EXPECT_EQ(a->stats().send_no_route, 1u);
+}
+
+TEST(UdpTransport, DatagramLimitIsTheLargestIpv4Payload) {
+  auto a = open_ephemeral(common::PeerId(1));
+  auto b = open_ephemeral(common::PeerId(2));
+  ASSERT_TRUE(a && b);
+  a->add_route({common::PeerId(2), "127.0.0.1", b->bound_port()});
+  const std::size_t largest = kMaxDatagramBytes - kFrameHeaderBytes;
+
+  // A frame of exactly kMaxDatagramBytes crosses the kernel whole.
+  const std::vector<std::byte> at_limit(largest, std::byte{0x5A});
+  ASSERT_TRUE(a->send(common::PeerId(2), at_limit));
+  std::vector<InboundDatagram> inbox;
+  ASSERT_EQ(drain_some(*b, inbox, 1), 1u);
+  EXPECT_EQ(inbox[0].bytes, at_limit);
+
+  // One byte more is refused before the kernel sees it, and counted...
+  const std::vector<std::byte> over(largest + 1, std::byte{0x5A});
+  EXPECT_FALSE(a->send(common::PeerId(2), over));
+  EXPECT_EQ(a->stats().send_errors, 1u);
+  EXPECT_EQ(a->stats().datagrams_sent, 1u);
+
+  // ...and the kernel would refuse it too: IPv4 carries no larger UDP
+  // payload.
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(b->bound_port());
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  const std::vector<std::byte> raw(kMaxDatagramBytes + 1);
+  const ssize_t sent =
+      ::sendto(a->fd(), raw.data(), raw.size(), 0,
+               reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  const int error = errno;
+  EXPECT_LT(sent, 0);
+  EXPECT_EQ(error, EMSGSIZE);
 }
 
 TEST(UdpTransport, GarbageDatagramIsRejectedNotDelivered) {

@@ -12,12 +12,11 @@
 //   UPDP2P_HEAPPROF_OUT=heap.prof LD_PRELOAD=$PWD/libupdp2p_heapprof.so ./prog
 //   python3 tools/profile/report.py heap.prof
 //
-// Settings (environment):
-//   UPDP2P_HEAPPROF_OUT    output file, "%p" = process id
-//                          (default "heapprof.%p.prof")
-//   UPDP2P_HEAPPROF_DEPTH  frames kept per call site (default 8, max 16)
-//   UPDP2P_HEAPPROF_STEP   bytes the live heap must grow past the last
-//                          peak snapshot before the next one (default 1 MiB)
+// A call site is the innermost kMaxDepth frames of the allocating stack.
+// The peak snapshot is retaken each time the live heap grows kStepBytes
+// past the last one, so it shows the heap at its peak within one step.
+// UPDP2P_HEAPPROF_OUT names the output file ("%p" becomes the process id;
+// default "heapprof.%p.prof").
 //
 // Costs: one backtrace() per allocation (the program runs several times
 // slower) and 16 bytes of profiler table per live block, which count in
@@ -44,7 +43,11 @@ extern void* __libc_realloc(void* ptr, size_t size);
 extern void* __libc_memalign(size_t alignment, size_t size);
 extern void __libc_free(void* ptr);
 
-enum { kMaxDepth = 16, kMaxSites = 1 << 17 };
+enum {
+  kMaxDepth = 8,  // frames kept per call site
+  kMaxSites = 1 << 17,
+  kStepBytes = 1 << 20,  // live-heap growth between peak snapshots
+};
 
 /// A call site: the stack that allocated, innermost first, with the live
 /// bytes and blocks charged to it now and in each snapshot.
@@ -80,8 +83,6 @@ static int64_t live_total;
 static int64_t peak_total;     ///< largest live_total seen
 static int64_t peak_snapshot;  ///< live_total at the peak snapshot
 static int64_t usr1_snapshot = -1;
-static int64_t step_bytes;
-static uint32_t depth_kept;
 static uint64_t untracked_blocks;  ///< the block table could not grow
 
 static atomic_flag lock = ATOMIC_FLAG_INIT;
@@ -205,7 +206,7 @@ __attribute__((noinline)) static void track(void* ptr, size_t size) {
   if (ptr == NULL || !ready || in_profiler) return;
   in_profiler = 1;
   void* frames[kMaxDepth + kOwnFrames];
-  const int got = backtrace(frames, (int)depth_kept + kOwnFrames);
+  const int got = backtrace(frames, kMaxDepth + kOwnFrames);
   const uint32_t depth = got > kOwnFrames ? (uint32_t)(got - kOwnFrames) : 0;
   acquire();
   if (!blocks_make_room()) {
@@ -222,7 +223,7 @@ __attribute__((noinline)) static void track(void* ptr, size_t size) {
     ++block_count;
     live_total += (int64_t)size;
     if (live_total > peak_total) peak_total = live_total;
-    if (live_total >= peak_snapshot + step_bytes) take_snapshot(0);
+    if (live_total >= peak_snapshot + kStepBytes) take_snapshot(0);
   }
   if (usr1_requested) {
     usr1_requested = 0;
@@ -310,9 +311,6 @@ static void on_sigusr1(int signo) {
 
 __attribute__((constructor)) static void heapprof_start(void) {
   in_profiler = 1;
-  depth_kept = (uint32_t)profile_env_long("UPDP2P_HEAPPROF_DEPTH", 8);
-  if (depth_kept > kMaxDepth) depth_kept = kMaxDepth;
-  step_bytes = profile_env_long("UPDP2P_HEAPPROF_STEP", 1 << 20);
   sites = map_zeroed(kMaxSites * sizeof(struct site));
   site_slots = map_zeroed(kMaxSites * sizeof(uint32_t));
   block_slots = 1 << 16;

@@ -11,16 +11,6 @@
 #include <string.h>
 #include <unistd.h>
 
-/// An integer setting from the environment, or `fallback` when unset or
-/// not a positive number.
-static inline long profile_env_long(const char* name, long fallback) {
-  const char* text = getenv(name);
-  if (text == NULL || *text == '\0') return fallback;
-  char* end = NULL;
-  const long value = strtol(text, &end, 10);
-  return (*end == '\0' && value > 0) ? value : fallback;
-}
-
 /// Opens the output file named by environment variable `name` (or
 /// `fallback`), with every "%p" replaced by the process id.
 static inline FILE* profile_open_output(const char* name,

@@ -30,9 +30,10 @@ import sys
 # without its parameter list: the allocator, the standard library (also
 # where a return type precedes it) and its inlined helpers, and the
 # profiler itself.
-DEFAULT_SKIP = (r"^(operator new|operator delete|malloc|calloc|realloc|"
-                r"memalign|aligned_alloc|posix_memalign|track|allocate|"
-                r"construct|_M_\w+|__\w+|\?\?)|(^|[ &*])(std|__gnu_cxx)::")
+SKIPPED_FRAMES = re.compile(
+    r"^(operator new|operator delete|malloc|calloc|realloc|"
+    r"memalign|aligned_alloc|posix_memalign|track|allocate|"
+    r"construct|_M_\w+|__\w+|\?\?)|(^|[ &*])(std|__gnu_cxx)::")
 
 
 class Mapping:
@@ -204,7 +205,7 @@ def report_sampler(fields, mappings, stacks, top):
                   f"  [{short_location(where.get(function, '?'))}]")
 
 
-def report_heap(fields, mappings, sites, top, snapshot, skip):
+def report_heap(fields, mappings, sites, top, snapshot):
     chosen = [s for s in sites if s[0] == snapshot]
     total = int(fields.get("snapshot " + snapshot, 0))
     print(f"peak live bytes {int(fields.get('peak_live_bytes', 0)):,}; "
@@ -216,12 +217,11 @@ def report_heap(fields, mappings, sites, top, snapshot, skip):
     symboliser = Symboliser(mappings)
     symboliser.resolve(lookup_addresses([s[4] for s in chosen],
                                         leaf_is_pc=False))
-    skipped = re.compile(skip)
     by_name = collections.defaultdict(lambda: [0, 0])
     for _, live, blocks, _, stack in chosen:
         frames = expand(symboliser, stack, leaf_is_pc=False)
         kept = [f for f in frames
-                if not skipped.search(short_name(f[0]))] or frames
+                if not SKIPPED_FRAMES.search(short_name(f[0]))] or frames
         leaf = kept[0]
         callers = " <- ".join(short_name(f[0]) for f in kept[1:4])
         name = f"{short_name(leaf[0])}  [{short_location(leaf[1])}]"
@@ -259,15 +259,12 @@ def main():
                         help="rows per table (default 25)")
     parser.add_argument("--snapshot", default="peak",
                         help="heap snapshot to report: peak or sigusr1")
-    parser.add_argument("--skip", default=DEFAULT_SKIP,
-                        help="regex of heap frames skipped when naming a site")
     args = parser.parse_args()
     kind, fields, mappings, records = parse(args.profile)
     if kind == "sampler":
         report_sampler(fields, mappings, records, args.top)
     else:
-        report_heap(fields, mappings, records, args.top, args.snapshot,
-                    args.skip)
+        report_heap(fields, mappings, records, args.top, args.snapshot)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,7 @@
 // SIGPROF stack sampler, loaded with LD_PRELOAD.
 //
-// Samples the call stack of whichever thread is running every
-// UPDP2P_SAMPLER_US microseconds of process CPU time (default 1000) and
-// writes the samples, with the process's file mappings, when the program
+// Samples the call stack of whichever thread is running every millisecond
+// of process CPU time and writes the samples, with the process's file mappings, when the program
 // exits normally. tools/profile/report.py symbolises and summarises them.
 //
 //   cc -O2 -g -fPIC -shared -o libupdp2p_sampler.so tools/profile/sampler.c
@@ -31,6 +30,7 @@
 #include "profile_common.h"
 
 enum {
+  kIntervalUs = 1000,  // process CPU time between samples
   kMaxDepth = 64,
   // backtrace() from the handler starts with the handler and the kernel's
   // signal trampoline; the interrupted instruction is the third frame.
@@ -86,10 +86,9 @@ __attribute__((constructor)) static void sampler_start(void) {
   sigemptyset(&action.sa_mask);
   if (sigaction(SIGPROF, &action, NULL) != 0) return;
 
-  const long interval_us = profile_env_long("UPDP2P_SAMPLER_US", 1000);
   struct itimerval timer;
-  timer.it_interval.tv_sec = interval_us / 1000000;
-  timer.it_interval.tv_usec = interval_us % 1000000;
+  timer.it_interval.tv_sec = 0;
+  timer.it_interval.tv_usec = kIntervalUs;
   timer.it_value = timer.it_interval;
   atomic_store(&active, 1);
   if (setitimer(ITIMER_PROF, &timer, NULL) != 0) atomic_store(&active, 0);
@@ -111,8 +110,7 @@ __attribute__((destructor)) static void sampler_stop(void) {
     ++samples;
   }
   fprintf(out, "updp2p-profile sampler\n");
-  fprintf(out, "interval_us %ld\n",
-          profile_env_long("UPDP2P_SAMPLER_US", 1000));
+  fprintf(out, "interval_us %d\n", kIntervalUs);
   fprintf(out, "samples %zu\ndropped %zu\n", samples, atomic_load(&dropped));
   profile_write_maps(out);
   for (size_t at = 0; at < end && buffer[at] != 0; at += buffer[at] + 1) {

@@ -27,7 +27,7 @@ awk '/^self:/ {getline; exit !($1 >= 50 && $4 == "spin_hot")}' \
   exit 1
 }
 
-UPDP2P_HEAPPROF_OUT="${OUT}/selftest.heap.prof" UPDP2P_HEAPPROF_STEP=1 \
+UPDP2P_HEAPPROF_OUT="${OUT}/selftest.heap.prof" \
   LD_PRELOAD="${OUT}/libupdp2p_heapprof.so" "${OUT}/selftest_target" 1000 \
   >/dev/null
 python3 "${HERE}/report.py" "${OUT}/selftest.heap.prof" --top 3 \
