@@ -99,7 +99,7 @@ void compressed_list_section() {
     push.flooding_list = std::move(set);
     const std::size_t with_list =
         gossip::encode(gossip::GossipPayload(push)).size();
-    push.flooding_list = gossip::SharedPeerList();
+    push.flooding_list.clear();
     const std::size_t without_list =
         gossip::encode(gossip::GossipPayload(push)).size();
     const std::size_t list_bytes = with_list - without_list;

@@ -110,8 +110,9 @@ void BM_ViewSampleInto(benchmark::State& state) {
   }
   common::StreamRng rng(99);
   std::vector<common::PeerId> out;
+  gossip::WorkArena scratch;
   for (auto _ : state) {
-    view.sample_into(rng, 32, out);
+    view.sample_into(rng, 32, out, scratch);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -329,8 +330,8 @@ std::vector<std::byte> replay_bench_image() {
     value.id = factory.mint(static_cast<double>(i));
     value.history.observe(common::PeerId(1 + i % 30), 1 + i);
     value.written_at = static_cast<double>(i);
-    gossip::GossipPayload payload = gossip::PushMessage{
-        gossip::SharedValue(std::move(value)), gossip::SharedPeerList{}, 0};
+    gossip::GossipPayload payload =
+        gossip::PushMessage{std::move(value), {}, 0};
     gossip::encode_into(payload, frame);
     (void)wal->append(common::PeerId(1 + i % 30), 0, frame);
   }

@@ -352,9 +352,9 @@ void encode_into(const GossipPayload& payload, WireBytes& out) {
         using T = std::decay_t<decltype(message)>;
         if constexpr (std::is_same_v<T, PushMessage>) {
           put_u8(out, static_cast<std::uint8_t>(Kind::kPush));
-          put_value(out, *message.value);
+          put_value(out, message.value);
           put_varint(out, message.round);
-          put_peer_set(out, message.flooding_list.set());
+          put_peer_set(out, message.flooding_list);
         } else if constexpr (std::is_same_v<T, PullRequest>) {
           put_u8(out, static_cast<std::uint8_t>(Kind::kPullRequest));
           put_version_vector(out, message.summary);
@@ -472,9 +472,8 @@ std::optional<GossipPayload> decode(std::span<const std::byte> bytes) {
       common::ChunkedPeerSet list;
       auto push = decode_push_into(bytes, list);
       if (!push) return std::nullopt;
-      return GossipPayload{PushMessage{SharedValue(std::move(push->value)),
-                                       SharedPeerList(std::move(list)),
-                                       push->round}};
+      return GossipPayload{
+          PushMessage{std::move(push->value), std::move(list), push->round}};
     }
     case Kind::kPullRequest: {
       auto summary = get_version_vector(bytes, offset);

@@ -44,12 +44,13 @@
 // count in the system (RoundMetrics::bytes, BusStats::bytes_sent,
 // TransportStats::bytes_sent) is the length of a frame that was built.
 //
-// Zero-copy pipeline (docs/protocol.md "Frame sharing & lazy decode"):
-// encoded frames are immutable once built, so a fan-out of N pushes is
-// encoded once and every recipient reads the same bytes; receivers classify
-// duplicates from probe_frame() — a header probe that never touches the
-// flooding-list section — and only first receipts pay the full decode,
-// streaming the peerset chunks into a warm arena ChunkedPeerSet.
+// Zero-copy pipeline (docs/protocol.md "Frame sharing & lazy decode"): a
+// fan-out is one OutboundMessage naming all its targets, so its host
+// encodes it once and every recipient reads the same immutable bytes;
+// receivers classify duplicates from probe_frame() — a header probe that
+// never touches the flooding-list section — and only first receipts pay the
+// full decode, streaming the peerset chunks into a warm arena
+// ChunkedPeerSet.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +101,7 @@ enum class WireKind : std::uint8_t {
 /// Appending encode into a caller-owned (typically reused) buffer: the
 /// buffer is cleared and filled with exactly what encode() would return,
 /// but a warm buffer's capacity is reused instead of reallocated. This is
-/// how PeerRuntime encodes every fan-out run into one warm frame.
+/// how PeerRuntime encodes every message into one warm frame.
 void encode_into(const GossipPayload& payload, WireBytes& out);
 
 /// Parses a framed byte string; nullopt on any malformation (bad magic,

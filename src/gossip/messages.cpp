@@ -2,16 +2,6 @@
 
 namespace updp2p::gossip {
 
-const version::VersionedValue& SharedValue::empty_value() noexcept {
-  static const version::VersionedValue kEmpty{};
-  return kEmpty;
-}
-
-const common::ChunkedPeerSet& SharedPeerList::empty_set() noexcept {
-  static const common::ChunkedPeerSet kEmpty{};
-  return kEmpty;
-}
-
 const char* payload_kind(const GossipPayload& payload) noexcept {
   switch (payload.index()) {
     case kPushIndex: return "push";

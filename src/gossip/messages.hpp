@@ -7,11 +7,8 @@
 // (§3: "Inquire for missed updates based on version vectors").
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <initializer_list>
-#include <memory>
-#include <span>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -23,121 +20,18 @@
 
 namespace updp2p::gossip {
 
-/// Flooding list R_f shared across one forward's fan-out.
+/// One push, sent as one message to every target of its fan-out, so the
+/// value and the list are held once however many peers receive them.
 ///
-/// A forward sends the *same* list to ~f_r·R targets; carrying it by value
-/// made every extra message an O(|R_f|) copy plus an allocation — the
-/// dominant allocator traffic of a large push phase. The entries are
-/// immutable once the message is built, so the copies can share one
-/// object: copying a SharedPeerList is a reference-count bump. Mutating
-/// accessors (used while *building* a list, e.g. codec decode and tests)
-/// copy on write, preserving value semantics.
-///
-/// The underlying representation is a compressed common::ChunkedPeerSet:
-/// a *set* ordered by peer id, not an insertion-ordered sequence. That
-/// matches the protocol — R_f membership is what matters (§4.2 drops
-/// duplicates and probes "am I on the list?") — and it is what shrinks
-/// both resident memory and bytes on the wire at scale.
-class SharedPeerList {
- public:
-  SharedPeerList() = default;
-  SharedPeerList(const common::ChunkedPeerSet& set)  // NOLINT(google-explicit-constructor)
-      : data_(set.empty()
-                  ? nullptr
-                  : std::make_shared<const common::ChunkedPeerSet>(set)) {}
-  SharedPeerList(common::ChunkedPeerSet&& set)  // NOLINT(google-explicit-constructor)
-      : data_(set.empty() ? nullptr
-                          : std::make_shared<const common::ChunkedPeerSet>(
-                                std::move(set))) {}
-  SharedPeerList(std::initializer_list<common::PeerId> entries)
-      : SharedPeerList(common::ChunkedPeerSet(entries)) {}
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return data_ ? data_->size() : 0;
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-  [[nodiscard]] bool contains(common::PeerId peer) const noexcept {
-    return data_ && data_->contains(peer);
-  }
-  /// The underlying set (an empty set when default-constructed).
-  [[nodiscard]] const common::ChunkedPeerSet& set() const noexcept {
-    return data_ ? *data_ : empty_set();
-  }
-  /// Visits entries in ascending peer-id order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    if (data_) data_->for_each(std::forward<Fn>(fn));
-  }
-
-  /// Stable identity of the shared representation (nullptr when default-
-  /// constructed). Equal identities imply equal contents — the round
-  /// simulator uses this to recognise one fan-out's shared list across its
-  /// N messages without comparing sets, and stores and encodes it once.
-  [[nodiscard]] const void* identity() const noexcept { return data_.get(); }
-
-  /// Copy-on-write insert (list construction in decode paths and tests).
-  void insert(common::PeerId peer) {
-    auto next = data_ ? std::make_shared<common::ChunkedPeerSet>(*data_)
-                      : std::make_shared<common::ChunkedPeerSet>();
-    next->insert(peer);
-    data_ = std::move(next);
-  }
-
-  friend bool operator==(const SharedPeerList& a, const SharedPeerList& b) {
-    return a.data_ == b.data_ || a.set() == b.set();
-  }
-
- private:
-  [[nodiscard]] static const common::ChunkedPeerSet& empty_set() noexcept;
-
-  std::shared_ptr<const common::ChunkedPeerSet> data_;
-};
-
-/// The versioned value (U, V) shared across one forward's fan-out.
-///
-/// Same motivation as SharedPeerList: every fan-out target receives the
-/// identical value, and a VersionedValue copy is expensive (payload string
-/// plus a std::map-backed version vector). The value is immutable once a
-/// push is built, so the copies can share one object; copying a
-/// SharedValue is a reference-count bump. Value semantics are preserved:
-/// comparison is deep, and a default-constructed SharedValue reads as an
-/// empty VersionedValue.
-class SharedValue {
- public:
-  SharedValue() = default;
-  SharedValue(version::VersionedValue value)  // NOLINT(google-explicit-constructor)
-      : data_(std::make_shared<const version::VersionedValue>(
-            std::move(value))) {}
-
-  [[nodiscard]] const version::VersionedValue& get() const noexcept {
-    return data_ ? *data_ : empty_value();
-  }
-  [[nodiscard]] const version::VersionedValue& operator*() const noexcept {
-    return get();
-  }
-  [[nodiscard]] const version::VersionedValue* operator->() const noexcept {
-    return &get();
-  }
-
-  /// Stable identity of the shared representation (nullptr when default-
-  /// constructed); equal identities imply equal contents. See
-  /// SharedPeerList::identity().
-  [[nodiscard]] const void* identity() const noexcept { return data_.get(); }
-
-  friend bool operator==(const SharedValue& a, const SharedValue& b) {
-    return a.data_ == b.data_ || a.get() == b.get();
-  }
-
- private:
-  [[nodiscard]] static const version::VersionedValue& empty_value() noexcept;
-
-  std::shared_ptr<const version::VersionedValue> data_;
-};
-
+/// The flooding list is a compressed common::ChunkedPeerSet: a *set*
+/// ordered by peer id, not an insertion-ordered sequence. That matches the
+/// protocol — R_f membership is what matters (§4.2 drops duplicates and
+/// probes "am I on the list?") — and it is what shrinks both resident
+/// memory and bytes on the wire at scale.
 struct PushMessage {
-  SharedValue value;             ///< (U, V) (shared across the fan-out)
-  SharedPeerList flooding_list;  ///< R_f (shared across the fan-out)
-  common::Round round = 0;       ///< t
+  version::VersionedValue value;         ///< (U, V)
+  common::ChunkedPeerSet flooding_list;  ///< R_f
+  common::Round round = 0;               ///< t
 };
 
 struct PullRequest {
@@ -186,40 +80,15 @@ inline constexpr std::size_t kAckIndex = 3;
 inline constexpr std::size_t kQueryRequestIndex = 4;
 inline constexpr std::size_t kQueryReplyIndex = 5;
 
-/// A message the protocol wants transmitted. Its host (a round engine or
-/// PeerRuntime) encodes it, once per fan-out run, and charges the frame's
-/// length.
+/// A message the protocol wants transmitted: one payload for every peer in
+/// `targets`, which is never empty. A fan-out — a push to R_p \ R_f, a
+/// pull request to several contacts, a query to several replicas — is one
+/// message, so its host (a round engine or PeerRuntime) encodes it once
+/// and sends that frame to each target in order.
 struct OutboundMessage {
-  common::PeerId to;
+  std::vector<common::PeerId> targets;
   GossipPayload payload;
 };
-
-/// What the pushes of one fan-out run share: one value object, one
-/// flooding-list object and the round. Equal identities imply equal
-/// contents, hence one encoded frame for the whole run, as long as the
-/// run's first payload lives (no address is reused meanwhile). A null
-/// value, as every non-push message has, never continues a run. Both
-/// frame senders — RoundSimulator::dispatch_from and PeerRuntime::transmit
-/// — encode a run once by this definition.
-struct FanOutKey {
-  const void* value = nullptr;
-  const void* list = nullptr;
-  common::Round round = 0;
-  bool operator==(const FanOutKey&) const = default;
-
-  /// True when a message with this key shares the frame of the run `open`.
-  [[nodiscard]] bool continues(const FanOutKey& open) const noexcept {
-    return value != nullptr && *this == open;
-  }
-};
-
-/// Inline because both senders call it once per outbound message.
-[[nodiscard]] inline FanOutKey fan_out_key(
-    const GossipPayload& payload) noexcept {
-  const auto* push = std::get_if<PushMessage>(&payload);
-  if (push == nullptr) return {};
-  return {push->value.identity(), push->flooding_list.identity(), push->round};
-}
 
 /// Human-readable payload kind (diagnostics and tests).
 [[nodiscard]] const char* payload_kind(const GossipPayload& payload) noexcept;

@@ -53,15 +53,17 @@ void ReplicaNode::seed_fixed_neighbors(
 
 std::vector<common::PeerId>& ReplicaNode::select_targets(std::size_t count,
                                                          common::Round now) {
-  std::vector<common::PeerId>& targets = arena().targets;
+  WorkArena& scratch = arena();
+  std::vector<common::PeerId>& targets = scratch.targets;
   if (config_.target_selection == TargetSelection::kRandomPerPush) {
-    view_.sample_into(rng_, count, targets, now);
+    view_.sample_into(rng_, count, targets, scratch, now);
     return targets;
   }
   // Fixed-neighbor overlay: the target set is drawn once and reused for
   // every update (topology-dependent gossip à la [20]).
   if (fixed_neighbors_.empty()) {
-    view_.sample_into(rng_, config_.absolute_fanout(), fixed_neighbors_, now);
+    view_.sample_into(rng_, config_.absolute_fanout(), fixed_neighbors_,
+                      scratch, now);
   }
   const std::size_t take = std::min(count, fixed_neighbors_.size());
   targets.assign(fixed_neighbors_.begin(),
@@ -86,17 +88,13 @@ void ReplicaNode::start_push(version::VersionedValue value, common::Round now,
                           arena().list);
   if (targets.empty()) return;
 
-  // One shared buffer serves the whole fan-out: each message copy is a
-  // refcount bump, not an O(|R_f|) vector (or version-vector) copy.
-  const GossipPayload payload(
-      PushMessage{SharedValue(std::move(value)), SharedPeerList(arena().list),
-                  /*round=*/0});
-  out.reserve(out.size() + targets.size());
+  // The whole fan-out is one message: one value, one list, every target.
   for (const common::PeerId target : targets) {
-    out.push_back({target, payload});
     ++stats_.pushes_forwarded;
     if (config_.acks.enabled) pending_acks_[target] = PendingAck{now};
   }
+  out.push_back(
+      {targets, PushMessage{std::move(value), arena().list, /*round=*/0}});
 }
 
 std::vector<OutboundMessage> ReplicaNode::publish(std::string_view key,
@@ -134,7 +132,7 @@ bool ReplicaNode::note_push_received(common::PeerId from,
 }
 
 void ReplicaNode::handle_push_first(common::PeerId from,
-                                    const SharedValue& value,
+                                    version::VersionedValue value,
                                     common::Round push_round,
                                     const common::ChunkedPeerSet& flooded,
                                     common::Round now,
@@ -147,7 +145,7 @@ void ReplicaNode::handle_push_first(common::PeerId from,
   // handle_frame never even *decodes* it.
   stats_.members_discovered += view_.merge(flooded);
 
-  const version::ApplyOutcome outcome = store_.apply(*value);
+  const version::ApplyOutcome outcome = store_.apply(value);
   if (outcome == version::ApplyOutcome::kApplied ||
       outcome == version::ApplyOutcome::kCoexisting) {
     ++stats_.updates_learned_push;
@@ -164,7 +162,7 @@ void ReplicaNode::handle_push_first(common::PeerId from,
   // §6 acknowledgement to the first pusher: this path runs only on the
   // version's first receipt, so its sender is that pusher.
   if (config_.acks.enabled) {
-    out.push_back({from, AckMessage{value->id}});
+    out.push_back({{from}, AckMessage{value.id}});
     ++stats_.acks_sent;
   }
 
@@ -190,15 +188,12 @@ void ReplicaNode::handle_push_first(common::PeerId from,
   build_forward_list_into(config_.partial_list, flooded, targets, from, self_,
                           rng_, arena().list);
   if (targets.empty()) return;
-  // Forwarded value and list are shared across the fan-out.
-  const GossipPayload payload(
-      PushMessage{value, SharedPeerList(arena().list), next_round});
-  out.reserve(out.size() + targets.size());
   for (const common::PeerId target : targets) {
-    out.push_back({target, payload});
     ++stats_.pushes_forwarded;
     if (config_.acks.enabled) pending_acks_[target] = PendingAck{now};
   }
+  out.push_back(
+      {targets, PushMessage{std::move(value), arena().list, next_round}});
 }
 
 bool ReplicaNode::handle_frame(common::PeerId from,
@@ -228,8 +223,8 @@ bool ReplicaNode::handle_frame(common::PeerId from,
     // contains() above said no and nothing ran in between, so this is
     // always the first-receipt branch.
     (void)note_push_received(from, push->value.id);
-    handle_push_first(from, SharedValue(std::move(push->value)), push->round,
-                      list, now, out);
+    handle_push_first(from, std::move(push->value), push->round, list, now,
+                      out);
     return true;
   }
   // Non-push kinds carry no skippable bulk — decode fully and dispatch.
@@ -263,21 +258,21 @@ bool ReplicaNode::handle_frame(common::PeerId from,
 void ReplicaNode::make_pull(common::Round now,
                             std::vector<OutboundMessage>& out,
                             std::optional<common::PeerId> target) {
-  std::vector<common::PeerId>& contacts = arena().contacts;
+  WorkArena& scratch = arena();
+  std::vector<common::PeerId>& contacts = scratch.contacts;
   if (target.has_value()) {
     contacts.clear();
     contacts.push_back(*target);
   } else {
-    view_.sample_into(rng_, config_.pull.contacts_per_attempt, contacts, now);
+    view_.sample_into(rng_, config_.pull.contacts_per_attempt, contacts,
+                      scratch, now);
   }
-  const PullRequest request{store_.summary(), store_.stored_ids(),
-                            store_.content_digest()};
-  out.reserve(out.size() + contacts.size());
-  for (const common::PeerId contact : contacts) {
-    out.push_back({contact, request});
-    ++stats_.pull_requests_sent;
-  }
+  // An attempt with no contact still counts as this round's pull.
   last_pull_round_ = now;
+  if (contacts.empty()) return;
+  stats_.pull_requests_sent += contacts.size();
+  out.push_back({contacts, PullRequest{store_.summary(), store_.stored_ids(),
+                                       store_.content_digest()}});
 }
 
 void ReplicaNode::handle_pull_request(common::PeerId from,
@@ -293,9 +288,9 @@ void ReplicaNode::handle_pull_request(common::PeerId from,
   // (16-byte) response instead of computing and shipping deltas.
   const bool in_sync = request.store_digest == store_.content_digest();
   out.push_back(
-      {from, PullResponse{in_sync ? std::vector<version::VersionedValue>{}
-                                  : store_.missing_for(request.have),
-                          store_.summary(), am_confident}});
+      {{from}, PullResponse{in_sync ? std::vector<version::VersionedValue>{}
+                                    : store_.missing_for(request.have),
+                            store_.summary(), am_confident}});
 
   // §3: "receives a pull request, but [is] not sure to have the latest
   // update" — the pulled party itself enters the pull phase.
@@ -346,13 +341,13 @@ StartedQuery ReplicaNode::begin_query(std::string_view key, QueryRule rule,
   pending.answers.push_back(
       QueryAnswer{self_, store_.read(key), confident(now)});
 
-  view_.sample_into(rng_, replicas_to_ask, arena().targets, now);
-  const std::vector<common::PeerId>& targets = arena().targets;
+  WorkArena& scratch = arena();
+  std::vector<common::PeerId>& targets = scratch.targets;
+  view_.sample_into(rng_, replicas_to_ask, targets, scratch, now);
   pending.asked = targets.size();
-  started.messages.reserve(targets.size());
-  for (const common::PeerId target : targets) {
+  if (!targets.empty()) {
     started.messages.push_back(
-        {target, QueryRequest{pending.key, started.nonce}});
+        {targets, QueryRequest{pending.key, started.nonce}});
   }
   ++stats_.queries_issued;
   pending_queries_.emplace(started.nonce, std::move(pending));
@@ -391,7 +386,7 @@ void ReplicaNode::handle_query_request(common::PeerId from,
   reply.nonce = request.nonce;
   reply.versions = store_.versions(request.key);
   reply.confident = confident(now);
-  out.push_back({from, std::move(reply)});
+  out.push_back({{from}, std::move(reply)});
 
   // §6: a replica that cannot answer confidently "will itself have to
   // initiate a pull".

@@ -41,7 +41,7 @@ namespace updp2p::gossip {
 struct NodeStats {
   std::uint64_t pushes_received = 0;
   std::uint64_t duplicate_pushes = 0;     ///< push for an already-known version
-  std::uint64_t pushes_forwarded = 0;     ///< outgoing push messages
+  std::uint64_t pushes_forwarded = 0;     ///< push sends, one per target
   std::uint64_t forwards_suppressed = 0;  ///< PF(t) coin said no
   std::uint64_t updates_originated = 0;
   std::uint64_t updates_learned_push = 0;
@@ -62,7 +62,9 @@ struct NodeStats {
 /// A multi-replica query in flight (§4.4).
 struct StartedQuery {
   std::uint64_t nonce = 0;
-  std::vector<OutboundMessage> messages;  ///< requests to transmit
+  /// The request to transmit: one message to every asked replica, or none
+  /// when the view offered no replica to ask.
+  std::vector<OutboundMessage> messages;
 };
 
 /// Progress/result of a pending query.
@@ -81,13 +83,11 @@ class ReplicaNode {
   /// order (the sharded-simulation determinism contract).
   ReplicaNode(common::PeerId self, GossipConfig config, common::StreamRng rng);
 
-  /// Shares the driver-owned scratch arena (see arena.hpp). The node and
-  /// its view fall back to a private arena when none is wired. Nodes
-  /// sharing an arena must never execute concurrently.
-  void use_arena(WorkArena* arena) noexcept {
-    arena_ = arena;
-    view_.use_arena(arena);
-  }
+  /// Shares the driver-owned scratch arena (see arena.hpp), which the
+  /// node's view samples with too. A node with none wired makes one
+  /// private arena on first use. Nodes sharing an arena must never execute
+  /// concurrently.
+  void use_arena(WorkArena* arena) noexcept { arena_ = arena; }
 
   /// Seeds the initial membership view ("each replica knows a minimal
   /// fraction of the complete set of replicas", §2).
@@ -215,8 +215,9 @@ class ReplicaNode {
   /// first-receipt branches.
   bool note_push_received(common::PeerId from, const version::VersionId& id);
   /// A first receipt's handling once its frame decoded (merge, apply, ack,
-  /// forward); `flooded` may alias the arena's recv_list scratch.
-  void handle_push_first(common::PeerId from, const SharedValue& value,
+  /// forward); `flooded` may alias the arena's recv_list scratch. The store
+  /// applies a copy of `value`; the forward takes `value` itself.
+  void handle_push_first(common::PeerId from, version::VersionedValue value,
                          common::Round push_round,
                          const common::ChunkedPeerSet& flooded,
                          common::Round now, std::vector<OutboundMessage>& out);
@@ -231,8 +232,9 @@ class ReplicaNode {
                             std::vector<OutboundMessage>& out);
   void handle_query_reply(common::PeerId from, const QueryReply& reply);
 
-  /// Emits pull requests to `contacts_per_attempt` sampled peers (or to an
-  /// explicit target for the lazy-pull-from-pusher case).
+  /// Emits one pull request to `contacts_per_attempt` sampled peers (or to
+  /// an explicit target for the lazy-pull-from-pusher case); nothing when
+  /// the view offers no contact.
   void make_pull(common::Round now, std::vector<OutboundMessage>& out,
                  std::optional<common::PeerId> target = std::nullopt);
 

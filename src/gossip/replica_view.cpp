@@ -131,7 +131,7 @@ void ReplicaView::clear_presumed_offline(common::PeerId peer) {
 
 void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
                               std::vector<common::PeerId>& out,
-                              common::Round now) const {
+                              WorkArena& scratch, common::Round now) const {
   out.clear();
   const std::size_t member_count = size();
   if (count == 0 || member_count == 0) return;
@@ -143,7 +143,7 @@ void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
   // Picks dedup in a hash set sized by the picks, never by id_bound_:
   // the bound is whatever id a flooding list named, up to 2^28 off the
   // wire, and an id-indexed array over it would be 1 GiB.
-  common::SmallPeerSet& chosen = arena().chosen;
+  common::SmallPeerSet& chosen = scratch.chosen;
   chosen.reserve(std::min(count, member_count));
   chosen.clear();
   out.reserve(std::min(count, member_count));
@@ -186,7 +186,7 @@ void ReplicaView::sample_into(common::StreamRng& rng, std::size_t count,
   // of peers, so rejecting the picks that land on them is far cheaper
   // than an O(|view|) filtering pass per call — and a rejected pick
   // leaves the remaining sample exactly uniform over the eligible pool.
-  std::vector<common::PeerId>& pool = arena().pool;
+  std::vector<common::PeerId>& pool = scratch.pool;
   pool.clear();
   pool.reserve(member_count);
   known_.for_each([this, &pool](common::PeerId peer) {

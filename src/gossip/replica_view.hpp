@@ -20,13 +20,11 @@
 // them, however many views), and a view pays for a private copy only when
 // it learns an id the shared chunk lacks. Partial views stay
 // O(|view|) per view.
-// Sampling uses arena scratch: after warm-up a call to sample_into
-// performs no heap allocation. The scratch state makes a view
-// non-reentrant but each node owns its view exclusively (and
-// arena-sharing nodes never run concurrently).
+// Sampling uses the caller's arena scratch: after warm-up a call to
+// sample_into performs no heap allocation. The view owns no scratch of its
+// own; its node passes the arena it uses for everything else.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -48,10 +46,6 @@ class ReplicaView {
     // per-element self test. contains() re-excludes it below.
     if (self_.is_valid()) known_.insert(self_);
   }
-
-  /// Shares the given scratch arena instead of a privately owned one.
-  /// Pass nullptr to fall back to private scratch (standalone nodes).
-  void use_arena(WorkArena* arena) noexcept { arena_ = arena; }
 
   /// Adds a peer; returns true if it was previously unknown. The owner
   /// itself is never a member.
@@ -89,9 +83,10 @@ class ReplicaView {
   /// contents), skipping peers presumed offline at `now` (§6 suppression).
   /// Preferred pushers are `preferred_weight()` times as likely to be
   /// picked first. Produces fewer than `count` when the view is small.
-  /// Allocation-free once the arena's scratch buffers are warm.
+  /// Uses `scratch`'s pool and chosen buffers (never `out`'s), so it is
+  /// allocation-free once they are warm.
   void sample_into(common::StreamRng& rng, std::size_t count,
-                   std::vector<common::PeerId>& out,
+                   std::vector<common::PeerId>& out, WorkArena& scratch,
                    common::Round now = 0) const;
 
   /// How strongly §6-preferred peers are oversampled (1 = no preference).
@@ -149,13 +144,6 @@ class ReplicaView {
     return known_.select_rank(rank + (rank >= self_rank ? 1 : 0));
   }
 
-  /// The wired arena, or a lazily created private one.
-  [[nodiscard]] WorkArena& arena() const {
-    if (arena_ != nullptr) return *arena_;
-    if (!owned_arena_) owned_arena_ = std::make_unique<WorkArena>();
-    return *owned_arena_;
-  }
-
   common::PeerId self_;
   unsigned preferred_weight_ = 2;
   std::size_t id_bound_ = 0;
@@ -177,9 +165,6 @@ class ReplicaView {
   /// empties, so stale entries stay bounded.
   mutable std::vector<Expiry> offline_expiry_;
   mutable common::Round offline_purged_at_ = 0;
-
-  WorkArena* arena_ = nullptr;
-  mutable std::unique_ptr<WorkArena> owned_arena_;
 };
 
 }  // namespace updp2p::gossip

@@ -136,14 +136,6 @@ class ShardedMessageBus {
         Envelope{from, to, seq, payload});
   }
 
-  /// Sequential-context convenience: add_payload, then send_from_shard.
-  void send(common::PeerId from, common::PeerId to, Payload payload,
-            std::uint32_t seq) {
-    const std::size_t shard = shard_of(from);
-    send_from_shard(shard, from, to, add_payload(shard, std::move(payload)),
-                    seq);
-  }
-
   /// Publishes the pending buffers: everything sent before this call
   /// becomes in-flight (deliverable this round); sends after it queue for
   /// the next round. Sequential — call between parallel phases.

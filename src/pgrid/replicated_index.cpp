@@ -44,8 +44,12 @@ std::size_t ReplicatedIndex::online_count() const {
 void ReplicatedIndex::dispatch(common::PeerId from,
                                std::vector<gossip::OutboundMessage>& out) {
   std::uint32_t& seq = send_seq_[from.value()];
-  for (const auto& message : out) {
-    bus_.send(from, message.to, gossip::encode(message.payload), seq++);
+  for (const gossip::OutboundMessage& message : out) {
+    const std::uint32_t index =
+        bus_.add_payload(0, gossip::encode(message.payload));
+    for (const common::PeerId to : message.targets) {
+      bus_.send_from_shard(0, from, to, index, seq++);
+    }
   }
   out.clear();
 }

@@ -119,8 +119,9 @@ class ReplicatedIndex {
  private:
   RouteOutcome route(common::PeerId origin, const BitPath& key_path,
                      unsigned retries);
-  /// Encodes each of `out`'s messages and queues the frames on the bus;
-  /// `out` is left cleared with capacity retained.
+  /// Encodes each of `out`'s messages once and queues one envelope per
+  /// target naming that frame; `out` is left cleared with capacity
+  /// retained.
   void dispatch(common::PeerId from, std::vector<gossip::OutboundMessage>& out);
 
   ReplicatedIndexConfig config_;

@@ -236,9 +236,8 @@ void PeerRuntime::append_local_versions(std::string_view key) {
     // flooding list: replay feeds it to handle_frame(self, ...), where the
     // value applies and the emitted fan-out is discarded like any other
     // replay output.
-    gossip::GossipPayload payload = gossip::PushMessage{
-        gossip::SharedValue(std::move(value)), gossip::SharedPeerList{},
-        current_round()};
+    gossip::GossipPayload payload =
+        gossip::PushMessage{std::move(value), {}, current_round()};
     gossip::encode_into(payload, frame);
     append_durable(node_.id(), current_round(), frame);
   }
@@ -276,52 +275,48 @@ void PeerRuntime::arm_snapshot_timer() {
 }
 
 void PeerRuntime::transmit(std::vector<gossip::OutboundMessage>& messages) {
-  gossip::FanOutKey run;
-  // The open run's frame as its retries share it; made on the run's first
-  // retry, so a run nobody waits on (acks, forwards without acks, pull
-  // responses) is never copied.
-  std::shared_ptr<const net::DatagramBytes> retained;
-  for (gossip::OutboundMessage& message : messages) {
-    const gossip::FanOutKey key = gossip::fan_out_key(message.payload);
-    if (!key.continues(run)) {
-      run = key;
-      gossip::encode_into(message.payload, run_frame_);
-      retained.reset();
-    }
-    ++stats_.datagrams_out;
-    transport_.send(message.to, run_frame_);
-    const std::optional<RetryKey> retry = awaited_confirmation(message);
-    if (retry && config_.retry.max_attempts > 1) {
-      if (retained) {
-        ++stats_.frames_reused;
+  for (const gossip::OutboundMessage& message : messages) {
+    gossip::encode_into(message.payload, frame_);
+    // The message's frame as its retries share it; made by its first
+    // target that arms a retry, so a message nobody waits on (acks,
+    // forwards without acks, pull responses) is never copied.
+    std::shared_ptr<const net::DatagramBytes> retained;
+    for (const common::PeerId to : message.targets) {
+      ++stats_.datagrams_out;
+      transport_.send(to, frame_);
+      const std::optional<RetryKey> retry =
+          awaited_confirmation(to, message.payload);
+      if (retry && config_.retry.max_attempts > 1) {
+        if (retained) {
+          ++stats_.frames_reused;
+        } else {
+          retained = std::make_shared<const net::DatagramBytes>(frame_);
+        }
+        arm_retry(*retry, retained);
       } else {
-        retained = std::make_shared<const net::DatagramBytes>(run_frame_);
+        ++stats_.frames_reused;
       }
-      arm_retry(*retry, retained);
-    } else {
-      ++stats_.frames_reused;
     }
   }
   messages.clear();
 }
 
 std::optional<PeerRuntime::RetryKey> PeerRuntime::awaited_confirmation(
-    const gossip::OutboundMessage& message) const {
-  if (const auto* push = std::get_if<gossip::PushMessage>(&message.payload)) {
+    common::PeerId to, const gossip::GossipPayload& payload) const {
+  if (const auto* push = std::get_if<gossip::PushMessage>(&payload)) {
     // A push is only retried when acks are on — without §6 acks no
     // protocol message confirms receipt, and blind retransmission would
     // just multiply duplicates.
     if (!config_.gossip.acks.enabled) return std::nullopt;
     return RetryKey{
-        .expect = Expect::kAck, .to = message.to, .version = push->value->id};
+        .expect = Expect::kAck, .to = to, .version = push->value.id};
   }
-  if (std::holds_alternative<gossip::PullRequest>(message.payload)) {
-    return RetryKey{.expect = Expect::kPullResponse, .to = message.to};
+  if (std::holds_alternative<gossip::PullRequest>(payload)) {
+    return RetryKey{.expect = Expect::kPullResponse, .to = to};
   }
-  if (const auto* query =
-          std::get_if<gossip::QueryRequest>(&message.payload)) {
+  if (const auto* query = std::get_if<gossip::QueryRequest>(&payload)) {
     return RetryKey{
-        .expect = Expect::kQueryReply, .to = message.to, .nonce = query->nonce};
+        .expect = Expect::kQueryReply, .to = to, .nonce = query->nonce};
   }
   return std::nullopt;
 }

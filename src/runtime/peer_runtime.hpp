@@ -5,8 +5,8 @@
 // datagram transport and a continuous clock:
 //
 //   * outbound protocol messages are encoded with gossip::codec and handed
-//     to the Transport as datagrams, each fan-out run (gossip::FanOutKey)
-//     encoded once and every target sent straight from that frame;
+//     to the Transport as datagrams: a message lists all its targets, so it
+//     is encoded once and every target is sent straight from that frame;
 //   * every inbound datagram takes one path: a header probe
 //     (gossip::probe_frame) names it, the node takes the frame itself
 //     (ReplicaNode::handle_frame), and only once the node accepted it do
@@ -23,7 +23,7 @@
 //     within kMaxPushTransmissions, because §6 never confirms a push to a
 //     peer that already holds the version. Each in-flight send has one
 //     entry in one retry table, keyed by the message that confirms it,
-//     and the retries of one fan-out run share one copy of its frame;
+//     and the retries of one message share one copy of its frame;
 //   * online/offline session control is external (go_online/go_offline),
 //     so churn can be driven by an orchestrator, a test harness, or a real
 //     process lifecycle.
@@ -92,8 +92,9 @@ struct RuntimeStats {
   std::uint64_t rounds_ticked = 0;
   std::uint64_t dropped_while_offline = 0;
   /// First transmissions that allocated no frame buffer: every send but the
-  /// one per retried fan-out run that copies the run's frame for its
-  /// retries to share. >0 in any run that sends.
+  /// one per retried message that copies the message's frame for its
+  /// retries to share (a pull request or query to k targets copies once,
+  /// not k times). >0 in any run that sends.
   std::uint64_t frames_reused = 0;
   /// Retransmissions that had to re-encode their payload. MUST stay 0: a
   /// retransmit resends the exact bytes its PendingSend shares; this
@@ -222,7 +223,7 @@ class PeerRuntime {
 
   struct PendingSend {
     /// Exact datagram for retransmission, shared by every retry of the
-    /// fan-out run that sent it.
+    /// message that sent it.
     std::shared_ptr<const net::DatagramBytes> bytes;
     unsigned attempt = 0;      ///< retransmissions performed so far
     /// The entry's one pending timer; kInvalidTimer while none is pending
@@ -256,18 +257,18 @@ class PeerRuntime {
 
   /// Encodes, transmits and (where a confirming signal exists) arms a
   /// retry for every message the node emitted. Consumes `messages`.
-  /// Each fan-out run is encoded once into run_frame_ and every target is
-  /// sent from it. The run's first target that arms a retry copies the
-  /// frame once into an immutable shared buffer, which every retry of the
-  /// run holds for exact-bytes retransmission.
+  /// Each message is encoded once into frame_ and sent to its targets in
+  /// order. Its first target that arms a retry copies the frame once into
+  /// an immutable shared buffer, which every retry of the message holds
+  /// for exact-bytes retransmission.
   void transmit(std::vector<gossip::OutboundMessage>& messages);
   /// Delivers one drained datagram: probe, handle_frame, then the retry
   /// cancellation and WAL rules the accepted frame's probe decides.
   void deliver_datagram(net::InboundDatagram& datagram);
-  /// The confirmation an outbound message waits for; nullopt when no
-  /// protocol message confirms it (or, for a push, acks are off).
+  /// The confirmation a send of `payload` to `to` waits for; nullopt when
+  /// no protocol message confirms it (or, for a push, acks are off).
   [[nodiscard]] std::optional<RetryKey> awaited_confirmation(
-      const gossip::OutboundMessage& message) const;
+      common::PeerId to, const gossip::GossipPayload& payload) const;
   /// A fresh send under `key` supersedes any stale in-flight entry (e.g.
   /// the node re-pushed the same version to the same target).
   void arm_retry(const RetryKey& key,
@@ -280,7 +281,7 @@ class PeerRuntime {
   /// keyed from the accepted frame's probed kind, version and nonce.
   void note_confirmation(common::PeerId from, const gossip::FrameProbe& probe);
   /// Cancels the send's pending timer, if any, and drops its reference to
-  /// the run's frame.
+  /// the message's frame.
   void release(PendingSend& pending);
   /// Releases the entry, then erases it. Every erase goes through here,
   /// so no timer outlives the key it points at.
@@ -319,9 +320,10 @@ class PeerRuntime {
 
   std::vector<net::InboundDatagram> inbox_scratch_;
   std::vector<gossip::OutboundMessage> out_scratch_;
-  /// The open fan-out run's encoded frame (transmit scratch); capacity-warm
-  /// after the first few runs, so steady-state encodes allocate nothing.
-  net::DatagramBytes run_frame_;
+  /// The message being transmitted, encoded (transmit scratch);
+  /// capacity-warm after the first few messages, so steady-state encodes
+  /// allocate nothing.
+  net::DatagramBytes frame_;
   RuntimeStats stats_;
 };
 

@@ -103,28 +103,21 @@ void RoundSimulator::dispatch_from(std::size_t shard, common::PeerId from,
                                    std::vector<gossip::OutboundMessage>& out) {
   Shard& sh = shards_[shard];
   std::uint32_t& seq = send_seq_[from.value()];
-  // The open fan-out run, encoded once: its key, its frame's index on the
-  // bus and the frame's length, which every message of the run is charged.
-  gossip::FanOutKey run;
-  std::uint32_t run_frame = 0;
-  std::size_t frame_bytes = 0;
-  for (auto& message : out) {
+  for (const gossip::OutboundMessage& message : out) {
+    const std::uint64_t sends = message.targets.size();
     switch (message.payload.index()) {
-      case gossip::kPushIndex: ++sh.push_messages; break;
+      case gossip::kPushIndex: sh.push_messages += sends; break;
       case gossip::kPullRequestIndex:
-      case gossip::kPullResponseIndex: ++sh.pull_messages; break;
-      case gossip::kAckIndex: ++sh.ack_messages; break;
-      default: ++sh.query_messages; break;
+      case gossip::kPullResponseIndex: sh.pull_messages += sends; break;
+      case gossip::kAckIndex: sh.ack_messages += sends; break;
+      default: sh.query_messages += sends; break;
     }
-    const gossip::FanOutKey key = gossip::fan_out_key(message.payload);
-    if (!key.continues(run)) {
-      run = key;
-      gossip::WireBytes frame = gossip::encode(message.payload);
-      frame_bytes = frame.size();
-      run_frame = bus_.add_payload(shard, std::move(frame));
+    gossip::WireBytes frame = gossip::encode(message.payload);
+    sh.bytes += sends * frame.size();
+    const std::uint32_t index = bus_.add_payload(shard, std::move(frame));
+    for (const common::PeerId to : message.targets) {
+      bus_.send_from_shard(shard, from, to, index, seq++);
     }
-    sh.bytes += frame_bytes;
-    bus_.send_from_shard(shard, from, message.to, run_frame, seq++);
   }
   out.clear();
 }

@@ -6,8 +6,9 @@
 // This simulator is an *independent* implementation of the protocol (it
 // executes ReplicaNode state machines, not the recurrences), so agreement
 // with analysis::evaluate_push is a genuine cross-validation. Messages
-// travel as encoded frames and every delivery goes through
-// ReplicaNode::handle_frame, the receive path a deployed peer runs.
+// travel as encoded frames, one per message however many targets it names,
+// and every delivery goes through ReplicaNode::handle_frame, the receive
+// path a deployed peer runs.
 //
 // Intra-run parallelism: the population is cut into `shard_threads`
 // contiguous shards. Each round, every shard task delivers the messages
@@ -135,10 +136,9 @@ class RoundSimulator {
 
   /// Moves `out`'s messages onto the bus from the task owning `shard`
   /// (which must be the sender's shard), classifying them for the shard's
-  /// counters. Each fan-out run (consecutive pushes sharing a value, a
-  /// flooding list and a round; any other message is a run of its own) is
-  /// encoded once, and every recipient's envelope names that one frame.
-  /// `out` is left cleared with capacity retained.
+  /// counters. Each message is encoded once, every target's envelope names
+  /// that one frame, and every send counts as one message of the frame's
+  /// length. `out` is left cleared with capacity retained.
   void dispatch_from(std::size_t shard, common::PeerId from,
                      std::vector<gossip::OutboundMessage>& out);
   /// Sequential-context dispatch (publish, reconnect hooks).

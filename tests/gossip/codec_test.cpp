@@ -69,7 +69,7 @@ TEST(Codec, PushWithTombstoneRoundTrip) {
   push.value = std::move(tombstone);
   const auto decoded = decode(encode(GossipPayload{push}));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(std::get<PushMessage>(*decoded).value->tombstone);
+  EXPECT_TRUE(std::get<PushMessage>(*decoded).value.tombstone);
 }
 
 TEST(Codec, PullRequestRoundTrip) {
@@ -343,7 +343,7 @@ TEST(Codec, ProbeReadsKindAndIdentityWithoutFullDecode) {
   const auto push_probe = probe_frame(encode(push));
   ASSERT_TRUE(push_probe.has_value());
   EXPECT_EQ(push_probe->kind, WireKind::kPush);
-  EXPECT_EQ(push_probe->version, std::get<PushMessage>(push).value->id);
+  EXPECT_EQ(push_probe->version, std::get<PushMessage>(push).value.id);
 
   const AckMessage ack{sample_value(9).id};
   const auto ack_probe = probe_frame(encode(GossipPayload{ack}));
@@ -386,7 +386,7 @@ TEST(Codec, ProbeSucceedsOnPushWithGarbageTail) {
   const auto probe = probe_frame(frame);
   ASSERT_TRUE(probe.has_value());
   EXPECT_EQ(probe->kind, WireKind::kPush);
-  EXPECT_EQ(probe->version, std::get<PushMessage>(sample_push()).value->id);
+  EXPECT_EQ(probe->version, std::get<PushMessage>(sample_push()).value.id);
   EXPECT_FALSE(decode(frame).has_value());
 }
 
@@ -398,9 +398,9 @@ TEST(Codec, DecodePushIntoStreamsTheListAndClearsOnFailure) {
   const auto push = decode_push_into(frame, list);
   ASSERT_TRUE(push.has_value());
   const auto& expected = std::get<PushMessage>(payload);
-  EXPECT_EQ(push->value, *expected.value);
+  EXPECT_EQ(push->value, expected.value);
   EXPECT_EQ(push->round, expected.round);
-  EXPECT_EQ(list, expected.flooding_list.set());
+  EXPECT_EQ(list, expected.flooding_list);
 
   // Non-push frames and malformed frames both reject with a cleared list.
   const auto not_push =

@@ -51,25 +51,6 @@ TEST(EncodedSize, AckIsTiny) {
   EXPECT_EQ(encode(GossipPayload{AckMessage{}}).size(), 4u + 16u);
 }
 
-TEST(SharedValue, IdentityTracksTheSharedAllocation) {
-  SharedValue a(value_with_history(1));
-  SharedValue b = a;                     // shared: same identity
-  SharedValue c(value_with_history(1));  // equal contents, distinct identity
-  EXPECT_EQ(a.identity(), b.identity());
-  EXPECT_NE(a.identity(), c.identity());
-  // Default-constructed values all share the empty identity; that is
-  // cache-safe because they also all encode identically.
-  EXPECT_EQ(SharedValue().identity(), SharedValue().identity());
-}
-
-TEST(SharedPeerList, IdentityTracksTheSharedAllocation) {
-  SharedPeerList a{PeerId(1), PeerId(2)};
-  SharedPeerList b = a;
-  SharedPeerList c{PeerId(1), PeerId(2)};
-  EXPECT_EQ(a.identity(), b.identity());
-  EXPECT_NE(a.identity(), c.identity());
-}
-
 TEST(PayloadKind, NamesAllAlternatives) {
   EXPECT_STREQ(payload_kind(GossipPayload{PushMessage{}}), "push");
   EXPECT_STREQ(payload_kind(GossipPayload{PullRequest{}}), "pull-request");

@@ -189,8 +189,10 @@ TEST_P(TwoNodeFuzz, PairwiseGossipConverges) {
     auto out = writer.publish("k" + std::to_string(rng.uniform_below(3)),
                               "v" + std::to_string(step), now);
     // Deliver with 30% loss, plus any cascading reactions.
-    std::vector<std::pair<PeerId, OutboundMessage>> queue;
-    for (auto& message : out) queue.emplace_back(writer.id(), std::move(message));
+    std::vector<std::pair<PeerId, testsupport::Send>> queue;
+    for (auto& message : testsupport::sends(out)) {
+      queue.emplace_back(writer.id(), std::move(message));
+    }
     while (!queue.empty()) {
       auto [sender, message] = std::move(queue.back());
       queue.pop_back();

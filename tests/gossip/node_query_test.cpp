@@ -10,6 +10,7 @@ namespace {
 using common::PeerId;
 using common::StreamRng;
 using testsupport::deliver;
+using testsupport::sends;
 
 GossipConfig query_config() {
   GossipConfig config;
@@ -33,8 +34,10 @@ TEST(NodeQuery, BeginQuerySendsRequests) {
   auto node = make_node(0);
   const auto started = node.begin_query("key", QueryRule::kHybrid, 3, 1);
   EXPECT_NE(started.nonce, 0u);
-  EXPECT_EQ(started.messages.size(), 3u);
-  for (const auto& message : started.messages) {
+  EXPECT_EQ(started.messages.size(), 1u);  // one request, three replicas
+  const auto requests = sends(started.messages);
+  EXPECT_EQ(requests.size(), 3u);
+  for (const auto& message : requests) {
     const auto* request = std::get_if<QueryRequest>(&message.payload);
     ASSERT_NE(request, nullptr);
     EXPECT_EQ(request->key, "key");
@@ -115,7 +118,7 @@ TEST(NodeQuery, EndToEndResolution) {
                                           3, 3);
   // Deliver requests to their targets; feed replies back to the issuer.
   std::size_t answered = 0;
-  for (const auto& request : started.messages) {
+  for (const auto& request : sends(started.messages)) {
     ReplicaNode* target = nullptr;
     if (request.to == PeerId(1)) target = &holder1;
     if (request.to == PeerId(2)) target = &holder2;

@@ -16,6 +16,8 @@ using common::StreamRng;
 using testsupport::deliver;
 using testsupport::reconnect;
 using testsupport::round_start;
+using testsupport::Send;
+using testsupport::sends;
 
 GossipConfig test_config() {
   GossipConfig config;
@@ -40,20 +42,20 @@ ReplicaNode make_node(std::uint32_t id, GossipConfig config = test_config(),
   return node;
 }
 
-const PushMessage& as_push(const OutboundMessage& message) {
+const PushMessage& as_push(const Send& message) {
   return std::get<PushMessage>(message.payload);
 }
 
 TEST(ReplicaNode, PublishSendsFanoutPushes) {
   auto node = make_node(0);
-  const auto out = node.publish("key", "v1", 0);
+  const auto out = sends(node.publish("key", "v1", 0));
   EXPECT_EQ(out.size(), 5u);  // fanout = 100 * 0.05
   std::unordered_set<PeerId> targets;
   for (const auto& message : out) {
     ASSERT_TRUE(std::holds_alternative<PushMessage>(message.payload));
     const auto& push = as_push(message);
     EXPECT_EQ(push.round, 0u);
-    EXPECT_EQ(push.value->payload, "v1");
+    EXPECT_EQ(push.value.payload, "v1");
     targets.insert(message.to);
   }
   EXPECT_EQ(targets.size(), 5u);  // distinct targets
@@ -65,7 +67,7 @@ TEST(ReplicaNode, PublishSendsFanoutPushes) {
 
 TEST(ReplicaNode, PublishFloodingListCoversSelfAndTargets) {
   auto node = make_node(0);
-  const auto out = node.publish("key", "v1", 0);
+  const auto out = sends(node.publish("key", "v1", 0));
   ASSERT_FALSE(out.empty());
   const auto& list = as_push(out.front()).flooding_list;
   EXPECT_TRUE(list.contains(PeerId(0)));
@@ -77,7 +79,7 @@ TEST(ReplicaNode, PublishFloodingListCoversSelfAndTargets) {
 TEST(ReplicaNode, HandlePushForwardsWithIncrementedRound) {
   auto alice = make_node(0);
   auto bob = make_node(1);
-  const auto from_alice = alice.publish("key", "v1", 0);
+  const auto from_alice = sends(alice.publish("key", "v1", 0));
   const auto reactions =
       deliver(bob, PeerId(0), from_alice.front().payload, 1);
   ASSERT_FALSE(reactions.empty());
@@ -92,7 +94,7 @@ TEST(ReplicaNode, HandlePushForwardsWithIncrementedRound) {
 TEST(ReplicaNode, ForwardTargetsExcludeFloodingListAndSender) {
   auto alice = make_node(0);
   auto bob = make_node(1);
-  const auto from_alice = alice.publish("key", "v1", 0);
+  const auto from_alice = sends(alice.publish("key", "v1", 0));
   const auto& received = as_push(from_alice.front());
   const auto reactions =
       deliver(bob, PeerId(0), from_alice.front().payload, 1);
@@ -106,7 +108,7 @@ TEST(ReplicaNode, ForwardTargetsExcludeFloodingListAndSender) {
 TEST(ReplicaNode, ForwardedListIsUnionOfReceivedAndNewTargets) {
   auto alice = make_node(0);
   auto bob = make_node(1);
-  const auto from_alice = alice.publish("key", "v1", 0);
+  const auto from_alice = sends(alice.publish("key", "v1", 0));
   const auto& received = as_push(from_alice.front());
   const auto reactions =
       deliver(bob, PeerId(0), from_alice.front().payload, 1);
@@ -123,6 +125,56 @@ TEST(ReplicaNode, ForwardedListIsUnionOfReceivedAndNewTargets) {
   }
 }
 
+TEST(ReplicaNode, ForwardIsOneMessageToItsTargetsInSampledOrder) {
+  // §3/§4.2: a forward pushes one update with one list to R_p \ R_f. The
+  // node emits it as ONE message naming every target, in the order R_p
+  // was drawn; the ack to the pusher is a message of its own, before it.
+  auto config = test_config();
+  config.acks.enabled = true;
+  config.target_selection = TargetSelection::kFixedNeighbors;
+  auto bob = make_node(1, config);
+  // Fixed neighbours make R_p known: the first five (the fanout), in order.
+  const std::vector<PeerId> fixed{PeerId(9), PeerId(4), PeerId(7),
+                                  PeerId(0), PeerId(3), PeerId(8)};
+  bob.seed_fixed_neighbors(fixed);
+  auto alice = make_node(0);
+  const auto published = sends(alice.publish("key", "v1", 0));
+  const PushMessage push{as_push(published.front()).value,
+                         {PeerId(0), PeerId(7), PeerId(20)}, 0};
+
+  std::vector<OutboundMessage> out;
+  ASSERT_TRUE(bob.handle_frame(PeerId(0), encode(GossipPayload{push}), 1, out));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].targets, std::vector<PeerId>{PeerId(0)});
+  EXPECT_TRUE(std::holds_alternative<AckMessage>(out[0].payload));
+  // R_p = 9, 4, 7, 0, 3 less R_f's 7 and the sender 0, order kept.
+  EXPECT_EQ(out[1].targets,
+            (std::vector<PeerId>{PeerId(9), PeerId(4), PeerId(3)}));
+  const auto& forward = std::get<PushMessage>(out[1].payload);
+  EXPECT_EQ(forward.round, 1u);
+  EXPECT_EQ(forward.value, push.value);
+  // R_f ∪ {self} ∪ R_p.
+  EXPECT_EQ(forward.flooding_list,
+            (common::ChunkedPeerSet{PeerId(0), PeerId(1), PeerId(3), PeerId(4),
+                                    PeerId(7), PeerId(9), PeerId(20)}));
+  EXPECT_EQ(bob.stats().pushes_forwarded, 3u);
+}
+
+TEST(ReplicaNode, EmptyViewEmitsNoMessage) {
+  // A fan-out with no target is no message: no message ever has an empty
+  // target list.
+  ReplicaNode loner(PeerId(0), test_config(), StreamRng(3));
+  std::vector<OutboundMessage> out;
+  loner.on_reconnect(5, out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(loner.stats().pull_requests_sent, 0u);
+  const StartedQuery started =
+      loner.begin_query("key", QueryRule::kLatestVersion, 3, 5);
+  EXPECT_TRUE(started.messages.empty());
+  EXPECT_TRUE(loner.poll_query(started.nonce, 5).complete);
+  EXPECT_TRUE(loner.publish("key", "v1", 5).empty());
+}
+
 TEST(ReplicaNode, HostileListIdLeavesSamplerScratchViewSized) {
   // One push frame whose flooding list also names the largest id the wire
   // admits raises the view's id bound to 2^28. The forward's target
@@ -136,9 +188,9 @@ TEST(ReplicaNode, HostileListIdLeavesSamplerScratchViewSized) {
   bob.bootstrap(view);
 
   auto alice = make_node(1, test_config(), 32);
-  const auto from_alice = alice.publish("key", "v1", 0);
+  const auto from_alice = sends(alice.publish("key", "v1", 0));
   const PushMessage& push = as_push(from_alice.front());
-  common::ChunkedPeerSet list = push.flooding_list.set();
+  common::ChunkedPeerSet list = push.flooding_list;
   list.insert(PeerId(static_cast<std::uint32_t>(kMaxWirePeerId - 1)));
   const WireBytes frame =
       encode(GossipPayload{PushMessage{push.value, list, push.round}});
@@ -159,7 +211,7 @@ TEST(ReplicaNode, MalformedFrameChangesNothing) {
   // nothing but probed fields), and each is accepted whole.
   auto alice = make_node(0);
   (void)alice.publish("a", "1", 0);
-  const auto pushes = alice.publish("b", "2", 0);
+  const auto pushes = sends(alice.publish("b", "2", 0));
   auto bob = make_node(1);
   const std::uint64_t nonce =
       bob.begin_query("a", QueryRule::kLatestVersion, 3, 1).nonce;
@@ -201,7 +253,7 @@ TEST(ReplicaNode, MalformedFrameChangesNothing) {
 TEST(ReplicaNode, DuplicatePushIsNotForwardedTwice) {
   auto alice = make_node(0);
   auto bob = make_node(1);
-  const auto from_alice = alice.publish("key", "v1", 0);
+  const auto from_alice = sends(alice.publish("key", "v1", 0));
   const auto first =
       deliver(bob, PeerId(0), from_alice.front().payload, 1);
   EXPECT_FALSE(first.empty());
@@ -217,7 +269,7 @@ TEST(ReplicaNode, PfZeroSuppressesForwarding) {
   config.forward_probability = analysis::pf_constant(0.0);
   auto alice = make_node(0);  // publisher keeps PF irrelevant for round 0
   auto bob = make_node(1, config);
-  const auto from_alice = alice.publish("key", "v1", 0);
+  const auto from_alice = sends(alice.publish("key", "v1", 0));
   const auto reactions =
       deliver(bob, PeerId(0), from_alice.front().payload, 1);
   EXPECT_TRUE(reactions.empty());
@@ -232,7 +284,7 @@ TEST(ReplicaNode, MembershipGrowsFromFloodingList) {
   const std::vector<PeerId> tiny{PeerId(0)};
   bob.bootstrap(tiny);
   EXPECT_EQ(bob.view().size(), 1u);
-  const auto from_alice = alice.publish("key", "v1", 0);
+  const auto from_alice = sends(alice.publish("key", "v1", 0));
   (void)deliver(bob, PeerId(0), from_alice.front().payload, 1);
   // Flooding list contained alice's 5 targets (+alice, already known).
   EXPECT_GT(bob.view().size(), 1u);
@@ -244,11 +296,11 @@ TEST(ReplicaNode, AckSentToFirstPusherOnly) {
   config.acks.enabled = true;
   auto alice = make_node(0, config);
   auto bob = make_node(1, config);
-  const auto from_alice = alice.publish("key", "v1", 0);
+  const auto from_alice = sends(alice.publish("key", "v1", 0));
   const auto first =
       deliver(bob, PeerId(0), from_alice.front().payload, 1);
   const auto acks = std::count_if(
-      first.begin(), first.end(), [](const OutboundMessage& message) {
+      first.begin(), first.end(), [](const Send& message) {
         return std::holds_alternative<AckMessage>(message.payload) &&
                message.to == PeerId(0);
       });
@@ -276,7 +328,7 @@ TEST(ReplicaNode, MissingAckPresumesTargetOffline) {
   config.acks.enabled = true;
   config.acks.suppression_rounds = 10;
   auto alice = make_node(0, config);
-  const auto out = alice.publish("key", "v1", 0);
+  const auto out = sends(alice.publish("key", "v1", 0));
   ASSERT_FALSE(out.empty());
   const PeerId target = out.front().to;
   // No acks arrive; after the ack wait the target is presumed offline.
@@ -307,11 +359,11 @@ TEST(ReplicaNode, LazyReconnectWaitsForPush) {
 
   // First push arms a targeted pull to the pusher.
   auto alice = make_node(0);
-  const auto from_alice = alice.publish("key", "v1", 5);
+  const auto from_alice = sends(alice.publish("key", "v1", 5));
   const auto reactions =
       deliver(node, PeerId(0), from_alice.front().payload, 6);
   const auto pulls_to_alice = std::count_if(
-      reactions.begin(), reactions.end(), [](const OutboundMessage& message) {
+      reactions.begin(), reactions.end(), [](const Send& message) {
         return std::holds_alternative<PullRequest>(message.payload) &&
                message.to == PeerId(0);
       });
@@ -427,9 +479,9 @@ TEST(ReplicaNode, RemovePropagatesTombstone) {
   auto alice = make_node(0);
   auto bob = make_node(1);
   (void)alice.publish("key", "v1", 0);
-  const auto removal = alice.remove("key", 1);
+  const auto removal = sends(alice.remove("key", 1));
   ASSERT_FALSE(removal.empty());
-  EXPECT_TRUE(as_push(removal.front()).value->tombstone);
+  EXPECT_TRUE(as_push(removal.front()).value.tombstone);
   (void)deliver(bob, PeerId(0), removal.front().payload, 2);
   EXPECT_FALSE(bob.read("key").has_value());
   EXPECT_TRUE(bob.store().is_deleted("key"));
@@ -464,7 +516,7 @@ TEST(ReplicaNode, SmallViewLimitsFanout) {
   ReplicaNode node(PeerId(0), test_config(), common::StreamRng(1));
   const std::vector<PeerId> tiny{PeerId(1), PeerId(2)};
   node.bootstrap(tiny);
-  const auto out = node.publish("key", "v1", 0);
+  const auto out = sends(node.publish("key", "v1", 0));
   EXPECT_EQ(out.size(), 2u);  // fanout 5, but only 2 known peers
 }
 
@@ -479,8 +531,8 @@ TEST(ReplicaNode, FixedNeighborsReusedAcrossUpdates) {
 
   for (int update = 0; update < 3; ++update) {
     const auto out =
-        node.publish("k" + std::to_string(update), "v",
-                     static_cast<common::Round>(update));
+        sends(node.publish("k" + std::to_string(update), "v",
+                           static_cast<common::Round>(update)));
     ASSERT_EQ(out.size(), 3u);
     std::unordered_set<PeerId> targets;
     for (const auto& message : out) targets.insert(message.to);
@@ -495,8 +547,8 @@ TEST(ReplicaNode, FixedNeighborsDrawnLazilyWhenNotSeeded) {
   auto config = test_config();
   config.target_selection = TargetSelection::kFixedNeighbors;
   auto node = make_node(0, config);
-  const auto first = node.publish("a", "v", 0);
-  const auto second = node.publish("b", "v", 1);
+  const auto first = sends(node.publish("a", "v", 0));
+  const auto second = sends(node.publish("b", "v", 1));
   ASSERT_EQ(first.size(), second.size());
   std::unordered_set<PeerId> first_targets, second_targets;
   for (const auto& m : first) first_targets.insert(m.to);
@@ -510,7 +562,7 @@ TEST(ReplicaNode, SeedFixedNeighborsExcludesSelf) {
   auto node = make_node(0, config);
   const std::vector<PeerId> fixed{PeerId(0), PeerId(1)};
   node.seed_fixed_neighbors(fixed);
-  const auto out = node.publish("k", "v", 0);
+  const auto out = sends(node.publish("k", "v", 0));
   for (const auto& message : out) EXPECT_NE(message.to, PeerId(0));
 }
 

@@ -43,7 +43,8 @@ TEST(ReplicaView, SampleReturnsDistinctMembers) {
   for (std::uint32_t i = 1; i <= 50; ++i) view.add(PeerId(i));
   StreamRng rng(1);
   std::vector<PeerId> sample;
-  view.sample_into(rng, 10, sample);
+  WorkArena scratch;
+  view.sample_into(rng, 10, sample, scratch);
   EXPECT_EQ(sample.size(), 10u);
   std::unordered_set<PeerId> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 10u);
@@ -56,7 +57,8 @@ TEST(ReplicaView, SampleReturnsFewerWhenViewSmall) {
   view.add(PeerId(2));
   StreamRng rng(3);
   std::vector<PeerId> sample;
-  view.sample_into(rng, 10, sample);
+  WorkArena scratch;
+  view.sample_into(rng, 10, sample, scratch);
   EXPECT_EQ(sample.size(), 2u);
 }
 
@@ -64,11 +66,12 @@ TEST(ReplicaView, SampleEmptyCases) {
   ReplicaView view{PeerId(0)};
   StreamRng rng(4);
   std::vector<PeerId> sample{PeerId(7)};  // replaced, not appended to
-  view.sample_into(rng, 5, sample);
+  WorkArena scratch;
+  view.sample_into(rng, 5, sample, scratch);
   EXPECT_TRUE(sample.empty());
   view.add(PeerId(1));
   sample.push_back(PeerId(7));
-  view.sample_into(rng, 0, sample);
+  view.sample_into(rng, 0, sample, scratch);
   EXPECT_TRUE(sample.empty());
 }
 
@@ -84,8 +87,9 @@ TEST(ReplicaView, PresumedOfflineSkippedUntilExpiry) {
 
   StreamRng rng(5);
   std::vector<PeerId> sample;
+  WorkArena scratch;
   for (int trial = 0; trial < 30; ++trial) {
-    view.sample_into(rng, 2, sample, /*now=*/5);
+    view.sample_into(rng, 2, sample, scratch, /*now=*/5);
     ASSERT_EQ(sample.size(), 1u);
     EXPECT_EQ(sample[0], PeerId(2));
   }
@@ -95,7 +99,7 @@ TEST(ReplicaView, PresumedOfflineSkippedUntilExpiry) {
   // After expiry peer 1 is eligible again.
   bool seen1 = false;
   for (int trial = 0; trial < 30 && !seen1; ++trial) {
-    view.sample_into(rng, 2, sample, /*now=*/10);
+    view.sample_into(rng, 2, sample, scratch, /*now=*/10);
     for (const PeerId peer : sample) seen1 |= peer == PeerId(1);
   }
   EXPECT_TRUE(seen1);
@@ -142,8 +146,9 @@ TEST(ReplicaView, PreferredPeersAreOversampled) {
   int other_hits = 0;
   constexpr int kTrials = 4'000;
   std::vector<PeerId> sample;
+  WorkArena scratch;
   for (int trial = 0; trial < kTrials; ++trial) {
-    view.sample_into(rng, 1, sample);
+    view.sample_into(rng, 1, sample, scratch);
     for (const PeerId peer : sample) {
       if (peer == PeerId(1)) {
         ++preferred_hits;
@@ -163,8 +168,9 @@ TEST(ReplicaView, PreferredDoesNotDuplicateInOneSample) {
   view.mark_preferred(PeerId(1));
   StreamRng rng(7);
   std::vector<PeerId> sample;
+  WorkArena scratch;
   for (int trial = 0; trial < 50; ++trial) {
-    view.sample_into(rng, 2, sample);
+    view.sample_into(rng, 2, sample, scratch);
     std::unordered_set<PeerId> unique(sample.begin(), sample.end());
     EXPECT_EQ(unique.size(), sample.size());
   }
@@ -236,6 +242,7 @@ TEST(ReplicaView, ExpiryHeapMatchesWholeMapPurge) {
   StreamRng sampler(4243);
   common::Round now = 8;
   std::vector<PeerId> sample;
+  WorkArena scratch;
   for (int step = 0; step < 20'000; ++step) {
     const auto peer =
         static_cast<std::uint32_t>(1 + rng.uniform_below(kPeers));
@@ -261,7 +268,7 @@ TEST(ReplicaView, ExpiryHeapMatchesWholeMapPurge) {
         ASSERT_EQ(view.presumed_offline_count(at), model.count(at));
         break;
       case 4: {
-        view.sample_into(sampler, kPeers, sample, at);
+        view.sample_into(sampler, kPeers, sample, scratch, at);
         model.purge(at);
         std::vector<std::uint32_t> got;
         for (const PeerId p : sample) got.push_back(p.value());

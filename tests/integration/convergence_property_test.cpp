@@ -14,16 +14,17 @@ namespace {
 
 using common::PeerId;
 using common::StreamRng;
-using gossip::OutboundMessage;
 using gossip::ReplicaNode;
 using testsupport::deliver;
 using testsupport::reconnect;
+using testsupport::Send;
+using testsupport::sends;
 
 constexpr std::uint32_t kNodes = 4;
 
 struct InFlight {
   PeerId from;
-  OutboundMessage message;
+  Send message;
 };
 
 class ConvergenceProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -56,7 +57,7 @@ TEST_P(ConvergenceProperty, AnyScheduleConvergesAfterCleanSweep) {
   // in-flight queue constantly.
   std::deque<InFlight> in_flight;
   common::Round now = 0;
-  auto enqueue = [&in_flight](PeerId from, std::vector<OutboundMessage> out) {
+  auto enqueue = [&in_flight](PeerId from, std::vector<Send> out) {
     for (auto& message : out) {
       in_flight.push_back(InFlight{from, std::move(message)});
     }
@@ -66,12 +67,12 @@ TEST_P(ConvergenceProperty, AnyScheduleConvergesAfterCleanSweep) {
     const auto dice = rng.uniform_below(100);
     const PeerId actor(static_cast<std::uint32_t>(rng.uniform_below(kNodes)));
     if (dice < 25) {
-      enqueue(actor, nodes[actor.value()]->publish(
+      enqueue(actor, sends(nodes[actor.value()]->publish(
                          "k" + std::to_string(rng.uniform_below(3)),
-                         "v" + std::to_string(step), now));
+                         "v" + std::to_string(step), now)));
     } else if (dice < 30) {
-      enqueue(actor, nodes[actor.value()]->remove(
-                         "k" + std::to_string(rng.uniform_below(3)), now));
+      enqueue(actor, sends(nodes[actor.value()]->remove(
+                         "k" + std::to_string(rng.uniform_below(3)), now)));
     } else if (dice < 40) {
       enqueue(actor, reconnect(*nodes[actor.value()], now));
     } else if (!in_flight.empty()) {

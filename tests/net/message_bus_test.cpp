@@ -5,6 +5,7 @@
 #include <array>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace updp2p::net {
@@ -21,6 +22,15 @@ using ShardedStringBus = ShardedMessageBus<std::string>;
 
 bool everyone(PeerId /*to*/) { return true; }
 
+/// One message to one recipient: store the payload in the sender's shard,
+/// then queue a handle to it, as the engines do for a one-target message.
+void send(ShardedStringBus& bus, PeerId from, PeerId to, std::string text,
+          std::uint32_t seq) {
+  const std::size_t shard = bus.shard_of(from);
+  bus.send_from_shard(shard, from, to, bus.add_payload(shard, std::move(text)),
+                      seq);
+}
+
 TEST(ShardedMessageBus, ShardOfPartitionsContiguously) {
   ShardedStringBus bus(/*shard_count=*/4, /*population=*/100);
   EXPECT_EQ(bus.shard_count(), 4u);
@@ -35,13 +45,13 @@ TEST(ShardedMessageBus, ShardOfPartitionsContiguously) {
 
 TEST(ShardedMessageBus, TwoPhaseDelivery) {
   ShardedStringBus bus(2, 10);
-  bus.send(PeerId(0), PeerId(7), "early", /*seq=*/0);
+  send(bus, PeerId(0), PeerId(7), "early", /*seq=*/0);
   EXPECT_EQ(bus.pending_count(), 1u);
   EXPECT_EQ(bus.stats().bytes_sent, 5u);
   bus.begin_round();
   EXPECT_EQ(bus.pending_count(), 0u);
   // Sends after begin_round queue for the NEXT round.
-  bus.send(PeerId(1), PeerId(7), "late", /*seq=*/0);
+  send(bus, PeerId(1), PeerId(7), "late", /*seq=*/0);
   EXPECT_EQ(bus.stats().bytes_sent, 9u);
 
   std::vector<Envelope> batch;
@@ -61,17 +71,11 @@ TEST(ShardedMessageBus, CollectSortsCanonically) {
   // order or which source shard they came from — the property that makes
   // delivery order independent of shard scheduling.
   ShardedStringBus bus(4, 40);
-  const auto send = [&bus](PeerId from, PeerId to, std::string text,
-                           std::uint32_t seq) {
-    const std::size_t shard = bus.shard_of(from);
-    bus.send_from_shard(shard, from, to,
-                        bus.add_payload(shard, std::move(text)), seq);
-  };
-  send(PeerId(30), PeerId(3), "d", 0);
-  send(PeerId(5), PeerId(2), "b2", 7);
-  send(PeerId(5), PeerId(2), "b1", 3);
-  send(PeerId(12), PeerId(2), "c", 0);
-  send(PeerId(20), PeerId(1), "a", 0);
+  send(bus, PeerId(30), PeerId(3), "d", 0);
+  send(bus, PeerId(5), PeerId(2), "b2", 7);
+  send(bus, PeerId(5), PeerId(2), "b1", 3);
+  send(bus, PeerId(12), PeerId(2), "c", 0);
+  send(bus, PeerId(20), PeerId(1), "a", 0);
   bus.begin_round();
 
   std::vector<Envelope> batch;
@@ -86,8 +90,8 @@ TEST(ShardedMessageBus, CollectSortsCanonically) {
 
 TEST(ShardedMessageBus, StatsMergeAcrossShardSlots) {
   ShardedStringBus bus(2, 10);
-  bus.send(PeerId(0), PeerId(9), std::string(10, 'x'), 0);  // shard 0's slot
-  bus.send(PeerId(9), PeerId(0), std::string(20, 'y'), 0);  // shard 1's slot
+  send(bus, PeerId(0), PeerId(9), std::string(10, 'x'), 0);  // shard 0's slot
+  send(bus, PeerId(9), PeerId(0), std::string(20, 'y'), 0);  // shard 1's slot
   bus.shard_stats(0).messages_delivered = 1;
   bus.shard_stats(1).messages_dropped = 1;
   const auto merged = bus.stats();
@@ -101,7 +105,7 @@ TEST(ShardedMessageBus, SingleShardDegenerateCase) {
   ShardedStringBus bus(1, 3);
   EXPECT_EQ(bus.shard_of(PeerId(0)), 0u);
   EXPECT_EQ(bus.shard_of(PeerId(2)), 0u);
-  bus.send(PeerId(0), PeerId(1), "m", 0);
+  send(bus, PeerId(0), PeerId(1), "m", 0);
   bus.begin_round();
   std::vector<Envelope> batch;
   EXPECT_EQ(bus.collect_into(0, batch, everyone), 0u);
@@ -155,7 +159,7 @@ TEST(ShardedMessageBus, CollectLeavesOutUndeliverableRecipients) {
   ShardedStringBus bus(1, 10);
   std::uint32_t seq = 0;
   for (std::uint32_t to = 0; to < 10; ++to) {
-    bus.send(PeerId(9 - to), PeerId(to), std::to_string(to), seq++);
+    send(bus, PeerId(9 - to), PeerId(to), std::to_string(to), seq++);
   }
   bus.begin_round();
 
@@ -219,8 +223,8 @@ TEST(ShardedMessageBus, ShardTasksSendAndCollectConcurrently) {
           bus.shard_of(envelope.to) != shard) {
         ++mismatches[shard];
       }
-      bus.send(envelope.to, envelope.from, "reply",
-               seq[envelope.to.value()]++);
+      send(bus, envelope.to, envelope.from, "reply",
+           seq[envelope.to.value()]++);
     }
   });
 

@@ -1,4 +1,4 @@
-// Bounds the frame copies PeerRuntime makes for one fan-out run. The test
+// Bounds the frame copies PeerRuntime makes for one fan-out. The test
 // counts allocations by replacing the global operator new, which applies
 // to its whole binary; it lives in a binary of its own so the replacement
 // does not hide new/delete mismatches from the sanitizers in the other
@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "gossip/node.hpp"
 #include "net/transport.hpp"
 #include "runtime/peer_runtime.hpp"
 #include "version/version_id.hpp"
@@ -57,6 +58,16 @@ std::size_t at_least(std::size_t bytes) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < std::min(recorded, kCapacity); ++i) {
     if (sizes[i] >= bytes) ++count;
+  }
+  return count;
+}
+
+/// Recorded allocations of exactly `bytes`: a copy of a frame of that
+/// length allocates exactly its length.
+std::size_t exactly(std::size_t bytes) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < std::min(recorded, kCapacity); ++i) {
+    if (sizes[i] == bytes) ++count;
   }
   return count;
 }
@@ -122,8 +133,8 @@ class SizeTransport final : public net::Transport {
 };
 
 TEST(PeerRuntime, FanOutRunRetainsOneFrameCopy) {
-  // One publish of a 1 KiB value to 11 targets with acks on: the run is
-  // encoded once, every target is sent from that frame, and the 11
+  // One publish of a 1 KiB value to 11 targets with acks on: the message
+  // is encoded once, every target is sent from that frame, and the 11
   // retries share one copy of it. So only two allocations can hold a
   // whole frame: the encode buffer and the shared copy.
   constexpr std::uint32_t kPeers = 12;
@@ -150,6 +161,27 @@ TEST(PeerRuntime, FanOutRunRetainsOneFrameCopy) {
   EXPECT_LE(alloc_sizes::at_least(frame), 2u);
   // Every send but the one that copied the frame allocated no buffer.
   EXPECT_EQ(runtime.stats().frames_reused, kPeers - 2);
+
+  // A reconnect pull to three contacts with retries on is one message as
+  // well: one frame copy for its three retries, not one per contact. 255
+  // more stored versions make the request a few KiB.
+  gossip::ReplicaNode writer(common::PeerId(99), config.gossip,
+                             common::StreamRng(7));
+  for (int i = 0; i < 255; ++i) {
+    (void)writer.publish("k" + std::to_string(i), "v", 0);
+  }
+  runtime.node().import_durable_state(common::ChunkedPeerSet{},
+                                      writer.store().all_versions());
+  runtime.go_offline();
+  const std::uint64_t reused = runtime.stats().frames_reused;
+  ASSERT_LE(alloc_sizes::record([&] { runtime.go_online(); }),
+            alloc_sizes::kCapacity);
+  ASSERT_EQ(transport.sizes.size(), kPeers - 1 + 3);
+  EXPECT_EQ(runtime.pending_retries(), 3u);
+  const std::size_t pull = transport.sizes.back();
+  EXPECT_GT(pull, 255u * 16u);
+  EXPECT_EQ(alloc_sizes::exactly(pull), 1u);
+  EXPECT_EQ(runtime.stats().frames_reused - reused, 2u);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 
 #include "gossip/codec.hpp"
 #include "net/inproc_transport.hpp"
+#include "support/node_reactions.hpp"
 #include "version/version_id.hpp"
 
 namespace updp2p::runtime {
@@ -418,12 +419,13 @@ class CaptureTransport final : public net::Transport {
 };
 
 TEST(PeerRuntime, FanOutDatagramsEqualTheirPayloadEncoding) {
-  // transmit() encodes each fan-out run once and sends every target from
-  // that frame. A twin node (same id, config, seed and view) emits exactly
-  // the messages the runtime's node emits, so each captured datagram must
-  // equal encode() of its message: a publish's round-0 run, then a first
-  // receipt's ack followed by its forward run. Nothing acks, so each push
-  // is retransmitted from the copy its run's retries share.
+  // transmit() encodes each message once and sends every target from that
+  // frame. A twin node (same id, config, seed and view) emits exactly the
+  // messages the runtime's node emits, so each captured datagram must
+  // equal encode() of its message, to its targets in order: a publish's
+  // round-0 fan-out, then a first receipt's ack followed by its forward.
+  // Nothing acks, so each push is retransmitted from the copy its
+  // message's retries share.
   constexpr std::uint32_t kPeers = 9;
   RuntimeConfig config = Pair::make_runtime_config();
   config.gossip.estimated_total_replicas = kPeers;
@@ -452,22 +454,25 @@ TEST(PeerRuntime, FanOutDatagramsEqualTheirPayloadEncoding) {
   ASSERT_FALSE(originated.empty());
   const gossip::WireBytes frame = gossip::encode(gossip::PushMessage{
       std::get<gossip::PushMessage>(originated.front().payload).value,
-      gossip::SharedPeerList{common::PeerId(1)}, 0});
+      common::ChunkedPeerSet{common::PeerId(1)}, 0});
   ASSERT_TRUE(twin.handle_frame(common::PeerId(1), frame, 0, expected));
   transport.inbox.push_back({common::PeerId(1), frame});
   runtime.poll(0.0);
+  // Two push messages and an ack between them.
+  ASSERT_EQ(expected.size(), 3u);
+  const std::vector<testsupport::Send> datagrams = testsupport::sends(expected);
 
   std::size_t pushes = 0;
-  for (const auto& message : expected) {
-    if (std::holds_alternative<gossip::PushMessage>(message.payload)) {
+  for (const auto& datagram : datagrams) {
+    if (std::holds_alternative<gossip::PushMessage>(datagram.payload)) {
       ++pushes;
     }
   }
   EXPECT_EQ(pushes, 8u + 7u);
-  ASSERT_EQ(transport.sent.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(transport.sent[i].to, expected[i].to) << "datagram " << i;
-    EXPECT_EQ(transport.sent[i].bytes, gossip::encode(expected[i].payload))
+  ASSERT_EQ(transport.sent.size(), datagrams.size());
+  for (std::size_t i = 0; i < datagrams.size(); ++i) {
+    EXPECT_EQ(transport.sent[i].to, datagrams[i].to) << "datagram " << i;
+    EXPECT_EQ(transport.sent[i].bytes, gossip::encode(datagrams[i].payload))
         << "datagram " << i;
   }
 
@@ -477,13 +482,13 @@ TEST(PeerRuntime, FanOutDatagramsEqualTheirPayloadEncoding) {
   for (int tick = 1; tick <= 18; ++tick) runtime.poll(0.05 * tick);
   using Datagram = std::pair<common::PeerId, net::DatagramBytes>;
   std::vector<Datagram> first_pushes;
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    if (std::holds_alternative<gossip::PushMessage>(expected[i].payload)) {
+  for (std::size_t i = 0; i < datagrams.size(); ++i) {
+    if (std::holds_alternative<gossip::PushMessage>(datagrams[i].payload)) {
       first_pushes.emplace_back(transport.sent[i].to, transport.sent[i].bytes);
     }
   }
   std::vector<Datagram> resent;
-  for (std::size_t i = expected.size(); i < transport.sent.size(); ++i) {
+  for (std::size_t i = datagrams.size(); i < transport.sent.size(); ++i) {
     resent.emplace_back(transport.sent[i].to, transport.sent[i].bytes);
   }
   std::sort(first_pushes.begin(), first_pushes.end());

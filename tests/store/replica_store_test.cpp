@@ -50,8 +50,8 @@ gossip::ReplicaNode make_node(std::uint32_t id) {
 /// Encodes a push frame for `value` as peer `from` would send it.
 gossip::WireBytes push_frame(version::VersionedValue value,
                              common::Round round) {
-  gossip::GossipPayload payload = gossip::PushMessage{
-      gossip::SharedValue(std::move(value)), gossip::SharedPeerList{}, round};
+  gossip::GossipPayload payload =
+      gossip::PushMessage{std::move(value), {}, round};
   gossip::WireBytes bytes;
   gossip::encode_into(payload, bytes);
   return bytes;

@@ -89,8 +89,7 @@ std::vector<std::byte> valid_wal_image(common::StreamRng& rng) {
   gossip::WireBytes frame;
   for (int i = 0; i < records; ++i) {
     gossip::GossipPayload payload = gossip::PushMessage{
-        gossip::SharedValue(fuzz_value(rng)), gossip::SharedPeerList{},
-        static_cast<common::Round>(i)};
+        fuzz_value(rng), {}, static_cast<common::Round>(i)};
     gossip::encode_into(payload, frame);
     EXPECT_TRUE(wal->append(common::PeerId(1), 0, frame).has_value());
   }
