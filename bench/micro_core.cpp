@@ -5,11 +5,13 @@
 // evaluation itself.
 //
 // Usage:
-//   micro_core                  full run; writes BENCH_core.json (ns/op,
-//                               messages/sec, peak RSS) to the working dir
-//   micro_core --smoke          one quick pass over every bench, no JSON —
-//                               the sanitizer-build sanity check
-//   micro_core --json=<path>    override the JSON output path
+//   micro_core                  full run, console output only
+//   micro_core --json=<path>    also writes the run's records (ns/op,
+//                               messages/sec, peak RSS) as JSON to <path>;
+//                               --json=BENCH_core.json from the repo root
+//                               re-captures the checked-in baseline
+//   micro_core --smoke          one quick pass over every bench — the
+//                               sanitizer-build sanity check
 // Any other flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
 
@@ -17,6 +19,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -659,7 +662,7 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool large = false;
-  std::string json_path = "BENCH_core.json";
+  std::optional<std::string> json_path;
   std::vector<char*> args;
   args.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
@@ -692,14 +695,14 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   std::cout << "peak_rss_kb: " << updp2p::bench::peak_rss_kb() << "\n";
-  if (!smoke) {
+  if (json_path) {
     const auto meta = updp2p::bench::collect_run_meta();
-    if (!updp2p::bench::write_core_bench_json(json_path, reporter.records,
+    if (!updp2p::bench::write_core_bench_json(*json_path, reporter.records,
                                               meta)) {
-      std::cerr << "failed to write " << json_path << "\n";
+      std::cerr << "failed to write " << *json_path << "\n";
       return 1;
     }
-    std::cout << "wrote " << json_path << " (" << reporter.records.size()
+    std::cout << "wrote " << *json_path << " (" << reporter.records.size()
               << " benchmarks)\n";
   }
   return 0;

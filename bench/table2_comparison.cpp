@@ -19,7 +19,6 @@
 #include <iostream>
 
 #include "analysis/push_model.hpp"
-#include "baselines/presets.hpp"
 #include "bench_util.hpp"
 #include "sim/round_simulator.hpp"
 

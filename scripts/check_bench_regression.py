@@ -113,8 +113,8 @@ def main():
         print("bench guard FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
-        print("  (intentional? re-capture the baseline: "
-              "./build/bench/micro_core from the repo root, commit "
+        print("  (intentional? re-capture the baseline from the repo root: "
+              "./build/bench/micro_core --json=BENCH_core.json, commit "
               "BENCH_core.json — or pass --skip-bench-guard)",
               file=sys.stderr)
         return 1

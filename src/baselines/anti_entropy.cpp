@@ -17,8 +17,6 @@ AntiEntropySystem::AntiEntropySystem(AntiEntropyConfig config,
   UPDP2P_ENSURE(churn_ != nullptr, "a churn model is required");
   UPDP2P_ENSURE(churn_->population() == config_.population,
                 "churn population must match system population");
-  UPDP2P_ENSURE(config_.partners_per_round > 0,
-                "need at least one partner per round");
   stores_.resize(config_.population);
   churn_->reset(rng_);
 }
@@ -39,16 +37,14 @@ void AntiEntropySystem::run_round(AntiEntropyMetrics& metrics) {
   const auto online = churn_->online().online_peers();
   if (online.size() >= 2) {
     for (const common::PeerId peer : online) {
-      for (unsigned k = 0; k < config_.partners_per_round; ++k) {
-        common::PeerId partner = peer;
-        while (partner == peer) {
-          partner = online[rng_.pick_index(online.size())];
-        }
-        ++metrics.sync_sessions;
-        metrics.values_transferred += reconcile(peer, partner);
-        if (config_.push_pull) {
-          metrics.values_transferred += reconcile(partner, peer);
-        }
+      common::PeerId partner = peer;
+      while (partner == peer) {
+        partner = online[rng_.pick_index(online.size())];
+      }
+      ++metrics.sync_sessions;
+      metrics.values_transferred += reconcile(peer, partner);
+      if (config_.push_pull) {
+        metrics.values_transferred += reconcile(partner, peer);
       }
     }
   }

@@ -21,8 +21,6 @@ namespace updp2p::baselines {
 
 struct AntiEntropyConfig {
   std::size_t population = 100;
-  /// Partners each online peer contacts per round (usually 1 in [9]).
-  unsigned partners_per_round = 1;
   /// Pull vs push-pull reconciliation: push-pull exchanges deltas both ways
   /// in a single pairing, converging roughly twice as fast.
   bool push_pull = false;

@@ -59,9 +59,6 @@ class PropertyTracker {
   [[nodiscard]] const std::vector<std::string>& violations() const noexcept {
     return violations_;
   }
-  [[nodiscard]] std::size_t published_count() const noexcept {
-    return published_.size();
-  }
 
  private:
   struct Published {

@@ -1,6 +1,6 @@
 #include "churn/heterogeneous.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/ensure.hpp"
 
@@ -39,17 +39,7 @@ void HeterogeneousChurn::advance(common::StreamRng& rng) {
   }
 }
 
-double HeterogeneousChurn::stationary_availability(common::PeerId peer) const {
-  const auto& r = rates_.at(peer.value());
-  const double leave = 1.0 - r.sigma;
-  const double denom = r.p_join + leave;
-  return denom == 0.0 ? r.initial_online_probability : r.p_join / denom;
-}
-
 namespace {
-/// Purpose key of DiurnalTraceGenerator's habit draws.
-constexpr std::uint64_t kHabitPurpose = 0xD1A1;
-
 /// Derives p_join so the stationary availability hits the target given σ:
 /// a = p / (p + 1−σ)  =>  p = a(1−σ) / (1−a).
 double p_join_for(double availability, double sigma) {
@@ -96,54 +86,6 @@ std::unique_ptr<HeterogeneousChurn> make_session_churn(
       rates.p_join / (rates.p_join + (1.0 - rates.sigma));
   return std::make_unique<HeterogeneousChurn>(
       std::vector<HeterogeneousChurn::PeerRates>(population, rates));
-}
-
-DiurnalTraceGenerator::DiurnalTraceGenerator(std::size_t population,
-                                             common::Round period_rounds,
-                                             double day_availability,
-                                             double night_availability)
-    : population_(population),
-      period_(period_rounds),
-      day_(day_availability),
-      night_(night_availability) {
-  UPDP2P_ENSURE(population > 0, "population must be positive");
-  UPDP2P_ENSURE(period_rounds > 0, "period must be positive");
-  UPDP2P_ENSURE(day_availability >= 0.0 && day_availability <= 1.0 &&
-                    night_availability >= 0.0 && night_availability <= 1.0,
-                "availabilities in [0,1]");
-}
-
-double DiurnalTraceGenerator::availability_at(common::Round t) const {
-  const double phase = 2.0 * 3.141592653589793 *
-                       static_cast<double>(t % period_) /
-                       static_cast<double>(period_);
-  // Peaks mid-period ("midday"), troughs at the boundaries.
-  const double wave = 0.5 - 0.5 * std::cos(phase);
-  return night_ + (day_ - night_) * wave;
-}
-
-std::vector<std::vector<common::PeerId>> DiurnalTraceGenerator::generate(
-    common::Round rounds, std::uint64_t seed) const {
-  // Each peer gets a random "habit offset" so individual sessions are
-  // stable (people keep their hours) while aggregate availability follows
-  // the diurnal wave.
-  common::StreamRng rng(seed, 0, kHabitPurpose);
-  std::vector<double> habit(population_);
-  for (auto& h : habit) h = rng.uniform01();
-
-  std::vector<std::vector<common::PeerId>> schedule;
-  schedule.reserve(rounds);
-  for (common::Round t = 0; t < rounds; ++t) {
-    const double availability = availability_at(t);
-    std::vector<common::PeerId> online;
-    for (std::uint32_t i = 0; i < population_; ++i) {
-      // A peer is online whenever the wave exceeds its habit threshold:
-      // low-threshold peers are the backbone-ish always-on users.
-      if (habit[i] < availability) online.emplace_back(i);
-    }
-    schedule.push_back(std::move(online));
-  }
-  return schedule;
 }
 
 }  // namespace updp2p::churn

@@ -8,8 +8,7 @@
 // make_backbone_churn() factory builds the paper's scenario: a small
 // fraction of highly available peers amid a flaky majority, and
 // make_session_churn() the homogeneous case phrased in mean session
-// lengths. DiurnalTraceGenerator produces deterministic schedules with a
-// day/night availability swing for TraceChurn.
+// lengths.
 #pragma once
 
 #include <memory>
@@ -38,9 +37,6 @@ class HeterogeneousChurn final : public ChurnModel {
     return rates_.at(peer.value());
   }
 
-  /// Stationary availability of peer i: p_join / (p_join + 1 − σ).
-  [[nodiscard]] double stationary_availability(common::PeerId peer) const;
-
  private:
   std::vector<PeerRates> rates_;
 };
@@ -61,27 +57,5 @@ class HeterogeneousChurn final : public ChurnModel {
 [[nodiscard]] std::unique_ptr<HeterogeneousChurn> make_session_churn(
     std::size_t population, double mean_online_rounds,
     double mean_offline_rounds);
-
-/// Deterministic day/night availability schedule for TraceChurn: per-peer
-/// phase-shifted square waves whose duty cycle oscillates between
-/// `night_availability` and `day_availability` over `period_rounds`.
-class DiurnalTraceGenerator {
- public:
-  DiurnalTraceGenerator(std::size_t population, common::Round period_rounds,
-                        double day_availability, double night_availability);
-
-  /// Generates `rounds` rounds of online sets, deterministic given `seed`.
-  [[nodiscard]] std::vector<std::vector<common::PeerId>> generate(
-      common::Round rounds, std::uint64_t seed) const;
-
-  /// Availability targeted at round `t` (sinusoidal between night and day).
-  [[nodiscard]] double availability_at(common::Round t) const;
-
- private:
-  std::size_t population_;
-  common::Round period_;
-  double day_;
-  double night_;
-};
 
 }  // namespace updp2p::churn

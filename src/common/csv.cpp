@@ -3,14 +3,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <ostream>
 #include <sstream>
-
-#include "common/table.hpp"
 
 namespace updp2p::common {
 
-std::string CsvWriter::escape(const std::string& field) {
+namespace {
+
+std::string escape(const std::string& field) {
   const bool needs_quoting =
       field.find_first_of(",\"\n\r") != std::string::npos;
   if (!needs_quoting) return field;
@@ -23,22 +22,7 @@ std::string CsvWriter::escape(const std::string& field) {
   return quoted;
 }
 
-CsvWriter& CsvWriter::row(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) out_ << ',';
-    out_ << escape(cells[i]);
-  }
-  out_ << '\n';
-  return *this;
-}
-
-CsvWriter& CsvWriter::series(const Series& s, int precision) {
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    row({s.label, format_double(s.x[i], precision),
-         format_double(s.y[i], precision)});
-  }
-  return *this;
-}
+}  // namespace
 
 bool write_csv_file(const std::string& directory, const std::string& name,
                     const std::vector<std::vector<std::string>>& rows) {
@@ -47,8 +31,13 @@ bool write_csv_file(const std::string& directory, const std::string& name,
   if (ec) return false;
   const std::string path = directory + "/" + name + ".csv";
   std::ostringstream buffer;
-  CsvWriter writer(buffer);
-  for (const auto& r : rows) writer.row(r);
+  for (const auto& cells : rows) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (i > 0) buffer << ',';
+      buffer << escape(cells[i]);
+    }
+    buffer << '\n';
+  }
 
   std::ofstream file(path, std::ios::trunc);
   if (!file) return false;

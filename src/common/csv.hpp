@@ -1,32 +1,14 @@
-// CSV export for experiment results, so bench output can be fed straight
-// into plotting tools (`bench_binary --csv out/` writes one file per table).
+// CSV export for experiment results, so figure series can be fed straight
+// into plotting tools (examples/export_figures writes one file per figure).
 //
 // RFC-4180-ish quoting: fields containing comma, quote or newline are
 // quoted, embedded quotes doubled.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
-
 namespace updp2p::common {
-
-class CsvWriter {
- public:
-  explicit CsvWriter(std::ostream& out) : out_(out) {}
-
-  CsvWriter& row(const std::vector<std::string>& cells);
-
-  /// Convenience: emits a Series as rows of (label, x, y).
-  CsvWriter& series(const Series& series, int precision = 6);
-
-  [[nodiscard]] static std::string escape(const std::string& field);
-
- private:
-  std::ostream& out_;
-};
 
 /// Writes `content` rows to `<directory>/<name>.csv`; returns false (and
 /// leaves no partial file behind) when the directory is not writable.

@@ -8,8 +8,4 @@ std::ostream& operator<<(std::ostream& os, PeerId id) {
   return os << "peer#" << id.value();
 }
 
-std::ostream& operator<<(std::ostream& os, UpdateId id) {
-  return os << "update#" << id.value();
-}
-
 }  // namespace updp2p::common

@@ -43,14 +43,10 @@ class StrongId {
 };
 
 struct PeerIdTag {};
-struct UpdateIdTag {};
 
 /// Identifies one peer/replica in a simulated population. Dense (0..N-1)
 /// so containers indexed by peer are plain vectors.
 using PeerId = StrongId<PeerIdTag, std::uint32_t>;
-
-/// Identifies one update (rumor) being propagated.
-using UpdateId = StrongId<UpdateIdTag, std::uint64_t>;
 
 /// Push-round counter `t` from the paper's analysis (Table 1).
 using Round = std::uint32_t;
@@ -62,7 +58,6 @@ template <typename Tag, typename Rep>
 std::ostream& operator<<(std::ostream& os, StrongId<Tag, Rep> id);
 
 std::ostream& operator<<(std::ostream& os, PeerId id);
-std::ostream& operator<<(std::ostream& os, UpdateId id);
 
 }  // namespace updp2p::common
 
@@ -70,12 +65,5 @@ template <>
 struct std::hash<updp2p::common::PeerId> {
   std::size_t operator()(updp2p::common::PeerId id) const noexcept {
     return std::hash<updp2p::common::PeerId::rep_type>{}(id.value());
-  }
-};
-
-template <>
-struct std::hash<updp2p::common::UpdateId> {
-  std::size_t operator()(updp2p::common::UpdateId id) const noexcept {
-    return std::hash<updp2p::common::UpdateId::rep_type>{}(id.value());
   }
 };

@@ -252,8 +252,8 @@ class ReplicaNode {
   NodeStats stats_;
 
   /// Chooses push targets per the configured TargetSelection policy. The
-  /// returned reference aliases `targets_scratch_` and is valid until the
-  /// next select_targets call.
+  /// returned reference aliases the scratch arena's `targets` and is valid
+  /// until the arena's next user overwrites it.
   [[nodiscard]] std::vector<common::PeerId>& select_targets(std::size_t count,
                                                             common::Round now);
 

@@ -54,21 +54,4 @@ class UniformLatency final : public LatencyModel {
   common::SimTime hi_;
 };
 
-/// Heavy-ish tail: base propagation delay plus exponential queueing term.
-class ExponentialLatency final : public LatencyModel {
- public:
-  ExponentialLatency(common::SimTime base, common::SimTime mean_extra)
-      : base_(base), mean_extra_(mean_extra) {
-    UPDP2P_ENSURE(base >= 0.0 && mean_extra > 0.0,
-                  "base >= 0 and mean_extra > 0 required");
-  }
-  [[nodiscard]] common::SimTime sample(common::StreamRng& rng) const override {
-    return base_ + rng.exponential(1.0 / mean_extra_);
-  }
-
- private:
-  common::SimTime base_;
-  common::SimTime mean_extra_;
-};
-
 }  // namespace updp2p::net

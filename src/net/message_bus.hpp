@@ -31,7 +31,6 @@ struct BusStats {
   std::uint64_t messages_sent = 0;       ///< all sends, incl. to offline peers
   std::uint64_t messages_delivered = 0;  ///< receiver was online
   std::uint64_t messages_to_offline = 0; ///< receiver offline: silently lost
-  std::uint64_t messages_partitioned = 0;///< blocked by the link filter (cut)
   std::uint64_t messages_dropped = 0;    ///< random loss (loss_probability)
   std::uint64_t bytes_sent = 0;
 
@@ -84,11 +83,11 @@ static_assert(sizeof(Envelope) == 16 &&
 ///      shard count and thread interleaving. (from, seq) is unique per
 ///      sender, so the sort has no ties and no reliance on stability.
 ///
-/// Delivery policy (offline receivers, partitions, random loss) is the
-/// driver's job: its `deliverable` predicate decides which recipients can
-/// receive, and it records the outcome of every collected envelope into
-/// its shard_stats(dst) slot; send-side counters are kept by
-/// send_from_shard in the source shard's slot. stats() merges all slots.
+/// Delivery policy (offline receivers, random loss) is the driver's job:
+/// its `deliverable` predicate decides which recipients can receive, and it
+/// records the outcome of every collected envelope into its
+/// shard_stats(dst) slot; send-side counters are kept by send_from_shard in
+/// the source shard's slot. stats() merges all slots.
 template <typename Payload>
 class ShardedMessageBus {
  public:
@@ -203,7 +202,6 @@ class ShardedMessageBus {
       merged.messages_sent += slot.stats.messages_sent;
       merged.messages_delivered += slot.stats.messages_delivered;
       merged.messages_to_offline += slot.stats.messages_to_offline;
-      merged.messages_partitioned += slot.stats.messages_partitioned;
       merged.messages_dropped += slot.stats.messages_dropped;
       merged.bytes_sent += slot.stats.bytes_sent;
     }

@@ -149,7 +149,6 @@ std::size_t UdpTransport::drain(std::vector<InboundDatagram>& out) {
     if (!recv_pool_.empty()) {
       bytes = std::move(recv_pool_.back());
       recv_pool_.pop_back();
-      ++recv_buffers_reused_;
     }
     bytes.assign(frame->payload.begin(), frame->payload.end());
     out.push_back(InboundDatagram{frame->from, std::move(bytes)});

@@ -75,10 +75,6 @@ class UdpTransport final : public Transport {
 
   /// The locally bound UDP port (useful with bind_port = 0).
   [[nodiscard]] std::uint16_t bound_port() const noexcept { return port_; }
-  /// Datagrams delivered into a recycled buffer instead of a fresh one.
-  [[nodiscard]] std::uint64_t recv_buffers_reused() const noexcept {
-    return recv_buffers_reused_;
-  }
   /// The raw socket fd, for callers composing their own poll/epoll set.
   [[nodiscard]] int fd() const noexcept { return fd_; }
 
@@ -104,7 +100,6 @@ class UdpTransport final : public Transport {
   std::vector<std::byte> frame_scratch_;  ///< reused send buffer
   std::vector<std::byte> recv_scratch_;   ///< reused receive buffer
   std::vector<DatagramBytes> recv_pool_;  ///< recycled delivery buffers
-  std::uint64_t recv_buffers_reused_ = 0;
   TransportStats stats_;
 };
 

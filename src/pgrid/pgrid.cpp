@@ -7,9 +7,8 @@
 namespace updp2p::pgrid {
 
 namespace {
-/// Purpose keys of the two constructions' streams under the grid seed.
+/// Purpose key of the construction's stream under the grid seed.
 constexpr std::uint64_t kBuildPurpose = 0x9B1D;
-constexpr std::uint64_t kExchangePurpose = 0xE8C4;
 }  // namespace
 
 PGridNetwork PGridNetwork::build(const PGridConfig& config) {
@@ -94,168 +93,7 @@ BitPath PGridNetwork::partition_of(const BitPath& key) const {
 
 const std::vector<common::PeerId>& PGridNetwork::replica_group(
     const BitPath& key) const {
-  static const std::vector<common::PeerId> kEmpty;
-  const auto it = partitions_.find(partition_of(key));
-  return it == partitions_.end() ? kEmpty : it->second;
-}
-
-// --- self-organizing construction (Aberer, CoopIS 2001) ----------------------
-
-namespace {
-
-void add_ref(RoutingLevel& level, common::PeerId peer, std::size_t cap,
-             common::StreamRng& rng) {
-  if (std::find(level.refs.begin(), level.refs.end(), peer) !=
-      level.refs.end()) {
-    return;
-  }
-  if (level.refs.size() < cap) {
-    level.refs.push_back(peer);
-  } else {
-    // Reservoir-style replacement keeps the table fresh without growth.
-    level.refs[rng.pick_index(level.refs.size())] = peer;
-  }
-}
-
-void add_replica(PGridPeer& peer, common::PeerId other) {
-  if (other != peer.id && std::find(peer.replicas.begin(),
-                                    peer.replicas.end(),
-                                    other) == peer.replicas.end()) {
-    peer.replicas.push_back(other);
-  }
-}
-
-/// One pairwise exchange between peers a and b.
-void meet(PGridPeer& a, PGridPeer& b, std::uint8_t depth, std::size_t cap,
-          common::StreamRng& rng) {
-  const std::uint8_t l = a.path.common_prefix_length(b.path);
-  const bool a_exhausted = l == a.path.length();
-  const bool b_exhausted = l == b.path.length();
-
-  if (a_exhausted && b_exhausted) {
-    if (l < depth) {
-      // Identical paths, room to grow: split the partition — the defining
-      // P-Grid move. Each side keeps the other as its sibling reference.
-      a.path = a.path.appended(false);
-      b.path = b.path.appended(true);
-      a.routing.push_back(RoutingLevel{a.path.sibling_at(l), {b.id}});
-      b.routing.push_back(RoutingLevel{b.path.sibling_at(l), {a.id}});
-    } else {
-      // Same full-depth path: they are replicas; union their knowledge.
-      add_replica(a, b.id);
-      add_replica(b, a.id);
-      for (const common::PeerId peer : b.replicas) add_replica(a, peer);
-      for (const common::PeerId peer : a.replicas) add_replica(b, peer);
-    }
-    return;
-  }
-
-  if (a_exhausted != b_exhausted) {
-    // One path is a strict prefix of the other: the shorter peer
-    // specialises into the complement of the longer peer's next bit,
-    // keeping the longer peer as its first reference across that split.
-    PGridPeer& shorter = a_exhausted ? a : b;
-    PGridPeer& longer = a_exhausted ? b : a;
-    const bool longer_bit = longer.path.bit(l);
-    shorter.path = shorter.path.appended(!longer_bit);
-    shorter.routing.push_back(
-        RoutingLevel{shorter.path.sibling_at(l), {longer.id}});
-    if (longer.routing.size() > l) {
-      add_ref(longer.routing[l], shorter.id, cap, rng);
-    }
-    return;
-  }
-
-  // Paths diverge at level l: each is a valid level-l reference for the
-  // other; additionally gossip same-side contacts (replicas qualify).
-  add_ref(a.routing[l], b.id, cap, rng);
-  add_ref(b.routing[l], a.id, cap, rng);
-  for (const common::PeerId peer : b.replicas) {
-    add_ref(a.routing[l], peer, cap, rng);
-  }
-  for (const common::PeerId peer : a.replicas) {
-    add_ref(b.routing[l], peer, cap, rng);
-  }
-}
-
-}  // namespace
-
-PGridNetwork PGridNetwork::build_by_exchanges(const PGridConfig& config,
-                                              std::size_t meetings) {
-  UPDP2P_ENSURE(config.peers >= 2, "need at least two peers to exchange");
-  UPDP2P_ENSURE(config.depth > 0 && config.depth <= 24,
-                "depth must be in [1, 24]");
-  UPDP2P_ENSURE((std::size_t{1} << config.depth) <= config.peers,
-                "need at least one peer per partition");
-
-  PGridNetwork network;
-  network.config_ = config;
-  common::StreamRng rng(config.seed, 0, kExchangePurpose);
-
-  network.peers_.resize(config.peers);
-  for (std::uint32_t i = 0; i < config.peers; ++i) {
-    network.peers_[i].id = common::PeerId(i);
-  }
-
-  if (meetings == 0) {
-    // Enough random meetings for every peer to specialise to full depth
-    // and collect references whp.
-    meetings = config.peers * static_cast<std::size_t>(config.depth) * 40;
-  }
-  for (std::size_t m = 0; m < meetings; ++m) {
-    const auto i = rng.pick_index(config.peers);
-    auto j = rng.pick_index(config.peers);
-    while (j == i) j = rng.pick_index(config.peers);
-    meet(network.peers_[i], network.peers_[j], config.depth,
-         config.refs_per_level, rng);
-  }
-
-  // Stragglers that never found a split partner extend randomly (in a real
-  // deployment they would keep meeting peers; we bound the build time).
-  for (auto& peer : network.peers_) {
-    while (peer.path.length() < config.depth) {
-      const std::uint8_t l = peer.path.length();
-      peer.path = peer.path.appended(rng.bernoulli(0.5));
-      peer.routing.push_back(RoutingLevel{peer.path.sibling_at(l), {}});
-    }
-  }
-
-  // Partition map from the organically formed paths.
-  for (const auto& peer : network.peers_) {
-    network.partitions_[peer.path].push_back(peer.id);
-  }
-
-  // Repair pass — the §2 escape hatch ("if not enough replicas are known
-  // they can be efficiently obtained by randomized search"): fill empty
-  // routing levels and replica lists from the settled structure.
-  std::unordered_map<BitPath, std::vector<common::PeerId>> by_prefix;
-  for (const auto& peer : network.peers_) {
-    for (std::uint8_t l = 1; l <= config.depth; ++l) {
-      by_prefix[peer.path.prefix(l)].push_back(peer.id);
-    }
-  }
-  for (auto& peer : network.peers_) {
-    for (std::uint8_t l = 0; l < config.depth; ++l) {
-      auto& level = peer.routing[l];
-      if (!level.refs.empty()) continue;
-      const auto it = by_prefix.find(level.sibling_prefix);
-      if (it == by_prefix.end()) continue;  // genuinely empty subtree
-      const auto& candidates = it->second;
-      const std::size_t take =
-          std::min(config.refs_per_level, candidates.size());
-      for (const std::uint32_t idx : rng.sample_without_replacement(
-               static_cast<std::uint32_t>(candidates.size()),
-               static_cast<std::uint32_t>(take))) {
-        level.refs.push_back(candidates[idx]);
-      }
-    }
-    if (peer.replicas.empty()) {
-      for (const common::PeerId other : network.partitions_[peer.path]) {
-        add_replica(peer, other);
-      }
-    }
-  }
-  return network;
+  return partitions_.at(partition_of(key));
 }
 
 SearchResult PGridNetwork::search(common::PeerId origin, const BitPath& key,

@@ -66,17 +66,6 @@ class PGridNetwork {
   /// references into each sibling subtree.
   [[nodiscard]] static PGridNetwork build(const PGridConfig& config);
 
-  /// Builds the network the way P-Grid actually bootstraps (Aberer, CoopIS
-  /// 2001): peers start with the empty path and repeatedly meet random
-  /// partners — two peers with the same path *split* (extend their paths
-  /// with complementary bits and remember each other as the sibling
-  /// reference); peers with diverging paths exchange routing references at
-  /// their divergence level. Decentralised and randomized, it converges to
-  /// the same trie `build()` constructs directly. `meetings` bounds the
-  /// number of random pairwise exchanges (0 = a generous default).
-  [[nodiscard]] static PGridNetwork build_by_exchanges(
-      const PGridConfig& config, std::size_t meetings = 0);
-
   /// Routes a query for `key` from `origin` to a responsible peer. At each
   /// hop the current peer picks random references for the first level where
   /// its own path diverges from the key, skipping offline ones; the search
@@ -101,8 +90,8 @@ class PGridNetwork {
   }
   [[nodiscard]] std::uint8_t depth() const noexcept { return config_.depth; }
 
-  /// All peers responsible for the partition containing `key` (empty if —
-  /// only possible for exchange-built networks — no peer settled there).
+  /// All peers responsible for the partition containing `key` (never empty:
+  /// build() gives every partition at least one peer).
   [[nodiscard]] const std::vector<common::PeerId>& replica_group(
       const BitPath& key) const;
 

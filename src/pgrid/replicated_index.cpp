@@ -170,17 +170,4 @@ std::optional<version::VersionedValue> ReplicatedIndex::get(
   return gossip::resolve_query(answers, rule);
 }
 
-double ReplicatedIndex::group_consistency(std::string_view key,
-                                          const version::VersionId& id) const {
-  const auto key_path = BitPath::from_key(key, 64);
-  const auto& group = grid_.replica_group(key_path);
-  if (group.empty()) return 0.0;
-  std::size_t holding = 0;
-  for (const common::PeerId peer : group) {
-    const auto value = nodes_[peer.value()]->read(key);
-    if (value.has_value() && value->id == id) ++holding;
-  }
-  return static_cast<double>(holding) / static_cast<double>(group.size());
-}
-
 }  // namespace updp2p::pgrid

@@ -111,11 +111,6 @@ class ReplicatedIndex {
   }
   [[nodiscard]] net::BusStats bus_stats() const { return bus_.stats(); }
 
-  /// Fraction of the replica group of `key` whose winning version for the
-  /// key equals `id` (consistency probe for tests/monitoring).
-  [[nodiscard]] double group_consistency(std::string_view key,
-                                         const version::VersionId& id) const;
-
  private:
   RouteOutcome route(common::PeerId origin, const BitPath& key_path,
                      unsigned retries);

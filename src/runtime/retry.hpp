@@ -21,10 +21,11 @@
 namespace updp2p::runtime {
 
 struct RetryPolicy {
+  /// Each further retransmission waits this many times longer.
+  static constexpr double kMultiplier = 2.0;
+
   /// Wait before the first retransmission (attempt 0).
   common::SimTime initial_timeout = 0.5;
-  /// Multiplier applied per further attempt.
-  double multiplier = 2.0;
   /// Ceiling on any single wait (before jitter).
   common::SimTime max_timeout = 8.0;
   /// Symmetric jitter fraction: the sampled wait is uniform in
@@ -39,11 +40,11 @@ struct RetryPolicy {
   unsigned max_attempts = 5;
 
   /// Deterministic backoff base for retransmission number `attempt`
-  /// (0-based): min(initial_timeout · multiplier^attempt, max_timeout).
+  /// (0-based): min(initial_timeout · kMultiplier^attempt, max_timeout).
   [[nodiscard]] common::SimTime base_delay(unsigned attempt) const noexcept {
     common::SimTime delay = initial_timeout;
     for (unsigned i = 0; i < attempt; ++i) {
-      delay *= multiplier;
+      delay *= kMultiplier;
       if (delay >= max_timeout) return max_timeout;
     }
     return std::min(delay, max_timeout);
@@ -59,7 +60,6 @@ struct RetryPolicy {
 
   void validate() const {
     UPDP2P_ENSURE(initial_timeout > 0.0, "initial timeout must be positive");
-    UPDP2P_ENSURE(multiplier >= 1.0, "backoff multiplier must be >= 1");
     UPDP2P_ENSURE(max_timeout >= initial_timeout,
                   "max timeout must be >= initial timeout");
     UPDP2P_ENSURE(jitter >= 0.0 && jitter < 1.0, "jitter must be in [0,1)");

@@ -178,19 +178,11 @@ void RoundSimulator::step_shard(unsigned shard) {
       bus_.collect_into(shard, sh.batch, [this](common::PeerId to) {
         return online_[to.value()] != 0;
       });
-  const bool has_filter = static_cast<bool>(link_filter_);
   const double loss = config_.message_loss;
   common::StreamRng loss_rng;
   std::uint32_t loss_recipient = std::numeric_limits<std::uint32_t>::max();
   for (const net::Envelope& envelope : sh.batch) {
     const std::uint32_t to = envelope.to.value();
-    if (has_filter && !link_filter_(envelope.from, envelope.to)) {
-      // §3: peers across a cut perceive each other as offline, but the
-      // loss is attributed separately so partition experiments report
-      // honest numbers.
-      ++bstats.messages_partitioned;
-      continue;
-    }
     if (loss > 0.0) {
       if (to != loss_recipient) {
         loss_recipient = to;

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -97,13 +96,6 @@ class RoundSimulator {
   [[nodiscard]] net::BusStats bus_stats() const { return bus_.stats(); }
   /// Shards one round is stepped across (resolved from shard_threads).
   [[nodiscard]] unsigned shard_count() const noexcept { return shard_count_; }
-  /// Installs a connectivity predicate (network partitions); nullptr heals.
-  /// The predicate is invoked concurrently from shard tasks and must be
-  /// safe to call from multiple threads (pure functions are).
-  void set_link_filter(
-      std::function<bool(common::PeerId, common::PeerId)> filter) {
-    link_filter_ = std::move(filter);
-  }
   [[nodiscard]] common::Round current_round() const noexcept { return round_; }
 
   /// Fraction of *online* peers that know `id` (the paper's F_aware).
@@ -161,7 +153,6 @@ class RoundSimulator {
   common::StreamRng rng_;
   std::vector<gossip::ReplicaNode> nodes_;
   net::ShardedMessageBus<gossip::WireBytes> bus_;
-  std::function<bool(common::PeerId, common::PeerId)> link_filter_;
   unsigned shard_count_ = 1;
   std::vector<Shard> shards_;
   common::Round round_ = 0;

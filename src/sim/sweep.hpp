@@ -4,9 +4,9 @@
 // over seeds. Each run owns its simulator (no shared mutable state), so a
 // sweep is embarrassingly parallel; runs are drained from SweepPool's
 // persistent workers via an atomic work-stealing index (no per-run thread
-// spawn, no head-of-line blocking) and the per-run metrics are merged
-// deterministically (merge order is by seed, not completion order — results
-// are independent of scheduling).
+// spawn, no head-of-line blocking) and the per-run results come back in seed
+// order, not completion order, so anything merged from them is independent
+// of scheduling.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/ensure.hpp"
-#include "sim/metrics.hpp"
 #include "sim/sweep_pool.hpp"
 
 namespace updp2p::sim {
@@ -33,19 +32,6 @@ std::vector<Result> sweep_seeds(std::uint64_t base_seed, unsigned runs,
     results[index] = body(base_seed + index + 1);
   });
   return results;
-}
-
-/// Convenience: sweeps a RunMetrics-producing body and aggregates.
-inline AggregateMetrics sweep_aggregate(
-    std::uint64_t base_seed, unsigned runs,
-    const std::function<RunMetrics(std::uint64_t)>& body,
-    unsigned max_threads = 0) {
-  AggregateMetrics aggregate;
-  for (const auto& metrics :
-       sweep_seeds<RunMetrics>(base_seed, runs, body, max_threads)) {
-    aggregate.add(metrics);
-  }
-  return aggregate;
 }
 
 }  // namespace updp2p::sim

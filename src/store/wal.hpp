@@ -131,7 +131,6 @@ class FrameWal {
   /// fsync(2) the log file.
   bool sync();
 
-  [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
   [[nodiscard]] std::uint64_t appended_bytes() const noexcept {
     return appended_bytes_;

@@ -11,10 +11,8 @@
 #include "analysis/pull_model.hpp"          // IWYU pragma: export
 #include "analysis/push_model.hpp"          // IWYU pragma: export
 #include "baselines/anti_entropy.hpp"       // IWYU pragma: export
-#include "baselines/presets.hpp"            // IWYU pragma: export
 #include "churn/churn_model.hpp"            // IWYU pragma: export
 #include "churn/heterogeneous.hpp"          // IWYU pragma: export
-#include "churn/trace_io.hpp"               // IWYU pragma: export
 #include "common/args.hpp"                  // IWYU pragma: export
 #include "common/csv.hpp"                   // IWYU pragma: export
 #include "common/rng.hpp"                   // IWYU pragma: export

@@ -54,20 +54,6 @@ TEST(AntiEntropy, ConvergesUnderChurn) {
   EXPECT_GT(metrics.final_aware_fraction, 0.99);
 }
 
-TEST(AntiEntropy, MorePartnersFewerRounds) {
-  AntiEntropyConfig one;
-  one.population = 100;
-  one.partners_per_round = 1;
-  one.seed = 4;
-  AntiEntropyConfig three = one;
-  three.partners_per_round = 3;
-  AntiEntropySystem system_one(one, full_availability(100));
-  AntiEntropySystem system_three(three, full_availability(100));
-  const auto m1 = system_one.propagate_until_consistent(200);
-  const auto m3 = system_three.propagate_until_consistent(200);
-  EXPECT_LE(m3.rounds, m1.rounds);
-}
-
 TEST(AntiEntropy, AwareFractionBeforeSeedIsZero) {
   AntiEntropyConfig config;
   config.population = 10;

@@ -14,6 +14,11 @@ namespace {
 using common::PeerId;
 using common::StreamRng;
 
+/// Stationary availability of a two-state peer: p_join / (p_join + 1 − σ).
+double availability_of(const HeterogeneousChurn::PeerRates& r) {
+  return r.p_join / (r.p_join + 1.0 - r.sigma);
+}
+
 TEST(OnlineSet, CountsTransitions) {
   OnlineSet set(4);
   EXPECT_EQ(set.online_count(), 0u);
@@ -110,7 +115,7 @@ TEST(SessionChurn, AvailabilityFromSessionLengths) {
   const auto& rates = churn->rates(PeerId(9'999));
   EXPECT_NEAR(rates.sigma, 0.9, 1e-12);
   EXPECT_NEAR(rates.p_join, 0.025, 1e-12);
-  EXPECT_NEAR(churn->stationary_availability(PeerId(0)), 0.2, 1e-9);
+  EXPECT_NEAR(availability_of(churn->rates(PeerId(0))), 0.2, 1e-9);
   StreamRng rng(5);
   churn->reset(rng);
   EXPECT_NEAR(churn->online().online_fraction(), 0.2, 0.02);
@@ -221,7 +226,7 @@ TEST_P(SessionAvailabilitySweep, LongRunFractionMatches) {
     churn->advance(rng);
     fraction.add(churn->online().online_fraction());
   }
-  EXPECT_NEAR(fraction.mean(), churn->stationary_availability(PeerId(0)),
+  EXPECT_NEAR(fraction.mean(), availability_of(churn->rates(PeerId(0))),
               0.03);
 }
 

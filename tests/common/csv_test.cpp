@@ -9,27 +9,30 @@
 namespace updp2p::common {
 namespace {
 
+/// The bytes write_csv_file writes for `rows`, into a file named after the
+/// running test so that tests run in parallel do not share it.
+std::string written(const std::vector<std::vector<std::string>>& rows) {
+  const std::string dir = ::testing::TempDir();
+  const std::string name =
+      std::string("updp2p_csv_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  EXPECT_TRUE(write_csv_file(dir, name, rows));
+  const std::string path = dir + "/" + name + ".csv";
+  std::stringstream content;
+  content << std::ifstream(path).rdbuf();
+  std::remove(path.c_str());
+  return content.str();
+}
+
 TEST(Csv, PlainRow) {
-  std::ostringstream out;
-  CsvWriter(out).row({"a", "b", "c"});
-  EXPECT_EQ(out.str(), "a,b,c\n");
+  EXPECT_EQ(written({{"a", "b", "c"}}), "a,b,c\n");
 }
 
 TEST(Csv, EscapesSpecialCharacters) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("with,comma"), "\"with,comma\"");
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::escape("two\nlines"), "\"two\nlines\"");
-}
-
-TEST(Csv, SeriesRows) {
-  Series series;
-  series.label = "curve";
-  series.push(0.5, 1.0);
-  series.push(1.0, 2.0);
-  std::ostringstream out;
-  CsvWriter(out).series(series, 1);
-  EXPECT_EQ(out.str(), "curve,0.5,1.0\ncurve,1.0,2.0\n");
+  EXPECT_EQ(written({{"plain"}}), "plain\n");
+  EXPECT_EQ(written({{"with,comma"}}), "\"with,comma\"\n");
+  EXPECT_EQ(written({{"say \"hi\""}}), "\"say \"\"hi\"\"\"\n");
+  EXPECT_EQ(written({{"two\nlines"}}), "\"two\nlines\"\n");
 }
 
 TEST(Csv, WriteFileRoundTrip) {

@@ -1,14 +1,15 @@
-// Failure injection: network partitions.
+// Failure injection: network partitions on the real runtime.
 //
 // Paper §3: "if two peers may not communicate with each other, they will
 // simply perceive each other to be offline" — a partition is just mass
-// pairwise unavailability. These tests cut the network during an update and
-// verify the hybrid protocol's behaviour: the push covers the initiator's
-// side; after the cut heals, the pull phase reconciles the other side.
+// pairwise unavailability. These tests cut a LoopbackCluster's switch with a
+// LinkFaultPolicy during an update and verify the hybrid protocol's
+// behaviour: the push covers the initiator's side; after the cut heals, the
+// pull phase reconciles the other side.
 #include <gtest/gtest.h>
 
 #include "analysis/forward_probability.hpp"
-#include "sim/round_simulator.hpp"
+#include "runtime/loopback_cluster.hpp"
 
 namespace updp2p {
 namespace {
@@ -22,104 +23,114 @@ bool same_side(PeerId a, PeerId b) {
   return (a.value() < kCut) == (b.value() < kCut);
 }
 
-sim::RoundSimConfig partition_config() {
-  sim::RoundSimConfig config;
+/// Drops every datagram that crosses the cut.
+class CutPolicy final : public net::LinkFaultPolicy {
+ public:
+  Decision on_submit(PeerId from, PeerId to, std::span<const std::byte>,
+                     common::StreamRng&) override {
+    return Decision{.drop = !same_side(from, to)};
+  }
+};
+
+/// Everyone online, no retransmission layer, half-round latency.
+runtime::LoopbackClusterConfig partition_config() {
+  runtime::LoopbackClusterConfig config;
   config.population = kPopulation;
-  config.gossip.estimated_total_replicas = kPopulation;
-  config.gossip.fanout_fraction = 0.05;
-  config.gossip.forward_probability = analysis::pf_constant(1.0);
-  config.gossip.pull.contacts_per_attempt = 4;
-  config.gossip.pull.no_update_timeout = 8;
-  config.max_rounds = 40;
-  config.quiescence_rounds = 50;
-  config.seed = 404;
+  config.network.latency = std::make_shared<net::ConstantLatency>(0.5);
+  config.runtime.round_duration = 1.0;
+  config.runtime.retry.max_attempts = 1;
+  config.runtime.gossip.estimated_total_replicas = kPopulation;
+  config.runtime.gossip.fanout_fraction = 0.05;
+  config.runtime.gossip.forward_probability = analysis::pf_constant(1.0);
+  config.runtime.gossip.pull.contacts_per_attempt = 4;
+  config.runtime.gossip.pull.no_update_timeout = 8;
+  config.runtime.seed = 404;
   return config;
 }
 
-std::size_t aware_on_side(const sim::RoundSimulator& simulator,
+/// Steps the cluster through `rounds` more rounds.
+void run_rounds(runtime::LoopbackCluster& cluster, int rounds) {
+  cluster.run_until(cluster.now() + rounds);
+}
+
+std::size_t aware_on_side(const runtime::LoopbackCluster& cluster,
                           const version::VersionId& id, bool side_a) {
   std::size_t count = 0;
   for (std::uint32_t i = 0; i < kPopulation; ++i) {
     if ((i < kCut) != side_a) continue;
-    if (simulator.node(PeerId(i)).knows_version(id)) ++count;
+    if (cluster.peer(PeerId(i)).node().knows_version(id)) ++count;
   }
   return count;
 }
 
-version::VersionId published_id(const sim::RoundSimulator& simulator,
-                                std::string_view key) {
-  for (std::uint32_t i = 0; i < kPopulation; ++i) {
-    if (const auto value = simulator.node(PeerId(i)).read(key)) {
-      return value->id;
-    }
-  }
-  return version::VersionId{};
-}
-
 TEST(Partition, PushStopsAtTheCut) {
-  auto simulator = sim::make_push_phase_simulator(partition_config(), 1.0, 1.0);
-  simulator->set_link_filter(same_side);
-  (void)simulator->propagate_update(PeerId(0), "k", "v");
-  const auto id = published_id(*simulator, "k");
+  CutPolicy cut;
+  runtime::LoopbackCluster cluster(partition_config());
+  cluster.network().set_link_policy(&cut);
+  const auto id = cluster.publish(PeerId(0), "k", "v");
+  ASSERT_TRUE(id.has_value());
+  run_rounds(cluster, 40);
   // Side A (initiator's side) is covered; side B is untouched.
-  EXPECT_GT(aware_on_side(*simulator, id, true), 140u);
-  EXPECT_EQ(aware_on_side(*simulator, id, false), 0u);
+  EXPECT_GT(aware_on_side(cluster, *id, true), 140u);
+  EXPECT_EQ(aware_on_side(cluster, *id, false), 0u);
 }
 
 TEST(Partition, HealingLetsPullReconcile) {
-  auto simulator = sim::make_push_phase_simulator(partition_config(), 1.0, 1.0);
-  simulator->set_link_filter(same_side);
-  (void)simulator->propagate_update(PeerId(0), "k", "v");
-  const auto id = published_id(*simulator, "k");
-  ASSERT_EQ(aware_on_side(*simulator, id, false), 0u);
+  CutPolicy cut;
+  runtime::LoopbackCluster cluster(partition_config());
+  cluster.network().set_link_policy(&cut);
+  const auto id = cluster.publish(PeerId(0), "k", "v");
+  ASSERT_TRUE(id.has_value());
+  run_rounds(cluster, 40);
+  ASSERT_EQ(aware_on_side(cluster, *id, false), 0u);
 
   // Heal the cut; timer-driven pulls ("no update received within time T")
   // drag side B back into sync.
-  simulator->set_link_filter(nullptr);
-  simulator->run_rounds(60);
-  EXPECT_GT(aware_on_side(*simulator, id, false), 140u);
+  cluster.network().set_link_policy(nullptr);
+  run_rounds(cluster, 60);
+  EXPECT_GT(aware_on_side(cluster, *id, false), 140u);
 }
 
 TEST(Partition, ConcurrentWritesOnBothSidesConvergeAfterHeal) {
-  auto config = partition_config();
-  auto simulator = sim::make_push_phase_simulator(config, 1.0, 1.0);
-  simulator->set_link_filter(same_side);
-  (void)simulator->propagate_update(PeerId(0), "k", "from-side-a");
-  (void)simulator->propagate_update(PeerId(200), "k", "from-side-b");
+  CutPolicy cut;
+  runtime::LoopbackCluster cluster(partition_config());
+  cluster.network().set_link_policy(&cut);
+  ASSERT_TRUE(cluster.publish(PeerId(0), "k", "from-side-a").has_value());
+  ASSERT_TRUE(cluster.publish(PeerId(200), "k", "from-side-b").has_value());
+  run_rounds(cluster, 40);
 
-  simulator->set_link_filter(nullptr);
-  simulator->run_rounds(80);
+  cluster.network().set_link_policy(nullptr);
+  run_rounds(cluster, 80);
 
   // Every replica that has the key resolves the same winner — the
   // deterministic §4.4 rule applied to the reconciled concurrent pair.
   version::VersionId winner{};
   std::size_t holding = 0;
+  std::size_t with_both = 0;
   for (std::uint32_t i = 0; i < kPopulation; ++i) {
-    const auto value = simulator->node(PeerId(i)).read("k");
+    const gossip::ReplicaNode& node = cluster.peer(PeerId(i)).node();
+    const auto value = node.read("k");
     if (!value.has_value()) continue;
     if (holding == 0) winner = value->id;
     EXPECT_EQ(value->id, winner) << "peer " << i;
     ++holding;
+    // Both concurrent versions survive in the maximal sets of synced peers.
+    if (node.store().versions("k").size() == 2) ++with_both;
   }
   EXPECT_GT(holding, 280u);
-  // Both concurrent versions survive in the maximal sets of synced peers.
-  std::size_t with_both = 0;
-  for (std::uint32_t i = 0; i < kPopulation; ++i) {
-    if (simulator->node(PeerId(i)).store().versions("k").size() == 2) {
-      ++with_both;
-    }
-  }
   EXPECT_GT(with_both, 250u);
 }
 
-TEST(Partition, LinkFilterCountsAsPartitioned) {
-  auto simulator = sim::make_push_phase_simulator(partition_config(), 1.0, 1.0);
-  simulator->set_link_filter(same_side);
-  (void)simulator->propagate_update(PeerId(0), "k", "v");
-  // Messages across the cut are lost like sends to offline peers (§3), but
-  // the bus attributes them to their own counter.
-  EXPECT_GT(simulator->bus_stats().messages_partitioned, 0u);
-  EXPECT_EQ(simulator->bus_stats().messages_to_offline, 0u);
+TEST(Partition, CutDropsCountAsPolicyDrops) {
+  CutPolicy cut;
+  runtime::LoopbackCluster cluster(partition_config());
+  cluster.network().set_link_policy(&cut);
+  ASSERT_TRUE(cluster.publish(PeerId(0), "k", "v").has_value());
+  run_rounds(cluster, 40);
+  // Datagrams across the cut are lost like sends to offline peers (§3), but
+  // the switch attributes them to the policy.
+  EXPECT_GT(cluster.network().stats().dropped_policy, 0u);
+  EXPECT_EQ(cluster.network().stats().dropped_offline, 0u);
 }
 
 }  // namespace

@@ -28,18 +28,6 @@ TEST(UniformLatency, StaysWithinBounds) {
   EXPECT_NEAR(stats.mean(), 0.2, 0.002);
 }
 
-TEST(ExponentialLatency, BasePlusTail) {
-  ExponentialLatency latency(0.05, 0.1);
-  common::StreamRng rng(3);
-  common::RunningStats stats;
-  for (int i = 0; i < 100'000; ++i) {
-    const double d = latency.sample(rng);
-    EXPECT_GE(d, 0.05);
-    stats.add(d);
-  }
-  EXPECT_NEAR(stats.mean(), 0.15, 0.005);
-}
-
 TEST(LatencyModels, UsableThroughBasePointer) {
   std::unique_ptr<LatencyModel> model =
       std::make_unique<ConstantLatency>(1.0);
@@ -51,13 +39,11 @@ TEST(LatencyModels, UsableThroughBasePointer) {
 
 TEST(LatencyModels, StreamRngSequencesReproduceUnderSameKey) {
   UniformLatency uniform(0.1, 0.3);
-  ExponentialLatency exponential(0.05, 0.1);
   const auto draw = [&](std::uint64_t seed, std::uint64_t stream,
                         std::uint64_t purpose) {
     common::StreamRng rng(seed, stream, purpose);
     std::vector<double> samples;
     for (int i = 0; i < 64; ++i) samples.push_back(uniform.sample(rng));
-    for (int i = 0; i < 64; ++i) samples.push_back(exponential.sample(rng));
     return samples;
   };
   // Identical (seed, stream, purpose) → identical sequence.
@@ -70,7 +56,6 @@ TEST(LatencyModels, StreamRngSequencesReproduceUnderSameKey) {
 
 TEST(LatencyModels, StreamRngSamplesStayInDistributionBounds) {
   UniformLatency uniform(0.1, 0.3);
-  ExponentialLatency exponential(0.05, 0.1);
   common::StreamRng rng(0xFACE, 17, 0x1A7E);
   common::RunningStats uniform_stats;
   for (int i = 0; i < 50'000; ++i) {
@@ -80,13 +65,6 @@ TEST(LatencyModels, StreamRngSamplesStayInDistributionBounds) {
     uniform_stats.add(d);
   }
   EXPECT_NEAR(uniform_stats.mean(), 0.2, 0.002);
-  common::RunningStats exp_stats;
-  for (int i = 0; i < 100'000; ++i) {
-    const double d = exponential.sample(rng);
-    ASSERT_GE(d, 0.05);
-    exp_stats.add(d);
-  }
-  EXPECT_NEAR(exp_stats.mean(), 0.15, 0.005);
 }
 
 TEST(LatencyModels, PinnedStreamRngSequence) {

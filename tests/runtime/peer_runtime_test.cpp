@@ -55,7 +55,6 @@ struct Pair {
     config.gossip.estimated_total_replicas = 2;
     config.gossip.acks.enabled = true;
     config.retry.initial_timeout = 0.2;
-    config.retry.multiplier = 2.0;
     config.retry.max_timeout = 2.0;
     config.retry.jitter = 0.0;  // exact schedules for assertions
     config.retry.max_attempts = 4;

@@ -297,7 +297,10 @@ TEST(GoldenDeterminism, SeedSweepAggregate) {
     auto simulator = sim::make_push_phase_simulator(config, 0.3, 0.95);
     return simulator->propagate_update();
   };
-  const auto aggregate = sim::sweep_aggregate(5'000, 5, body, 4);
+  sim::AggregateMetrics aggregate;
+  for (const auto& run : sim::sweep_seeds<sim::RunMetrics>(5'000, 5, body, 4)) {
+    aggregate.add(run);
+  }
   // All five seeds spread for multiple rounds under the current draw
   // sequence; the pin is about scheduling-independence, not the values.
   EXPECT_DOUBLE_EQ(aggregate.messages_per_initial_online.mean(),

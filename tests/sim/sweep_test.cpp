@@ -46,27 +46,19 @@ TEST(Sweep, DeterministicRegardlessOfThreadCount) {
     auto simulator = make_push_phase_simulator(config, 0.3, 1.0);
     return simulator->propagate_update();
   };
-  const auto serial = sweep_aggregate(7'000, 6, body, 1);
-  const auto parallel = sweep_aggregate(7'000, 6, body, 8);
+  const auto aggregate = [&body](unsigned threads) {
+    AggregateMetrics result;
+    for (const auto& run : sweep_seeds<RunMetrics>(7'000, 6, body, threads)) {
+      result.add(run);
+    }
+    return result;
+  };
+  const auto serial = aggregate(1);
+  const auto parallel = aggregate(8);
   EXPECT_DOUBLE_EQ(serial.messages_per_initial_online.mean(),
                    parallel.messages_per_initial_online.mean());
   EXPECT_DOUBLE_EQ(serial.final_aware_fraction.mean(),
                    parallel.final_aware_fraction.mean());
-}
-
-TEST(Sweep, AggregateCountsRuns) {
-  const auto aggregate = sweep_aggregate(0, 5, [](std::uint64_t) {
-    RunMetrics metrics;
-    metrics.initial_online = 10;
-    RoundMetrics round;
-    round.push_messages = 20;
-    round.online = 10;
-    round.aware_online = 10;
-    metrics.rounds.push_back(round);
-    return metrics;
-  });
-  EXPECT_EQ(aggregate.messages_per_initial_online.count(), 5u);
-  EXPECT_DOUBLE_EQ(aggregate.messages_per_initial_online.mean(), 2.0);
 }
 
 TEST(Sweep, BackToBackJobsRunEachIndexExactlyOnce) {
